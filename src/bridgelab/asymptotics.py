@@ -131,6 +131,11 @@ def limit_field_v0(u, W, gamma: float, lambda0: float, C0, theta0) -> float:
     C0 = np.asarray(C0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     t, s, g = _v0_penalty_terms(gamma, lambda0, theta0)
+    return _v0_value(u, W, C0, t, s, g)
+
+
+def _v0_value(u, W, C0, t, s, g) -> float:
+    """limit_field_v0 on float arrays with the penalty terms already derived."""
     return float(-2.0 * W @ u + u @ C0 @ u + t @ u + np.sum(s * np.abs(u) ** g))
 
 
@@ -146,13 +151,12 @@ def v0_on_points(points, W, gamma: float, lambda0: float, C0, theta0) -> np.ndar
     return -2.0 * pts @ W + quad + pen
 
 
-def _separable_cd(C0: np.ndarray, W: np.ndarray, t: np.ndarray, s: np.ndarray,
-                  g: np.ndarray, start: np.ndarray, tol: float = 1e-13,
+def _separable_cd(C0: np.ndarray, diag: np.ndarray, W: np.ndarray, t: np.ndarray,
+                  s: np.ndarray, g: np.ndarray, start: np.ndarray, tol: float = 1e-13,
                   max_sweeps: int = 500) -> np.ndarray:
-    """Coordinate descent on -2W.u + u'C0u + t.u + sum s_j |u_j|^g_j."""
+    """Coordinate descent on -2W.u + u'C0u + t.u + sum s_j |u_j|^g_j; diag = diag(C0)."""
     u = start.copy()
     p = u.size
-    diag = np.diag(C0)
     for _ in range(max_sweeps):
         max_move = 0.0
         for j in range(p):
@@ -215,6 +219,7 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
 
     nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))
     masks = list(itertools.product((False, True), repeat=min(nonconvex.size, 6)))
+    diag = np.diag(C0)
     samples = np.empty((R, p))
     for k in range(R):
         W = W_all[k]
@@ -228,8 +233,8 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
             starts.append(pt)
         best, key = None, None
         for st in starts:
-            u = _separable_cd(C0, W, t, s, g, st)
-            val = limit_field_v0(u, W, law.gamma, lam0, C0, theta0)
+            u = _separable_cd(C0, diag, W, t, s, g, st)
+            val = _v0_value(u, W, C0, t, s, g)
             kk = tiebreak_key(val, u)
             if key is None or kk < key:
                 key, best = kk, u

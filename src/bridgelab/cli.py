@@ -17,7 +17,7 @@ from . import penalty as penalty_mod
 from .asymptotics import REGIME_STANDARD, limit_law, regime_classify, sample_limit_argmin
 from .config import ExperimentConfig, parse_config
 from .contrast import Contrast
-from .errors import ConfigError, InvalidInputError, UnsupportedRegimeError
+from .errors import ConfigError, InvalidInputError, InvalidSpecError, UnsupportedRegimeError
 from .model import Dataset, generate_design, gram, simulate_responses
 from .montecarlo import (
     compare_to_limit,
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(ec)
         return cmd_limit(ec)
-    except ConfigError as exc:
+    except (ConfigError, InvalidSpecError, InvalidInputError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except UnsupportedRegimeError as exc:

@@ -151,7 +151,10 @@ def _bracketed_newton(h, hprime, lo: float, hi: float) -> float:
     """Root of increasing h on [lo, hi] with h(lo) <= 0 <= h(hi).
 
     Newton from the midpoint, clipped into the shrinking bracket; bisection
-    whenever the Newton step leaves it. Deterministic.
+    whenever the Newton step leaves it. Stops at float resolution: once a
+    Newton correction is at most 2 ulp of x, or once the bisection midpoint
+    equals an end of the bracket. The iteration cap is only a safety net.
+    Deterministic.
     """
     x = 0.5 * (lo + hi)
     for _ in range(200):
@@ -162,15 +165,17 @@ def _bracketed_newton(h, hprime, lo: float, hi: float) -> float:
             hi = x
         else:
             lo = x
-        if hi - lo <= 1e-16 * (1.0 + abs(hi)):
-            break
         d = hprime(x)
         if d > 0.0:
             step = x - hx / d
+            if abs(step - x) <= 2.0 * math.ulp(x):
+                return min(max(step, lo), hi)
         else:
             step = lo  # force bisection
         if not (lo < step < hi):
             step = 0.5 * (lo + hi)
+            if step == lo or step == hi:
+                break
         x = step
     return 0.5 * (lo + hi)
 
@@ -253,6 +258,8 @@ def _selo_candidates(c: float, b: float, lam: float, n: int, tau: float) -> list
         lo, hi = 0.0, beta
         for _ in range(120):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             if hp(mid) < 0.0:
                 lo = mid
             else:

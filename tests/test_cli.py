@@ -88,6 +88,17 @@ def test_invalid_value_messages_name_the_field(tmp_path):
         parse_config(str(path))
 
 
+def test_unrealizable_spec_is_config_error_not_traceback(tmp_path, capsys):
+    # p = 2 cannot be fitted from n = 1 rows, so generate_design refuses the spec
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE.replace("n = 100", "n = 1"))
+    code, out, err = _run(capsys, ["estimate", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert "n=1 < p=2" in err
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bridgelab import penalty as penalty_mod
 from bridgelab.errors import InvalidInputError, InvalidSpecError
 from bridgelab.penalty import (
     PenaltySpec,
@@ -14,6 +15,7 @@ from bridgelab.penalty import (
     check_smooth_conditions,
     penalty_total,
     penalty_value,
+    power_prox_candidates,
     scalar_prox,
     scalar_prox_interval,
     zero_penalty,
@@ -184,6 +186,78 @@ def test_prox_tie_breaks_toward_smaller_magnitude():
     # with b = 0 every family returns the literal 0
     for pen in (bridge(1.0, 0.0, 0.5), scad(0.2, 0.0), selo(0.2, 0.0), zero_penalty()):
         assert scalar_prox(pen, 10, 2.0, 0.0) == 0.0
+
+
+def _half_thresholding_root(c, b, lam):
+    """Interior gamma = 1/2 root in closed form (Xu, Chang, Xu & Zhang, 2012):
+    z = sqrt(x) is the largest root of z^3 - beta z + lam/(4c) = 0."""
+    beta = abs(b)
+    k = lam / (4.0 * c)
+    z = 2.0 * math.sqrt(beta / 3.0) * math.cos(
+        math.acos(-(3.0 * k / (2.0 * beta)) * math.sqrt(3.0 / beta)) / 3.0)
+    return math.copysign(z * z, b)
+
+
+def _three_halves_root(c, b, lam):
+    """gamma = 3/2 root: z = sqrt(x) solves 2c z^2 + 1.5 lam z - 2c beta = 0."""
+    beta = abs(b)
+    z = 4.0 * c * beta / (1.5 * lam + math.sqrt(2.25 * lam * lam + 16.0 * c * c * beta))
+    return math.copysign(z * z, b)
+
+
+def _log_uniform_prox_inputs(seed, size):
+    """(c, b, lam) spanning five to six decades each, b of either sign."""
+    rng = np.random.default_rng(seed)
+    c = 10.0 ** rng.uniform(-2.0, 3.0, size)
+    b = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    lam = 10.0 ** rng.uniform(-3.0, 3.0, size)
+    return [(float(ci), float(bi), float(li)) for ci, bi, li in zip(c, b, lam)]
+
+
+@pytest.mark.parametrize("gamma, closed_form", [(0.5, _half_thresholding_root),
+                                                 (1.5, _three_halves_root)],
+                         ids=["half-thresholding", "three-halves"])
+def test_power_prox_root_matches_closed_form_to_64_ulp(gamma, closed_form):
+    ulps = []
+    for c, b, lam in _log_uniform_prox_inputs(20251018, 6000):
+        cands = power_prox_candidates(c, b, lam, gamma)
+        if gamma < 1.0 and len(cands) < 2:
+            continue  # no interior local minimum: only the literal 0
+        ref = closed_form(c, b, lam)
+        ulps.append(abs(cands[-1] - ref) / math.ulp(ref))
+    ulps = np.array(ulps)
+    assert ulps.size >= 2000
+    assert np.max(ulps) <= 64.0, (
+        f"{int(np.sum(ulps > 64.0))} of {ulps.size} roots beyond 64 ulp, worst {np.max(ulps)}")
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.5, "selo"])
+def test_prox_root_finds_stop_at_float_resolution(monkeypatch, gamma):
+    # every root find must meet its stopping rule long before the 200-iteration cap
+    evaluations = []
+    newton = penalty_mod._bracketed_newton
+
+    def counted(h, hprime, lo, hi):
+        count = [0]
+
+        def h_counted(x):
+            count[0] += 1
+            return h(x)
+
+        root = newton(h_counted, hprime, lo, hi)
+        evaluations.append(count[0])
+        return root
+
+    monkeypatch.setattr(penalty_mod, "_bracketed_newton", counted)
+    rng = np.random.default_rng(7)
+    for c, b, lam in _log_uniform_prox_inputs(11, 3000):
+        if gamma == "selo":
+            pen = selo(lam, 0.0, tau_c=10.0 ** rng.uniform(-4.0, 0.0), tau_e=0.0)
+            scalar_prox(pen, int(rng.integers(1, 5000)), c, b)
+        else:
+            scalar_prox(bridge(lam, 0.0, gamma), 1, c, b)
+    assert len(evaluations) >= 1000
+    assert max(evaluations) <= 60
 
 
 # ---------------------------------------------------------------------------
