@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .penalty import TuningSchedule, power_prox_candidates
-from .solver import Box, tiebreak_key
+from .solver import Box, tiebreak_argmin
 
 REGIME_STANDARD = "standard"
 REGIME_SPARSE_NORMAL = "sparse-normal"
@@ -99,6 +99,19 @@ def regime_classify(gamma: float, schedule: TuningSchedule) -> Regime:
         "root-n asymptotics need e <= 1/2 and the sparse regimes need gamma < 1")
 
 
+def penalty_regime(penalty) -> tuple[float, Regime]:
+    """(gamma, regime) of a penalty spec: the bridge index, or gamma = 2 for the
+    unpenalized spec; the other families have no schedule-exponent regime."""
+    if penalty.family == "bridge":
+        gamma = penalty.gamma
+    elif penalty.family == "none":
+        gamma = 2.0
+    else:
+        raise UnsupportedRegimeError(
+            f"regime classification applies to the bridge family, not {penalty.family}")
+    return gamma, regime_classify(gamma, penalty.schedule)
+
+
 def _v0_penalty_terms(gamma: float, lambda0: float, theta0: np.ndarray):
     """Separable penalty of the limit field: linear coefficients t and power
     terms s|u|^g per coordinate, selected by the gamma branch."""
@@ -126,72 +139,106 @@ def limit_field_v0(u, W, gamma: float, lambda0: float, C0, theta0) -> float:
     sign/absolute mix for gamma = 1, and |u_j|^gamma only on the true-zero
     coordinates for gamma < 1.
     """
-    u = np.asarray(u, dtype=float)
-    W = np.asarray(W, dtype=float)
-    C0 = np.asarray(C0, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
-    t, s, g = _v0_penalty_terms(gamma, lambda0, theta0)
-    return _v0_value(u, W, C0, t, s, g)
-
-
-def _v0_value(u, W, C0, t, s, g) -> float:
-    """limit_field_v0 on float arrays with the penalty terms already derived."""
-    return float(-2.0 * W @ u + u @ C0 @ u + t @ u + np.sum(s * np.abs(u) ** g))
+    return float(v0_on_points(np.asarray(u, dtype=float)[None, :], W, gamma, lambda0, C0, theta0)[0])
 
 
 def v0_on_points(points, W, gamma: float, lambda0: float, C0, theta0) -> np.ndarray:
-    """Vectorized limit-field evaluation over rows of `points`."""
-    pts = np.asarray(points, dtype=float)
-    W = np.asarray(W, dtype=float)
-    C0 = np.asarray(C0, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
+    """Vectorized limit-field evaluation over rows of `points`, for one W or
+    for one row of W per point. Each row is evaluated on its own."""
+    pts, W, C0, theta0 = (np.asarray(a, dtype=float) for a in (points, W, C0, theta0))
     t, s, g = _v0_penalty_terms(gamma, lambda0, theta0)
-    quad = np.einsum("ij,jk,ik->i", pts, C0, pts)
-    pen = np.abs(pts) ** g[None, :] @ s + pts @ t
-    return -2.0 * pts @ W + quad + pen
+    quad = np.sum(_rows_times(pts, C0) * pts, axis=1)
+    return (-2.0 * np.sum(W * pts, axis=1) + quad + np.sum(t * pts, axis=1)
+            + np.sum(s * np.abs(pts) ** g, axis=1))
 
 
-def _separable_cd(C0: np.ndarray, diag: np.ndarray, W: np.ndarray, t: np.ndarray,
-                  s: np.ndarray, g: np.ndarray, start: np.ndarray, tol: float = 1e-13,
-                  max_sweeps: int = 500) -> np.ndarray:
-    """Coordinate descent on -2W.u + u'C0u + t.u + sum s_j |u_j|^g_j; diag = diag(C0)."""
-    u = start.copy()
-    p = u.size
-    for _ in range(max_sweeps):
-        max_move = 0.0
-        for j in range(p):
-            off = float(C0[j] @ u) - diag[j] * u[j]
-            b = (W[j] - off - 0.5 * t[j]) / diag[j]
-            if s[j] == 0.0:
-                new = b
-            else:
-                cands = power_prox_candidates(diag[j], b, s[j], g[j])
-                if 0.0 not in cands:
-                    cands = cands + [0.0]
-                best, key = None, None
-                for x in cands:
-                    d = x - b
-                    val = diag[j] * d * d + s[j] * abs(x) ** g[j]
-                    k = (val, abs(x), x)
-                    if key is None or k < key:
-                        key, best = k, x
-                new = best
-            move = abs(new - u[j])
-            if move > max_move:
-                max_move = move
-            u[j] = new
-        if max_move <= tol:
+def _rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M from elementwise products summed in index order, so a row's result
+    does not depend on the other rows (a BLAS kernel's rounding may)."""
+    out = X[:, :1] * M[0]
+    for k in range(1, M.shape[0]):
+        out = out + X[:, k:k + 1] * M[k]
+    return out
+
+
+def _coordinate_min(c: float, b: np.ndarray, s: float, g: float, lo: float, hi: float):
+    """argmin over [lo, hi] of c(x-b)^2 + s|x|^g for every element of b.
+
+    Candidates are the literal 0, the finite box ends and the power prox
+    root, each where it lies in the box; the smallest (value, |x|, x) wins.
+    """
+    if s == 0.0:
+        return np.clip(b, lo, hi)
+    best, best_v = np.zeros(b.shape), np.full(b.shape, np.inf)
+    fixed = [x for x in (0.0, lo, hi) if lo <= x <= hi and math.isfinite(x)]
+    for x in fixed + [power_prox_candidates(c, b, s, g)]:
+        d = x - b
+        v = c * d * d + s * np.abs(x) ** g
+        ax, a_best = np.abs(x), np.abs(best)
+        take = (v < best_v) | ((v == best_v) & ((ax < a_best) | ((ax == a_best) & (x < best))))
+        take &= (lo <= x) & (x <= hi)
+        best = np.where(take, x, best)
+        best_v = np.where(take, v, best_v)
+    return best
+
+
+def box_descent(Q, q, s, g, starts, lo=-np.inf, hi=np.inf) -> np.ndarray:
+    """Coordinate descent on u'Qu - 2q'u + sum_j s_j |u_j|^g_j over lo <= u <= hi
+    (Q symmetric positive definite), on every row of `starts` (with its row of
+    q, or one shared q) at once.
+
+    Each row follows its own rules: exact coordinate minimization by
+    `_coordinate_min`, and a stop after its first sweep that moves no
+    coordinate by more than 1e-13 (or after 2000 sweeps). Sums are formed
+    elementwise in index order, so a row's endpoint does not depend on the
+    other rows.
+    """
+    Q = np.asarray(Q, dtype=float)
+    p = Q.shape[0]
+    lo, hi = np.broadcast_to(lo, p), np.broadcast_to(hi, p)
+    U = np.clip(np.asarray(starts, dtype=float), lo, hi)
+    q = np.broadcast_to(np.asarray(q, dtype=float), U.shape)
+    Q_off = Q - np.diag(np.diag(Q))
+    active = np.arange(U.shape[0])
+    for _ in range(2000):
+        if active.size == 0:
             break
-    return u
+        u, qa = U[active], q[active]
+        max_move = np.zeros(active.size)
+        for j in range(p):
+            b = (qa[:, j] - _rows_times(u, Q_off[:, j:j + 1])[:, 0]) / Q[j, j]
+            new = _coordinate_min(Q[j, j], b, s[j], g[j], lo[j], hi[j])
+            max_move = np.maximum(max_move, np.abs(new - u[:, j]))
+            u[:, j] = new
+        U[active] = u
+        active = active[max_move > 1e-13]
+    return U
+
+
+def _zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Per row of base, in order: the row, the origin, and the row with each
+    nonempty subset of `coords` set to 0."""
+    masks = list(itertools.product((False, True), repeat=coords.size))[1:]
+    per_row = 2 + len(masks)
+    starts = np.repeat(base, per_row, axis=0)
+    starts[1::per_row] = 0.0
+    for i, mask in enumerate(masks):
+        starts[2 + i::per_row, coords[list(mask)]] = 0.0
+    return starts
+
+
+_SAMPLER_BLOCK = 4096  # draws per kernel call: bounds the sampler's working memory
 
 
 def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     """Draw R argmin samples of the standard-regime limit field.
 
     Per draw: W ~ N(0, sigma^2 C0) from a seed spawned deterministically for
-    (seed, draw index), then the field is minimized by the same
-    coordinate-descent machinery as the finite-n solver (closed form when the
-    effective penalty is smooth).
+    (seed, draw index). The field is then minimized from a multistart set by
+    `box_descent` (closed form when the effective penalty is smooth), with
+    the start chosen by the solver's tie-break. Draws go through the kernel
+    in fixed blocks with elementwise rules, so draw k depends only on
+    (law, seed, k).
     """
     if law.regime.tag != REGIME_STANDARD:
         raise InvalidInputError(
@@ -206,39 +253,27 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     lam0 = law.regime.lambda0 or 0.0
     t, s, g = _v0_penalty_terms(law.gamma, lam0, theta0)
 
-    L = np.linalg.cholesky(C0)
     children = np.random.SeedSequence(seed).spawn(R)
     Z = np.empty((R, p))
     for k, child in enumerate(children):
         Z[k] = np.random.default_rng(child).standard_normal(p)
-    W_all = sigma * (Z @ L.T)
-
+    W_all = sigma * _rows_times(Z, np.linalg.cholesky(C0).T)
+    # stationary point of the smooth part: C0 u = W - t/2
+    base = _rows_times(W_all - 0.5 * t, np.linalg.inv(C0).T)
     if np.all(s == 0.0):
-        # smooth field: stationarity gives u = C0^-1 (W - t/2) exactly
-        return np.linalg.solve(C0, (W_all - 0.5 * t).T).T
+        return base
 
-    nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))
-    masks = list(itertools.product((False, True), repeat=min(nonconvex.size, 6)))
-    diag = np.diag(C0)
+    # starts per draw: base, origin, and zero patterns of the first six
+    # nonconvex coordinates
+    nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:6]
+    n_starts = 1 + 2 ** nonconvex.size
     samples = np.empty((R, p))
-    for k in range(R):
-        W = W_all[k]
-        base = np.linalg.solve(C0, W - 0.5 * t)
-        starts = [base, np.zeros(p)]
-        for mask in masks:
-            pt = base.copy()
-            for idx, on in zip(nonconvex, mask):
-                if on:
-                    pt[idx] = 0.0
-            starts.append(pt)
-        best, key = None, None
-        for st in starts:
-            u = _separable_cd(C0, diag, W, t, s, g, st)
-            val = _v0_value(u, W, C0, t, s, g)
-            kk = tiebreak_key(val, u)
-            if key is None or kk < key:
-                key, best = kk, u
-        samples[k] = best
+    for a in range(0, R, _SAMPLER_BLOCK):
+        W = np.repeat(W_all[a:a + _SAMPLER_BLOCK], n_starts, axis=0)
+        U = box_descent(C0, W - 0.5 * t, s, g, _zeroed_starts(base[a:a + _SAMPLER_BLOCK], nonconvex))
+        vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
+        draw = np.arange(U.shape[0]) // n_starts
+        samples[a:a + _SAMPLER_BLOCK] = U[tiebreak_argmin(draw, vals, U)]
     return samples
 
 
@@ -287,56 +322,12 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     if eig[0] <= 0.0:
         raise InvalidInputError("C0 must be positive definite")
 
-    diag = np.diag(C0)
-    lo, hi = box.lo_array(), box.hi_array()
-
-    def objective(th: np.ndarray) -> float:
-        d = th - theta0
-        return float(d @ C0 @ d + lambda0 * np.sum(np.abs(th) ** gamma))
-
-    def descend(start: np.ndarray) -> np.ndarray:
-        th = box.clip(start)
-        for _ in range(2000):
-            max_move = 0.0
-            for j in range(p):
-                d = th - theta0
-                off = float(C0[j] @ d) - diag[j] * d[j]
-                b = theta0[j] - off / diag[j]
-                cands = [x for x in power_prox_candidates(diag[j], b, lambda0, gamma)
-                         if lo[j] <= x <= hi[j]]
-                cands.extend([lo[j], hi[j]])
-                if lo[j] <= 0.0 <= hi[j] and 0.0 not in cands:
-                    cands.append(0.0)
-                best, key = None, None
-                for x in cands:
-                    dd = x - b
-                    val = diag[j] * dd * dd + lambda0 * abs(x) ** gamma
-                    k = (val, abs(x), x)
-                    if key is None or k < key:
-                        key, best = k, x
-                move = abs(best - th[j])
-                if move > max_move:
-                    max_move = move
-                th[j] = best
-            if max_move <= 1e-13:
-                break
-        return th
-
-    starts = [theta0.copy(), np.zeros(p)]
-    kmask = min(p, 6)
-    for mask in itertools.product((False, True), repeat=kmask):
-        pt = theta0.copy()
-        for j in range(kmask):
-            if mask[j]:
-                pt[j] = 0.0
-        starts.append(pt)
-
-    best, key = None, None
-    for st in starts:
-        th = descend(st)
-        kk = tiebreak_key(objective(th), th)
-        if key is None or kk < key:
-            key, best = kk, th
+    starts = _zeroed_starts(theta0[None, :], np.arange(min(p, 6)))
+    th = box_descent(C0, C0 @ theta0, np.full(p, lambda0), np.full(p, gamma), starts,
+                     box.lo_array(), box.hi_array())
+    d = th - theta0
+    objective = np.sum(_rows_times(d, C0) * d, axis=1) + lambda0 * np.sum(np.abs(th) ** gamma, axis=1)
+    best = th[tiebreak_argmin(np.zeros(th.shape[0], dtype=int), objective, th)[0]]
     return best, best == 0.0
 
 

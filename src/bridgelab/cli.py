@@ -14,14 +14,16 @@ import numpy as np
 
 from . import model as model_mod
 from . import penalty as penalty_mod
-from .asymptotics import REGIME_STANDARD, limit_law, regime_classify, sample_limit_argmin
+from .asymptotics import REGIME_STANDARD, limit_law, penalty_regime, sample_limit_argmin
 from .config import ExperimentConfig, parse_config
 from .contrast import Contrast
 from .errors import ConfigError, InvalidInputError, InvalidSpecError, UnsupportedRegimeError
-from .model import Dataset, generate_design, gram, simulate_responses
+from .model import Dataset, generate_design, simulate_responses
+from .model import gram  # noqa: F401  (perfbench/tracer.py wraps cli.gram)
 from .montecarlo import (
     compare_to_limit,
     design_seed,
+    limit_c0,
     moment_trajectory,
     pldi_probe,
     replication_seed,
@@ -48,36 +50,17 @@ _REQUIRED_BY = {
 _LIMIT_SAMPLE_COUNT = 10_000
 
 
-def _effective_gamma(ec: ExperimentConfig) -> float:
-    pen = ec.mc.penalty
-    if pen.family == "bridge":
-        return pen.gamma
-    if pen.family == "none":
-        return 2.0
-    raise UnsupportedRegimeError(
-        f"regime classification applies to the bridge family, not {pen.family}")
-
-
 def _regime_payload(ec: ExperimentConfig) -> dict:
     pen = ec.mc.penalty
     if pen.family not in ("bridge", "none"):
         return {"note": f"the schedule-exponent regimes classify the bridge family; "
                         f"{pen.family} is covered by the penalty-condition checkers"}
-    regime = regime_classify(_effective_gamma(ec), pen.schedule)
+    _, regime = penalty_regime(pen)
     return {
         "tag": regime.tag,
         "lambda0": regime.lambda0,
         "rate_limits": regime.rate_limits,
     }
-
-
-def _limit_c0(ec: ExperimentConfig) -> tuple[np.ndarray, str]:
-    mc = ec.mc
-    if mc.design.kind == "standardized-orthonormal":
-        return np.eye(mc.truth.p), "standardized-identity"
-    n_max = mc.n_grid[-1]
-    X = generate_design(mc.design, n_max, design_seed(mc.master_seed, n_max))
-    return gram(X, (mc.truth.p0, mc.truth.p1)).C_n, "empirical-largest-n"
 
 
 def cmd_estimate(ec: ExperimentConfig, seed_override: int | None) -> int:
@@ -199,7 +182,7 @@ def _summary_payload(ec: ExperimentConfig, rs, tail_report) -> dict:
     }
 
     try:
-        gamma = _effective_gamma(ec)
+        gamma, _ = penalty_regime(mc.penalty)
         law = limit_law(gamma, mc.penalty.schedule, mc.noise.sigma ** 2,
                         rs.C0, mc.truth.theta, mc.truth.p0, box=mc.box)
         summary["limit_distance"] = compare_to_limit(rs, law)
@@ -253,10 +236,7 @@ def cmd_check(ec: ExperimentConfig) -> int:
         grid = mc.n_grid if len(mc.n_grid) >= 3 else (50, 200, 800)
         designs = [(n, generate_design(mc.design, n, design_seed(mc.master_seed, n)))
                    for n in grid]
-        if mc.design.kind == "standardized-orthonormal":
-            C0, c0_source = np.eye(mc.truth.p), "standardized-identity"
-        else:
-            C0, c0_source = gram(designs[-1][1], (mc.truth.p0, mc.truth.p1)).C_n, "empirical-largest-n"
+        C0, c0_source = limit_c0(mc, designs[-1][1])
         q_n = penalty_mod.default_divergence_scale(pen)
         report = model_mod.check_design_conditions(
             designs, C0, cs.delta, q_n, (mc.truth.p0, mc.truth.p1))
@@ -277,8 +257,8 @@ def cmd_check(ec: ExperimentConfig) -> int:
 
 def cmd_limit(ec: ExperimentConfig) -> int:
     mc = ec.mc
-    gamma = _effective_gamma(ec)
-    C0, c0_source = _limit_c0(ec)
+    gamma, _ = penalty_regime(mc.penalty)
+    C0, c0_source = limit_c0(mc)
     law = limit_law(gamma, mc.penalty.schedule, mc.noise.sigma ** 2,
                     C0, mc.truth.theta, mc.truth.p0, box=mc.box)
     payload: dict = {
@@ -341,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        ec = parse_config(args.config)
+        ec = parse_config(args.config, args.command)
         if args.command == "estimate":
             return cmd_estimate(ec, args.seed)
         if args.command == "mc":

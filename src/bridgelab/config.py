@@ -118,8 +118,9 @@ def load_raw(path: str) -> dict:
     return raw
 
 
-def build_config(raw: dict) -> ExperimentConfig:
-    """Validate the raw mapping and assemble the MCConfig."""
+def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
+    """Validate the raw mapping and assemble the MCConfig. Given a CLI command, an
+    explicit-matrix design must have the rows of every n it builds a design at."""
     for section in raw:
         if section not in _ALLOWED:
             raise ConfigError(f"unknown section [{section}]")
@@ -148,7 +149,7 @@ def build_config(raw: dict) -> ExperimentConfig:
             _fail("model", "design_file", "required for explicit-matrix designs")
         try:
             data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"[model] design_file: cannot read {path}: {exc}") from exc
         matrix = tuple(tuple(float(v) for v in row) for row in data)
     try:
@@ -234,9 +235,21 @@ def build_config(raw: dict) -> ExperimentConfig:
     if not (0.0 < check.beta < 0.5):
         _fail("check", "beta", f"must lie in (0, 1/2), got {check.beta}")
 
+    n_single = _parse_int(raw, "mc", "n", n_grid[0])
+    if n_single < p:
+        _fail("mc", "n", f"n={n_single} < p={p}: a fit needs at least p rows")
+    if kind == "explicit-matrix":
+        requested = {"estimate": [("n", n_single)],
+                     "mc": [("n_grid", n) for n in n_grid],
+                     "limit": [("n_grid", n_grid[-1])]}.get(command, [])
+        for key, n in requested:
+            if n != len(matrix):
+                _fail("model", "design_file",
+                      f"holds {len(matrix)} rows but [mc] {key} requests n={n}")
+
     return ExperimentConfig(
         mc=mc,
-        n_single=_parse_int(raw, "mc", "n", n_grid[0]),
+        n_single=n_single,
         out_dir=_get(raw, "output", "dir", "out"),
         check=check,
         response_file=_get(raw, "model", "response_file"),
@@ -244,8 +257,8 @@ def build_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    return build_config(load_raw(path))
+def parse_config(path: str, command: str | None = None) -> ExperimentConfig:
+    return build_config(load_raw(path), command)
 
 
 def config_from_echo(echo: dict) -> ExperimentConfig:

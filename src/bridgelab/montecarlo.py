@@ -22,7 +22,7 @@ from .asymptotics import (
     REGIME_SPARSE_SLOW,
     REGIME_STANDARD,
     LimitLaw,
-    regime_classify,
+    penalty_regime,
     sample_limit_argmin,
 )
 from .contrast import Contrast
@@ -57,9 +57,9 @@ class MCConfig:
         if self.replications < 100:
             raise InvalidSpecError("need at least 100 replications per n")
         if len(self.n_grid) < 1 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise InvalidSpecError("n-grid must be nonempty and strictly increasing")
+            raise InvalidSpecError("n_grid: must be nonempty and strictly increasing")
         if any(n < self.truth.p for n in self.n_grid):
-            raise InvalidSpecError("every n must be >= p")
+            raise InvalidSpecError("n_grid: every n must be >= p")
         if any(r <= 0 for r in self.r_grid) or any(b <= a for a, b in zip(self.r_grid, self.r_grid[1:])):
             raise InvalidSpecError("r-grid must be positive and strictly increasing")
         if self.design.p != self.truth.p:
@@ -108,6 +108,18 @@ def design_seed(master_seed: int, n: int) -> int:
 
 def replication_seed(master_seed: int, n: int, rep: int) -> int:
     return derive_seed(master_seed, n, rep)
+
+
+def limit_c0(cfg: MCConfig, X_largest: np.ndarray | None = None) -> tuple[np.ndarray, str]:
+    """C0 of the limit laws and its source: the identity for
+    standardized-orthonormal designs, else the Gram matrix of the design at
+    the largest n (built from the config unless given)."""
+    if cfg.design.kind == "standardized-orthonormal":
+        return np.eye(cfg.truth.p), "standardized-identity"
+    if X_largest is None:
+        n_max = cfg.n_grid[-1]
+        X_largest = generate_design(cfg.design, n_max, design_seed(cfg.master_seed, n_max))
+    return gram(X_largest, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
 
 
 def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int) -> ReplicationRecord:
@@ -187,13 +199,7 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
                 f"{touching} estimates touch the box boundary at n={n}; "
                 "the box, not the model, may be binding")
 
-    n_max = cfg.n_grid[-1]
-    if cfg.design.kind == "standardized-orthonormal":
-        C0 = np.eye(cfg.truth.p)
-        c0_source = "standardized-identity"
-    else:
-        C0 = gram(designs[n_max], (cfg.truth.p0, cfg.truth.p1)).C_n
-        c0_source = "empirical-largest-n"
+    C0, c0_source = limit_c0(cfg, designs[cfg.n_grid[-1]])
     return ReplicationSet(config=cfg, records=ordered, designs=designs,
                           C0=C0, c0_source=c0_source, warnings=warnings)
 
@@ -377,15 +383,6 @@ def moment_trajectory(rs: ReplicationSet, orders=None) -> list[MomentTrajectory]
 # ---------------------------------------------------------------------------
 
 
-def _config_regime(cfg: MCConfig):
-    if cfg.penalty.family not in ("bridge", "none"):
-        raise InvalidInputError(
-            "limit-law comparison is defined for the bridge family (SCAD/SELO "
-            "are covered by the penalty-condition checkers)")
-    gamma = cfg.penalty.gamma if cfg.penalty.family == "bridge" else 2.0
-    return regime_classify(gamma, cfg.penalty.schedule)
-
-
 def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> dict:
     """Distance report between the scaled estimates and the limit law.
 
@@ -396,7 +393,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
     Refuses a law whose regime does not match the campaign's.
     """
     cfg = rs.config
-    regime = _config_regime(cfg)
+    _, regime = penalty_regime(cfg.penalty)
     if regime.tag != law.regime.tag:
         raise InvalidInputError(
             f"campaign regime {regime.tag} does not match law regime {law.regime.tag}")

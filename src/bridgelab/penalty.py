@@ -24,6 +24,7 @@ COND_GROWTH_CAP = "polynomial-growth-cap"
 COND_SHIFT = "root-n-shift-continuity"
 
 LOG2 = math.log(2.0)
+_TINY = 2.0 ** -1022  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -147,16 +148,17 @@ def penalty_total(pen: PenaltySpec, n: int, theta) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bracketed_newton(h, hprime, lo: float, hi: float) -> float:
+def _bracketed_newton(h, hprime, lo: float, hi: float, x: float | None = None) -> float:
     """Root of increasing h on [lo, hi] with h(lo) <= 0 <= h(hi).
 
-    Newton from the midpoint, clipped into the shrinking bracket; bisection
-    whenever the Newton step leaves it. Stops at float resolution: once a
-    Newton correction is at most 2 ulp of x, or once the bisection midpoint
-    equals an end of the bracket. The iteration cap is only a safety net.
-    Deterministic.
+    Newton from x (default the midpoint), clipped into the shrinking bracket;
+    bisection whenever the Newton step leaves it. Stops at float resolution:
+    once a Newton correction is at most 2 ulp of x, or once the bisection
+    midpoint equals an end of the bracket. The iteration cap is only a safety
+    net. Deterministic.
     """
-    x = 0.5 * (lo + hi)
+    if x is None:
+        x = 0.5 * (lo + hi)
     for _ in range(200):
         hx = h(x)
         if hx == 0.0:
@@ -180,8 +182,43 @@ def _bracketed_newton(h, hprime, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _bracketed_newton_array(h, hprime, lo: np.ndarray, hi: np.ndarray,
+                            x: np.ndarray) -> np.ndarray:
+    """_bracketed_newton on every element at once: each element runs the scalar
+    iteration and leaves at its own exit, so its root does not depend on the
+    others. h and hprime take (x, idx), the iterates and their indices."""
+    root = np.empty_like(x)
+    idx = np.arange(x.size)
+    for _ in range(200):
+        if idx.size == 0:
+            break
+        hx = h(x, idx)
+        lo, hi = np.where(hx > 0.0, lo, x), np.where(hx > 0.0, x, hi)
+        d = hprime(x, idx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(d > 0.0, x - hx / d, lo)
+        close = (d > 0.0) & (np.abs(newton - x) <= 2.0 * np.spacing(x))
+        bisect = ~((lo < newton) & (newton < hi))
+        step = np.where(bisect, 0.5 * (lo + hi), newton)
+        found = hx == 0.0
+        done = found | close | (bisect & ((step == lo) | (step == hi)))
+        value = np.where(found, x, np.where(close, np.clip(newton, lo, hi), step))
+        root[idx[done]] = value[done]
+        idx, x, lo, hi = (v[~done] for v in (idx, step, lo, hi))
+    root[idx] = 0.5 * (lo + hi)
+    return root
+
+
 def power_prox_candidates(c: float, b: float, lam: float, gamma: float) -> list[float]:
-    """Candidate minimizers of c(x-b)^2 + lam*|x|**gamma (bridge-type scalar solve)."""
+    """Candidate minimizers of c(x-b)^2 + lam*|x|**gamma (bridge-type scalar solve).
+
+    With an ndarray b (c and lam scalars or arrays of b's shape) the solve
+    runs elementwise and returns one array of b's shape: the nonzero
+    candidate where the scalar call has one, else 0.0. Callers compare it
+    with the literal 0, as they add 0 to the scalar list.
+    """
+    if isinstance(b, np.ndarray):
+        return _power_prox_array(c, b, lam, gamma)
     if lam == 0.0:
         return [b]
     if b == 0.0:
@@ -194,10 +231,16 @@ def power_prox_candidates(c: float, b: float, lam: float, gamma: float) -> list[
     if gamma == 2.0:
         return [c * b / (c + lam)]
     if gamma > 1.0:
-        # h(x) = 2c(x-beta) + lam*gamma*x^(gamma-1) increases from -2c*beta to h(beta) > 0.
+        # h rises from -2c*beta at 0. From this upper bound of the root Newton
+        # runs to it monotonically (for gamma < 2, where h is concave, after
+        # one step to its left). A bound below the normal floats is the root
+        # to within 2.2e-308 and is kept: h' may overflow there.
         h = lambda x: 2.0 * c * (x - beta) + lam * gamma * x ** (gamma - 1.0)
         hp = lambda x: 2.0 * c + lam * gamma * (gamma - 1.0) * x ** (gamma - 2.0)
-        return [s * _bracketed_newton(h, hp, 0.0, beta)]
+        hi = beta
+        if lam * gamma * beta ** (gamma - 1.0) > 2.0 * c * beta:
+            hi = (2.0 * c * beta / (lam * gamma)) ** (1.0 / (gamma - 1.0))
+        return [s * (hi if hi < _TINY else _bracketed_newton(h, hp, 0.0, hi, hi))]
     # 0 < gamma < 1: nonconvex; at most one interior local minimum beyond the
     # dip of h, compared against the exact-zero candidate.
     x_star = (lam * gamma * (1.0 - gamma) / (2.0 * c)) ** (1.0 / (2.0 - gamma))
@@ -209,6 +252,40 @@ def power_prox_candidates(c: float, b: float, lam: float, gamma: float) -> list[
     hp = lambda x: 2.0 * c + lam * gamma * (gamma - 1.0) * x ** (gamma - 2.0)
     root = _bracketed_newton(h, hp, x_star, beta)
     return [0.0, s * root]
+
+
+def _power_prox_array(c, b: np.ndarray, lam, gamma: float) -> np.ndarray:
+    """power_prox_candidates elementwise, with the scalar call's rules."""
+    c, b, lam = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(b, dtype=float),
+                                    np.asarray(lam, dtype=float))
+    beta, sign = np.abs(b), np.where(b > 0.0, 1.0, -1.0)
+    if gamma == 1.0:
+        st = beta - lam / (2.0 * c)
+        out = np.where(st > 0.0, sign * st, 0.0)
+    elif gamma == 2.0:
+        out = c * b / (c + lam)
+    else:
+        live = np.flatnonzero((lam != 0.0) & (b != 0.0))
+        cl, bl, ll = c.flat[live], beta.flat[live], lam.flat[live]
+        h = lambda x, i: 2.0 * cl[i] * (x - bl[i]) + ll[i] * gamma * x ** (gamma - 1.0)
+        hp = lambda x, i: 2.0 * cl[i] + ll[i] * gamma * (gamma - 1.0) * x ** (gamma - 2.0)
+        if gamma > 1.0:
+            root = bl.copy()
+            lower = ll * gamma * bl ** (gamma - 1.0) > 2.0 * cl * bl
+            root[lower] = (2.0 * cl[lower] * bl[lower] / (ll[lower] * gamma)) ** (1.0 / (gamma - 1.0))
+            k = np.flatnonzero(root >= _TINY)
+            lo, hi, x = np.zeros(k.size), root[k], root[k]
+        else:
+            root = np.zeros(live.size)
+            x_star = (ll * gamma * (1.0 - gamma) / (2.0 * cl)) ** (1.0 / (2.0 - gamma))
+            k = np.flatnonzero(x_star < bl)
+            k = k[h(x_star[k], k) <= 0.0]
+            lo, hi, x = x_star[k], bl[k], 0.5 * (x_star[k] + bl[k])
+        root[k] = _bracketed_newton_array(lambda x, i: h(x, k[i]), lambda x, i: hp(x, k[i]),
+                                          lo, hi, x)
+        out = np.zeros(b.shape)
+        out.flat[live] = np.where(root == 0.0, 0.0, sign.flat[live] * root)
+    return np.where(lam == 0.0, b, np.where(b == 0.0, 0.0, out))
 
 
 def _scad_candidates(c: float, b: float, lam: float, n: int, a: float) -> list[float]:

@@ -30,6 +30,14 @@ def tiebreak_key(objective: float, theta: np.ndarray) -> tuple:
     return (objective, tuple(np.abs(theta)), tuple(theta))
 
 
+def tiebreak_argmin(groups: np.ndarray, objectives: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per group, the index of the row that tiebreak_key ranks first (the
+    earliest row on a full tie). Groups must be sorted; one stable lexsort."""
+    order = np.lexsort((*points.T[::-1], *np.abs(points).T[::-1], objectives, groups))
+    g = groups[order]
+    return order[np.r_[True, g[1:] != g[:-1]]]
+
+
 @dataclass(frozen=True)
 class Box:
     """Per-coordinate closed intervals [lo_j, hi_j]; the compact parameter space."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bridgelab import asymptotics
 from bridgelab.asymptotics import (
     REGIME_PSEUDO_TRUE,
     REGIME_SPARSE_NORMAL,
@@ -176,6 +177,45 @@ def test_sampler_gamma_below_one_matches_lattice_oracle():
         assert sampler_val <= float(np.min(vals)) + 1e-8
 
 
+CORRELATED_C0 = np.array([[1.0, 0.6], [0.6, 1.5]])
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("C0", [np.eye(2), CORRELATED_C0], ids=["identity", "correlated"])
+def test_sampler_matches_lattice_oracle(gamma, C0):
+    theta0 = np.array([0.0, 1.0])
+    law = _standard_law(gamma, 1.0, min(1.0, gamma) / 2.0, C0, theta0)
+    assert law.regime.tag == REGIME_STANDARD and law.regime.lambda0 == 1.0
+    S = sample_limit_argmin(law, 100, seed=3)
+    assert np.any(S[:, 0] == 0.0) and np.any(S[:, 0] != 0.0)
+    L = np.linalg.cholesky(C0)
+    children = np.random.SeedSequence(3).spawn(100)
+    axes = np.linspace(-8.0, 8.0, 801)
+    grid = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = np.vstack([grid, np.column_stack([np.zeros(801), axes])])
+    # under the correlated C0, draws 16, 40 and 98 end in different local
+    # minima from different starts
+    for k in (0, 16, 17, 40, 55, 98, 99):
+        W = np.random.default_rng(children[k]).standard_normal(2) @ L.T
+        vals = v0_on_points(grid, W, gamma, 1.0, C0, theta0)
+        assert limit_field_v0(S[k], W, gamma, 1.0, C0, theta0) <= float(np.min(vals)) + 1e-8
+
+
+def test_sampler_draws_independent_of_count_and_block_size(monkeypatch):
+    # draw k depends only on (law, seed, k): the same bits for any prefix R
+    # and any kernel block size
+    C0 = np.array([[1.0, 0.3, 0.1], [0.3, 1.2, -0.2], [0.1, -0.2, 0.9]])
+    law = _standard_law(0.5, 1.0, 0.25, C0, [0.0, 0.0, 1.0])
+    full = sample_limit_argmin(law, 10_000, seed=21)
+    assert np.mean(full[:, :2] == 0.0) > 0.1
+    for R in (1, 137):
+        assert sample_limit_argmin(law, R, seed=21).tobytes() == full[:R].tobytes()
+    monkeypatch.setattr(asymptotics, "_SAMPLER_BLOCK", 1000)
+    assert sample_limit_argmin(law, 10_000, seed=21).tobytes() == full.tobytes()
+    monkeypatch.setattr(asymptotics, "_SAMPLER_BLOCK", 7)
+    assert sample_limit_argmin(law, 137, seed=21).tobytes() == full[:137].tobytes()
+
+
 def test_sampler_gamma_above_one_stationarity():
     C0 = np.array([[1.2, 0.2], [0.2, 0.9]])
     law = _standard_law(1.5, 2.0, 0.25, C0, [0.0, 1.0])
@@ -270,6 +310,26 @@ def test_pseudo_true_odd_in_theta0():
     a, _ = pseudo_true(C0, 0.7, 0.5, th)
     b, _ = pseudo_true(C0, 0.7, 0.5, -th)
     assert_allclose(a, -b, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+def test_pseudo_true_respects_a_box_without_the_origin(gamma):
+    # the box ends are candidates and 0 is not; the point must match a 2-D grid
+    from bridgelab.solver import Box
+
+    C0 = np.array([[1.0, 0.4], [0.4, 2.0]])
+    theta0 = np.array([0.45, -1.5])
+    box = Box(lo=(0.5, -3.0), hi=(0.6, -0.8))
+    pt, flags = pseudo_true(C0, 0.1, gamma, theta0, box=box)
+    assert box.contains(pt) and not np.any(flags)
+
+    def objective(th):
+        d = th - theta0
+        return np.einsum("ij,jk,ik->i", d, C0, d) + 0.1 * np.sum(np.abs(th) ** gamma, axis=1)
+
+    axes = [np.linspace(box.lo[j], box.hi[j], 1201) for j in range(2)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert objective(pt[None, :])[0] <= float(np.min(objective(grid))) + 1e-12
 
 
 def test_limit_law_assembly_sparse_normal():

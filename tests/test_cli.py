@@ -99,6 +99,68 @@ def test_unrealizable_spec_is_config_error_not_traceback(tmp_path, capsys):
     assert "n=1 < p=2" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "mc", "limit"])
+def test_n_below_p_is_rejected_at_parse_time(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE.replace("n = 100", "n = 1"))
+    code, out, err = _run(capsys, [command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: [mc] n: n=1 < p=2")
+
+
+def test_n_grid_below_p_names_the_field(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE.replace("n_grid = 50, 100", "n_grid = 1, 100"))
+    code, _, err = _run(capsys, ["mc", "--config", str(path)])
+    assert code == 2
+    assert err.startswith("config error: [mc] n_grid: ")
+
+
+def _explicit_matrix_config(tmp_path, rows: int, n: int, n_grid: str) -> str:
+    import numpy as np
+
+    design = tmp_path / "design.csv"
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(rows, 2))
+    design.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in X) + "\n")
+    text = BASE.replace("design = standardized-orthonormal",
+                        f"design = explicit-matrix\ndesign_file = {design}")
+    text = text.replace("n = 100", f"n = {n}").replace("n_grid = 50, 100", f"n_grid = {n_grid}")
+    path = tmp_path / "explicit.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command, n, n_grid, field, bad_n", [
+    ("estimate", 50, "100", "[mc] n", 50),
+    ("mc", 100, "100, 200", "[mc] n_grid", 200),
+    ("limit", 100, "50, 150", "[mc] n_grid", 150),
+])
+def test_explicit_matrix_rows_checked_at_parse_time(tmp_path, capsys, command, n, n_grid,
+                                                    field, bad_n):
+    path = _explicit_matrix_config(tmp_path, 100, n, n_grid)
+    code, out, err = _run(capsys, [command, "--config", path, "--out", str(tmp_path / "o")]
+                          if command == "mc" else [command, "--config", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: [model] design_file: holds 100 rows")
+    assert f"{field} requests n={bad_n}" in err
+
+
+def test_unparseable_design_file_is_config_error(tmp_path, capsys):
+    path = _explicit_matrix_config(tmp_path, 100, 100, "100")
+    (tmp_path / "design.csv").write_text("1.0,abc\n")
+    code, out, err = _run(capsys, ["estimate", "--config", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: [model] design_file: cannot read")
+
+
+def test_explicit_matrix_with_matching_rows_runs(tmp_path, capsys):
+    # `estimate` builds the design at [mc] n only, so n_grid may differ
+    path = _explicit_matrix_config(tmp_path, 100, 100, "100, 200")
+    code, out, _ = _run(capsys, ["estimate", "--config", path])
+    assert code == 0
+    assert json.loads(out)["n"] == 100
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

@@ -237,14 +237,14 @@ def test_prox_root_finds_stop_at_float_resolution(monkeypatch, gamma):
     evaluations = []
     newton = penalty_mod._bracketed_newton
 
-    def counted(h, hprime, lo, hi):
+    def counted(h, hprime, lo, hi, *start):
         count = [0]
 
         def h_counted(x):
             count[0] += 1
             return h(x)
 
-        root = newton(h_counted, hprime, lo, hi)
+        root = newton(h_counted, hprime, lo, hi, *start)
         evaluations.append(count[0])
         return root
 
@@ -258,6 +258,47 @@ def test_prox_root_finds_stop_at_float_resolution(monkeypatch, gamma):
             scalar_prox(bridge(lam, 0.0, gamma), 1, c, b)
     assert len(evaluations) >= 1000
     assert max(evaluations) <= 60
+    if gamma == 1.5:
+        # roots far below beta, where a start at the midpoint of [0, beta]
+        # halved its way down (47 and 66 evaluations)
+        for lam in (1e3, 1e6):
+            evaluations.clear()
+            root = power_prox_candidates(0.01, 0.001, lam, 1.5)[0]
+            assert evaluations[0] <= 15
+            ref = _three_halves_root(0.01, 0.001, lam)
+            assert abs(root - ref) <= 64.0 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.0, 1.5, 2.0])
+def test_power_prox_array_matches_scalar(gamma):
+    # the elementwise solve makes the scalar zero decisions and lands within
+    # 64 ulp of the scalar root and of the closed forms
+    inputs = np.array(_log_uniform_prox_inputs(20251019, 6000))
+    c, b, lam = inputs.T
+    vec = power_prox_candidates(c, b, lam, gamma)
+    assert isinstance(vec, np.ndarray) and vec.shape == b.shape
+    closed_form = {0.5: _half_thresholding_root, 1.5: _three_halves_root}.get(gamma)
+    for i, (ci, bi, li) in enumerate(inputs):
+        nonzero = [x for x in power_prox_candidates(ci, bi, li, gamma) if x != 0.0]
+        assert len(nonzero) <= 1
+        if not nonzero:
+            assert vec[i] == 0.0 and not np.signbit(vec[i])
+            continue
+        assert abs(vec[i] - nonzero[0]) <= 64.0 * math.ulp(nonzero[0])
+        if closed_form is not None:
+            ref = closed_form(ci, bi, li)
+            assert abs(vec[i] - ref) <= 64.0 * math.ulp(ref)
+    assert np.any(vec == 0.0) == (gamma < 1.0 or gamma == 1.0)
+
+
+def test_power_prox_array_edge_values():
+    # lam = 0 returns b itself, b = +-0 gives +0, and the sign follows b
+    b = np.array([0.0, -0.0, 2.0, -2.0])
+    assert power_prox_candidates(1.0, b, 0.0, 0.5).tobytes() == b.tobytes()
+    out = power_prox_candidates(1.0, b, 1.0, 0.5)
+    assert out[0] == 0.0 and not np.signbit(out[0]) and not np.signbit(out[1])
+    root = power_prox_candidates(1.0, 2.0, 1.0, 0.5)[1]
+    assert abs(out[2] - root) <= 64.0 * math.ulp(root) and out[3] == -out[2]
 
 
 # ---------------------------------------------------------------------------

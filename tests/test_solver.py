@@ -6,7 +6,15 @@ from bridgelab.contrast import Contrast, contrast_value
 from bridgelab.errors import InvalidInputError
 from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter, make_dataset
 from bridgelab.penalty import PenaltySpec, TuningSchedule, zero_penalty
-from bridgelab.solver import Box, SolverOptions, _coordinate_descent, grid_oracle, minimize
+from bridgelab.solver import (
+    Box,
+    SolverOptions,
+    _coordinate_descent,
+    grid_oracle,
+    minimize,
+    tiebreak_argmin,
+    tiebreak_key,
+)
 from conftest import random_penalty
 
 
@@ -159,3 +167,18 @@ def test_zero_column_coordinate_goes_to_zero():
     c = Contrast(dataset=ds, penalty=zero_penalty())
     res = minimize(c, Box.cube(2))
     assert res.theta_hat[0] == 0.0
+
+
+def test_tiebreak_argmin_matches_tiebreak_key():
+    # per group, the vectorized pick equals the first minimum of tiebreak_key,
+    # with exact objective ties, equal magnitudes of both signs and signed zeros
+    rng = np.random.default_rng(8)
+    groups = np.sort(rng.integers(0, 40, 400))
+    objectives = rng.choice([0.5, 1.0, 1.5], groups.size)
+    points = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(groups.size, 3))
+    winners = tiebreak_argmin(groups, objectives, points)
+    expected = []
+    for grp in np.unique(groups):
+        rows = np.flatnonzero(groups == grp)
+        expected.append(min(rows, key=lambda i: tiebreak_key(objectives[i], points[i])))
+    assert winners.tolist() == expected
