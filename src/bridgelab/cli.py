@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,12 +64,11 @@ def _regime_payload(ec: ExperimentConfig) -> dict:
     }
 
 
-def cmd_estimate(ec: ExperimentConfig, seed_override: int | None) -> int:
+def cmd_estimate(ec: ExperimentConfig) -> int:
     mc = ec.mc
-    master = seed_override if seed_override is not None else mc.master_seed
     n = ec.n_single
-    X = generate_design(mc.design, n, design_seed(master, n))
-    seed = replication_seed(master, n, 0)
+    X = generate_design(mc.design, n, design_seed(mc.master_seed, n))
+    seed = replication_seed(mc.master_seed, n, 0)
     if ec.response_file is not None:
         try:
             Y = np.loadtxt(ec.response_file, delimiter=",")
@@ -191,16 +191,8 @@ def _summary_payload(ec: ExperimentConfig, rs, tail_report) -> dict:
     return summary
 
 
-def cmd_mc(ec: ExperimentConfig, out_dir: str, threads: int,
-           seed_override: int | None) -> int:
-    mc = ec.mc
-    if seed_override is not None:
-        from dataclasses import replace
-
-        mc = replace(mc, master_seed=seed_override)
-        ec.mc = mc
-        ec.raw.setdefault("mc", {})["seed"] = str(seed_override)  # keep the echo reproducible
-    rs = run_replications(mc, threads=threads)
+def cmd_mc(ec: ExperimentConfig, out_dir: str, threads: int) -> int:
+    rs = run_replications(ec.mc, threads=threads)
     tail_report = tail_curve(rs)
     summary = _summary_payload(ec, rs, tail_report)
 
@@ -322,11 +314,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         ec = parse_config(args.config, args.command)
+        if args.seed is not None:  # every command, and the echo, see the override
+            ec.mc = replace(ec.mc, master_seed=args.seed)
+            ec.raw.setdefault("mc", {})["seed"] = str(args.seed)
         if args.command == "estimate":
-            return cmd_estimate(ec, args.seed)
+            return cmd_estimate(ec)
         if args.command == "mc":
             out_dir = args.out if args.out is not None else ec.out_dir
-            return cmd_mc(ec, out_dir, args.threads, args.seed)
+            return cmd_mc(ec, out_dir, args.threads)
         if args.command == "check":
             return cmd_check(ec)
         return cmd_limit(ec)

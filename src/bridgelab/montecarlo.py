@@ -91,15 +91,31 @@ class ReplicationSet:
     C0: np.ndarray
     c0_source: str
     warnings: list[str] = field(default_factory=list)
+    _by_n: dict = field(default_factory=dict, init=False, repr=False)
 
     def at_n(self, n: int) -> list[ReplicationRecord]:
-        return [r for r in self.records if r.n == n]
+        """Records at n in rep order; the records are indexed by n on first use."""
+        if not self._by_n:
+            for r in self.records:
+                self._by_n.setdefault(r.n, []).append(r)
+        return self._by_n.get(n, [])
+
+    def stacked(self, n: int, name: str) -> np.ndarray:
+        """The (R, k) array of one per-record vector field at n."""
+        return np.stack([getattr(r, name) for r in self.at_n(n)])
 
     def u_norms(self, n: int) -> np.ndarray:
-        return np.array([float(np.linalg.norm(r.u_hat)) for r in self.at_n(n)])
+        return _row_norms(self.stacked(n, "u_hat"))
 
     def v_norms(self, n: int) -> np.ndarray:
-        return np.array([float(np.linalg.norm(r.v_hat)) for r in self.at_n(n)])
+        return _row_norms(self.stacked(n, "v_hat"))
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Norm of each row. Each row's square is the BLAS dot that np.linalg.norm
+    takes of one vector, so these equal the per-vector norms bit for bit
+    (np.linalg.norm(A, axis=1) sums the squares in another order)."""
+    return np.sqrt((A[:, None, :] @ A[:, :, None]).ravel())
 
 
 def design_seed(master_seed: int, n: int) -> int:
@@ -188,20 +204,18 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
     if len(ordered) != len(cfg.n_grid) * cfg.replications:
         raise RuntimeError("replication records are incomplete")
 
-    warnings = []
+    C0, c0_source = limit_c0(cfg, designs[cfg.n_grid[-1]])
+    rs = ReplicationSet(config=cfg, records=ordered, designs=designs, C0=C0, c0_source=c0_source)
     for n in cfg.n_grid:
-        bad = sum(1 for r in ordered if r.n == n and not r.converged)
+        bad = sum(not r.converged for r in rs.at_n(n))
         if bad > 0.01 * cfg.replications:
-            warnings.append(f"{bad} of {cfg.replications} solves did not stabilize at n={n}")
-        touching = sum(1 for r in ordered if r.n == n and cfg.box.on_boundary(r.theta_hat))
+            rs.warnings.append(f"{bad} of {cfg.replications} solves did not stabilize at n={n}")
+        touching = int(np.count_nonzero(cfg.box.on_boundary(rs.stacked(n, "theta_hat"))))
         if touching:
-            warnings.append(
+            rs.warnings.append(
                 f"{touching} estimates touch the box boundary at n={n}; "
                 "the box, not the model, may be binding")
-
-    C0, c0_source = limit_c0(cfg, designs[cfg.n_grid[-1]])
-    return ReplicationSet(config=cfg, records=ordered, designs=designs,
-                          C0=C0, c0_source=c0_source, warnings=warnings)
+    return rs
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +332,11 @@ def sparsity_curve(rs: ReplicationSet) -> SelectionCurve:
     freqs, ses, per_coord = [], [], []
     R = cfg.replications
     for n in cfg.n_grid:
-        recs = rs.at_n(n)
-        hits = np.array([bool(np.all(r.zero_flags)) for r in recs])
-        p = float(np.mean(hits))
+        flags = rs.stacked(n, "zero_flags")
+        p = float(np.mean(np.all(flags, axis=1)))
         freqs.append(p)
         ses.append(math.sqrt(p * (1.0 - p) / R))
-        per_coord.append(np.mean(np.stack([r.zero_flags for r in recs]), axis=0))
+        per_coord.append(np.mean(flags, axis=0))
     return SelectionCurve(n_grid=cfg.n_grid, frequency=np.asarray(freqs),
                           se=np.asarray(ses), per_coordinate=np.stack(per_coord))
 
@@ -404,7 +417,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
         bias = np.asarray(law.bias, dtype=float)
         cov = np.asarray(law.cov, dtype=float)
         for n in cfg.n_grid:
-            V = np.stack([r.v_hat for r in rs.at_n(n)])
+            V = rs.stacked(n, "v_hat")
             mean = V.mean(axis=0)
             se = V.std(axis=0, ddof=1) / math.sqrt(R)
             gap = np.where(se > 0.0, np.abs(mean - bias) / np.where(se > 0, se, 1.0), np.abs(mean - bias))
@@ -426,10 +439,9 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
 
     if law.regime.tag == REGIME_STANDARD:
         for n in cfg.n_grid:
-            recs = rs.at_n(n)
-            scaled = np.stack([np.concatenate([r.u_hat, r.v_hat]) for r in recs])
+            scaled = np.hstack([rs.stacked(n, "u_hat"), rs.stacked(n, "v_hat")])
             if limit_samples is None:
-                draws = sample_limit_argmin(law, R=len(recs),
+                draws = sample_limit_argmin(law, R=scaled.shape[0],
                                             seed=derive_seed(cfg.master_seed, 777, n))
             else:
                 draws = np.asarray(limit_samples, dtype=float)
@@ -447,8 +459,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
         sch = cfg.penalty.schedule
         for n in cfg.n_grid:
             lam_n = sch.value(n)
-            Vn = np.stack([(n / lam_n) * (r.theta_hat[cfg.truth.p0:] - cfg.truth.rho0_array)
-                           for r in rs.at_n(n)])
+            Vn = (n / lam_n) * (rs.stacked(n, "theta_hat")[:, cfg.truth.p0:] - cfg.truth.rho0_array)
             mean = Vn.mean(axis=0)
             se = Vn.std(axis=0, ddof=1) / math.sqrt(R)
             gap = np.abs(mean - drift) / np.where(se > 0, se, 1.0)
@@ -463,8 +474,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
     point = np.asarray(law.pseudo_true_point, dtype=float)
     zero_idx = np.flatnonzero(law.pseudo_zero_flags)
     for n in cfg.n_grid:
-        recs = rs.at_n(n)
-        thetas = np.stack([r.theta_hat for r in recs])
+        thetas = rs.stacked(n, "theta_hat")
         mean = thetas.mean(axis=0)
         entry = {
             "mean": mean.tolist(),

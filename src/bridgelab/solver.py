@@ -72,10 +72,11 @@ class Box:
     def clip(self, theta) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lo_array(), self.hi_array())
 
-    def on_boundary(self, theta, tol: float = 1e-9) -> bool:
+    def on_boundary(self, theta, tol: float = 1e-9):
+        """Whether theta is within tol of a face; per row for a stacked (R, p) array."""
         theta = np.asarray(theta, dtype=float)
-        return bool(np.any(theta - self.lo_array() <= tol) or
-                    np.any(self.hi_array() - theta <= tol))
+        near = np.any((theta - self.lo_array() <= tol) | (self.hi_array() - theta <= tol), axis=-1)
+        return near if theta.ndim > 1 else bool(near)
 
 
 @dataclass(frozen=True)
@@ -103,66 +104,76 @@ class EstimateResult:
     converged: bool
     iterations: int
 
+    @classmethod
+    def at(cls, c: Contrast, theta: np.ndarray, objective: float, restarts_used: int,
+           converged: bool, iterations: int) -> "EstimateResult":
+        """The result at theta, split into its zero and nonzero blocks."""
+        p0 = c.dataset.p0
+        return cls(theta_hat=theta, z_hat=theta[:p0].copy(), rho_hat=theta[p0:].copy(),
+                   objective=objective, exact_zero_flags=(theta[:p0] == 0.0),
+                   restarts_used=restarts_used, converged=converged, iterations=iterations)
+
 
 def _multistart_points(c: Contrast, box: Box) -> list[np.ndarray]:
     """OLS projection, origin, generating truth, and zero-support patterns of OLS.
 
     Support patterns target the support-indexed basins of the nonconvex
-    penalties; capped at MAX_STARTS starts.
+    penalties; capped at MAX_STARTS starts, duplicates dropped.
     """
-    X, Y = c.dataset.X, c.dataset.Y
-    p = c.p
-    ols, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    starts = [box.clip(ols), box.clip(np.zeros(p)), box.clip(c.dataset.truth.theta)]
-    k = min(p, 6)
+    ols = box.clip(np.linalg.lstsq(c.dataset.X, c.dataset.Y, rcond=None)[0])
+    origin = box.clip(np.zeros(c.p))
+    starts = [ols, origin, box.clip(c.dataset.truth.theta)]
+    k = min(c.p, 6)
     for mask in itertools.product((False, True), repeat=k):
         if len(starts) >= MAX_STARTS:
             break
-        point = box.clip(ols).copy()
+        point = ols.copy()
         for j in range(k):
             if mask[j]:
-                point[j] = 0.0 if box.lo[j] <= 0.0 <= box.hi[j] else box.clip(np.zeros(p))[j]
+                point[j] = 0.0 if box.lo[j] <= 0.0 <= box.hi[j] else origin[j]
         starts.append(point)
-    seen = set()
-    unique = []
-    for s in starts:
-        key = s.tobytes()
-        if key not in seen:
-            seen.add(key)
-            unique.append(s)
-    return unique
+    return list({s.tobytes(): s for s in starts}.values())
 
 
-def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions,
-                        start: np.ndarray) -> tuple[np.ndarray, bool, int]:
+def _gram(c: Contrast) -> tuple[list, list]:
     X, Y = c.dataset.X, c.dataset.Y
-    pen, n = c.penalty, c.n
-    col_sq = np.einsum("ij,ij->j", X, X)
-    lo, hi = box.lo_array(), box.hi_array()
-    theta = start.astype(float).copy()
-    converged = False
-    sweeps = 0
-    for sweep in range(opts.max_sweeps):
-        sweeps = sweep + 1
-        resid = Y - X @ theta
+    return (X.T @ X).tolist(), (X.T @ Y).tolist()
+
+
+def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.ndarray,
+                        gram: tuple | None = None,
+                        memo: dict | None = None) -> tuple[np.ndarray, bool, int]:
+    """Cyclic exact coordinate descent in Gram form, Q = X'X and q = X'Y.
+
+    Coordinate j moves to the prox of b = theta_j + (q_j - sum_k Q_jk theta_k) / Q_jj
+    in Python floats: O(p) per update, no residual, so the cost is flat in n.
+    `memo` maps (j, b) to the prox value, a pure function of b within one fit,
+    so a hit returns the same bits; b = +-0.0 (one dict key) bypasses it.
+    """
+    Q, q = gram or _gram(c)
+    memo = {} if memo is None else memo
+    pen, n, lo, hi = c.penalty, c.n, box.lo_array().tolist(), box.hi_array().tolist()
+    theta = start.astype(float).tolist()
+    for sweeps in range(1, opts.max_sweeps + 1):
         max_move = 0.0
-        for j in range(theta.size):
-            if col_sq[j] == 0.0:
+        for j, Qj in enumerate(Q):
+            if Qj[j] == 0.0:
                 # column identically zero: only the penalty sees theta_j
                 new = 0.0 if lo[j] <= 0.0 <= hi[j] else (lo[j] if abs(lo[j]) < abs(hi[j]) else hi[j])
             else:
-                b = theta[j] + float(X[:, j] @ resid) / col_sq[j]
-                new = scalar_prox_interval(pen, n, col_sq[j], b, lo[j], hi[j])
+                g = q[j]  # a plain loop: sum() of floats is compensated from Python 3.12
+                for Qjk, t in zip(Qj, theta):
+                    g -= Qjk * t
+                b = theta[j] + g / Qj[j]
+                new = memo.get((j, b)) if b else None
+                if new is None:
+                    new = memo[j, b] = scalar_prox_interval(pen, n, Qj[j], b, lo[j], hi[j])
             if new != theta[j]:
-                resid += X[:, j] * (theta[j] - new)
-                move = abs(new - theta[j])
-                if move > max_move:
-                    max_move = move
+                max_move = max(max_move, abs(new - theta[j]))
                 theta[j] = new
         if max_move <= opts.tolerance:
-            converged = True
-            break
-    return theta, converged, sweeps
+            return np.array(theta), True, sweeps
+    return np.array(theta), False, opts.max_sweeps
 
 
 def minimize(c: Contrast, box: Box | None = None,
@@ -173,7 +184,9 @@ def minimize(c: Contrast, box: Box | None = None,
     restarts break toward the smaller objective, then smaller coordinate
     magnitudes, then the lexicographically smaller point. A start is kept
     verbatim if descent cannot improve it, so the returned objective never
-    exceeds any multistart objective.
+    exceeds any multistart objective. Points are compared on the exact
+    residual objective (the Gram-form RSS cancels when RSS << Y'Y), evaluated
+    once per distinct point; one prox memo serves all starts.
     """
     if box is None:
         box = Box.cube(c.p)
@@ -181,16 +194,22 @@ def minimize(c: Contrast, box: Box | None = None,
         raise InvalidInputError(f"box has {box.p} coordinates, contrast has {c.p}")
     if opts is None:
         opts = SolverOptions()
-    X, Y = c.dataset.X, c.dataset.Y
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+    if not (np.all(np.isfinite(c.dataset.X)) and np.all(np.isfinite(c.dataset.Y))):
         raise InvalidInputError("design or responses contain non-finite values")
 
     starts = _multistart_points(c, box)
+    gram, memo, values = _gram(c), {}, {}
+
+    def value(theta: np.ndarray) -> float:
+        key = theta.tobytes()
+        if key not in values:
+            values[key] = contrast_value(c, theta)
+        return values[key]
+
     best = None
     for start in starts:
-        theta, conv, sweeps = _coordinate_descent(c, box, opts, start)
-        obj = contrast_value(c, theta)
-        start_obj = contrast_value(c, start)
+        theta, conv, sweeps = _coordinate_descent(c, box, opts, start, gram, memo)
+        obj, start_obj = value(theta), value(start)
         if obj > start_obj:  # float-pathological sweep; keep the start itself
             theta, obj, conv, sweeps = start.copy(), start_obj, True, 0
         key = tiebreak_key(obj, theta)
@@ -198,18 +217,7 @@ def minimize(c: Contrast, box: Box | None = None,
             best = (key, theta, obj, conv, sweeps)
 
     _, theta, obj, conv, sweeps = best
-    p0 = c.dataset.p0
-    z_hat = theta[:p0].copy()
-    return EstimateResult(
-        theta_hat=theta,
-        z_hat=z_hat,
-        rho_hat=theta[p0:].copy(),
-        objective=obj,
-        exact_zero_flags=(z_hat == 0.0),
-        restarts_used=len(starts),
-        converged=conv,
-        iterations=sweeps,
-    )
+    return EstimateResult.at(c, theta, obj, len(starts), conv, sweeps)
 
 
 def _lattice_points(center: np.ndarray, span: np.ndarray, box: Box,
@@ -274,15 +282,4 @@ def grid_oracle(c: Contrast, box: Box | None = None, stages: int = 4,
         center = best_pt.copy()
         span = span * (4.0 / points_per_axis)
 
-    p0 = c.dataset.p0
-    z_hat = best_pt[:p0].copy()
-    return EstimateResult(
-        theta_hat=best_pt,
-        z_hat=z_hat,
-        rho_hat=best_pt[p0:].copy(),
-        objective=best_obj,
-        exact_zero_flags=(z_hat == 0.0),
-        restarts_used=stages,
-        converged=True,
-        iterations=stages,
-    )
+    return EstimateResult.at(c, best_pt, best_obj, stages, True, stages)

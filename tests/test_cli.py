@@ -359,6 +359,22 @@ def test_limit_standard_sampler_moments(tmp_path, capsys):
     assert payload["argmin_samples"]["cov"][0][0] == pytest.approx(1.0, rel=0.1)
 
 
+@pytest.mark.parametrize("command, edit", [
+    ("limit", ("e = 0.6", "e = 0.25")),  # standard regime: the argmin draws follow the seed
+    ("check", ("standardized-orthonormal", "bounded-random-frozen")),  # seeded designs
+])
+def test_seed_flag_overrides_the_config_seed(tmp_path, capsys, command, edit):
+    text = BASE.replace(*edit)
+    default, seeded = tmp_path / "default.cfg", tmp_path / "seeded.cfg"
+    default.write_text(text)
+    seeded.write_text(text.replace("seed = 424242", "seed = 11"))
+    _, flag, _ = _run(capsys, [command, "--config", str(default), "--seed", "11"])
+    _, from_config, _ = _run(capsys, [command, "--config", str(seeded)])
+    _, unseeded, _ = _run(capsys, [command, "--config", str(default)])
+    assert flag == from_config
+    assert flag != unseeded
+
+
 def test_limit_unsupported_regime_exit4(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE.replace("e = 0.6", "e = 2.0"))

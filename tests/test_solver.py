@@ -4,12 +4,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bridgelab.contrast import Contrast, contrast_value
 from bridgelab.errors import InvalidInputError
-from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter, make_dataset
-from bridgelab.penalty import PenaltySpec, TuningSchedule, zero_penalty
+from bridgelab.model import Dataset, DesignSpec, NoiseSpec, TrueParameter, make_dataset
+from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval, zero_penalty
 from bridgelab.solver import (
     Box,
     SolverOptions,
     _coordinate_descent,
+    _multistart_points,
     grid_oracle,
     minimize,
     tiebreak_argmin,
@@ -160,8 +161,6 @@ def test_zero_column_coordinate_goes_to_zero():
     truth = TrueParameter(p0=1, rho0=(1.0,))
     X = np.asarray(rows)
     Y = X @ truth.theta  # noiseless; second column is identically zero
-    from bridgelab.model import Dataset
-
     # column order: zero block first, so put the dead column in the zero block
     ds = Dataset(X=X[:, ::-1].copy(), Y=Y, truth=truth, n=12)
     c = Contrast(dataset=ds, penalty=zero_penalty())
@@ -182,3 +181,95 @@ def test_tiebreak_argmin_matches_tiebreak_key():
         rows = np.flatnonzero(groups == grp)
         expected.append(min(rows, key=lambda i: tiebreak_key(objectives[i], points[i])))
     assert winners.tolist() == expected
+
+
+@pytest.mark.parametrize("pen", [
+    _bridge(1.0, 0.1, 0.3),
+    _bridge(1.0, 0.2, 0.5),
+    _bridge(1.0, 0.9, 1.5),
+    PenaltySpec(family="scad", schedule=TuningSchedule(0.5, -0.25), a=3.7),
+    PenaltySpec(family="selo", schedule=TuningSchedule(0.002, 0.0), tau=TuningSchedule(0.1, -0.5)),
+], ids=["bridge-0.3", "bridge-0.5", "bridge-1.5", "scad", "selo"])
+def test_minimize_matches_separable_oracle_beyond_p3(pen):
+    # standardized-orthonormal designs have X'X = nI, so the contrast splits into
+    # n (theta_j - OLS_j)^2 + p_n(theta_j) per coordinate at any p, and the global
+    # minimizer is the scalar prox of each OLS coordinate
+    rng = np.random.default_rng(41)
+    n = 200
+    zeros = 0
+    for p, p0 in ((10, 7), (24, 12), (40, 30)):
+        rho0 = tuple(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)) for _ in range(p - p0))
+        c = _contrast(pen, n=n, seed=int(rng.integers(1, 10**6)), p0=p0, rho0=rho0)
+        res = minimize(c, Box.cube(p))
+        ols = np.linalg.lstsq(c.dataset.X, c.dataset.Y, rcond=None)[0]
+        expect = np.array([scalar_prox_interval(pen, n, float(n), b, -10.0, 10.0) for b in ols])
+        assert_array_equal(res.exact_zero_flags, expect[:p0] == 0.0)
+        assert np.all(np.abs(res.theta_hat - expect) <= 1e-8 * (1.0 + np.abs(expect)))
+        zeros += int(np.count_nonzero(expect[:p0] == 0.0))
+    if pen.family != "bridge" or pen.gamma < 1.0:
+        assert 0 < zeros < 49  # both outcomes of the zero decision occur
+
+
+def _residual_form_minimize(c, box, opts=SolverOptions()):
+    """The residual-form descent that the Gram form replaced (O(n) per update),
+    with the same starts, start guard and tie-break: the Gram form's oracle."""
+    X, Y, pen, n = c.dataset.X, c.dataset.Y, c.penalty, c.n
+    col_sq = np.einsum("ij,ij->j", X, X)
+    lo, hi = box.lo_array(), box.hi_array()
+    best = None
+    for start in _multistart_points(c, box):
+        theta = start.copy()
+        for _ in range(opts.max_sweeps):
+            resid = Y - X @ theta
+            max_move = 0.0
+            for j in range(theta.size):
+                b = theta[j] + float(X[:, j] @ resid) / col_sq[j]
+                new = scalar_prox_interval(pen, n, col_sq[j], b, lo[j], hi[j])
+                if new != theta[j]:
+                    resid += X[:, j] * (theta[j] - new)
+                    max_move = max(max_move, abs(new - theta[j]))
+                    theta[j] = new
+            if max_move <= opts.tolerance:
+                break
+        obj, start_obj = contrast_value(c, theta), contrast_value(c, start)
+        if obj > start_obj:
+            theta, obj = start.copy(), start_obj
+        if best is None or tiebreak_key(obj, theta) < tiebreak_key(best[1], best[0]):
+            best = (theta, obj)
+    return best
+
+
+def test_gram_form_matches_residual_form():
+    rng = np.random.default_rng(4)
+    kinds = ("standardized-orthonormal", "bounded-random-frozen")
+    for trial in range(48):
+        if trial % 8 == 0:
+            pen = zero_penalty()
+        else:
+            pen = random_penalty(rng, gammas=(0.3, 0.5, 1.0, 1.5, 2.0))
+        p = int(rng.integers(1, 9))
+        p0 = int(rng.integers(0, p))
+        rho0 = tuple(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)) for _ in range(p - p0))
+        c = _contrast(pen, n=int(rng.integers(p + 3, 60)), seed=int(rng.integers(1, 10**6)),
+                      p0=p0, rho0=rho0, kind=kinds[trial % 2])
+        box = Box.cube(p)
+        res = minimize(c, box)
+        theta, obj = _residual_form_minimize(c, box)
+        assert_array_equal(res.exact_zero_flags, theta[:p0] == 0.0), trial
+        assert np.max(np.abs(res.theta_hat - theta)) <= 1e-9, trial
+        assert res.objective <= obj + 1e-12 * abs(obj), trial
+
+
+def test_prox_memo_is_per_coordinate():
+    # disjoint columns give both coordinates b = 1 exactly from the origin, but
+    # only the second box binds: a memo shared across coordinates would leak
+    X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    ds = Dataset(X=X, Y=X @ np.ones(2), truth=TrueParameter(p0=0, rho0=(1.0, 1.0)), n=4)
+    c = Contrast(dataset=ds, penalty=_bridge(0.5, 0.0, 0.5))
+    box = Box(lo=(-10.0, -10.0), hi=(10.0, 0.5))
+    memo = {}
+    theta, _, _ = _coordinate_descent(c, box, SolverOptions(), np.zeros(2), memo=memo)
+    assert theta[0] > 0.5 and theta[1] == 0.5
+    again, _, _ = _coordinate_descent(c, box, SolverOptions(), np.zeros(2), memo=memo)
+    assert_array_equal(again, theta)  # memo hits return the computed values
+    assert_array_equal(minimize(c, box).theta_hat, theta)
