@@ -119,13 +119,11 @@ def _write_replications_csv(path: str, rs) -> None:
               + [f"zero_flag_{j + 1}" for j in range(p0)]
               + ["objective", "converged"])
     lines = [",".join(header)]
-    for rec in rs.records:
-        cells = [str(rec.n), str(rec.rep), str(rec.seed)]
-        cells += [format_float(v) for v in rec.theta_hat]
-        cells += ["1" if f else "0" for f in rec.zero_flags]
-        cells.append(format_float(rec.objective))
-        cells.append("1" if rec.converged else "0")
-        lines.append(",".join(cells))
+    for n in rs.config.n_grid:
+        rows = zip(rs.seeds[n].tolist(), rs.theta_hat[n].tolist(), rs.zero_flags(n).tolist(),
+                   rs.objective[n].tolist(), rs.converged[n].tolist())
+        for rep, (seed, theta, flags, obj, conv) in enumerate(rows):
+            lines.append(",".join(map(format_float, (n, rep, seed, *theta, *flags, obj, conv))))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -97,7 +97,7 @@ def _parse_list(raw, section, key, default, cast):
 
 
 def load_raw(path: str) -> dict:
-    """Read the file into {section: {key: string}}, rejecting unknown keys."""
+    """Read the file into {section: {key: string}}; build_config checks the keys."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -106,16 +106,8 @@ def load_raw(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    raw: dict = {}
-    for section in parser.sections():
-        if section not in _ALLOWED:
-            raise ConfigError(f"unknown section [{section}]")
-        raw[section] = {}
-        for key, value in parser.items(section):
-            if key not in _ALLOWED[section]:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
-            raw[section][key] = value.strip()
-    return raw
+    return {section: {key: value.strip() for key, value in parser.items(section)}
+            for section in parser.sections()}
 
 
 def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:

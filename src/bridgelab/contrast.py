@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .model import Dataset
-from .penalty import PenaltySpec, penalty_total
+from .penalty import PenaltySpec, penalty_total, penalty_value
 
 DELTA_TRUE_NOISE = "true-noise"
 DELTA_ESTIMATED = "estimated"
@@ -68,8 +68,6 @@ def contrast_on_points(c: Contrast, points: np.ndarray) -> np.ndarray:
     """Vectorized Z_n over rows of `points` (m x p); used by grid oracles."""
     points = np.asarray(points, dtype=float)
     resid = c.dataset.Y[None, :] - points @ c.dataset.X.T
-    from .penalty import penalty_value  # local import to keep module load light
-
     pen = np.sum(penalty_value(c.penalty, c.n, points), axis=1)
     return np.einsum("ij,ij->i", resid, resid) + pen
 

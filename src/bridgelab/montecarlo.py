@@ -29,7 +29,7 @@ from .contrast import Contrast
 from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
-from .solver import Box, SolverOptions, minimize
+from .solver import Box, EstimateResult, SolverOptions, minimize
 from .util import boundedness_verdict, derive_seed, spawn_rng
 
 BOOTSTRAP_RESAMPLES = 200
@@ -69,46 +69,36 @@ class MCConfig:
 
 
 @dataclass
-class ReplicationRecord:
-    """One solved replication with its scaled coordinates."""
-
-    n: int
-    rep: int
-    seed: int
-    theta_hat: np.ndarray
-    zero_flags: np.ndarray
-    objective: float
-    converged: bool
-    u_hat: np.ndarray  # sqrt(n) * zero-block estimate
-    v_hat: np.ndarray  # sqrt(n) * (nonzero-block estimate - rho0)
-
-
-@dataclass
 class ReplicationSet:
+    """A campaign's results: per n, arrays in rep order (R rows each)."""
+
     config: MCConfig
-    records: list[ReplicationRecord]
-    designs: dict[int, np.ndarray]
+    seeds: dict[int, np.ndarray]  # (R,) uint64 replication seeds
+    theta_hat: dict[int, np.ndarray]  # (R, p) estimates
+    objective: dict[int, np.ndarray]  # (R,)
+    converged: dict[int, np.ndarray]  # (R,) bool
     C0: np.ndarray
     c0_source: str
     warnings: list[str] = field(default_factory=list)
-    _by_n: dict = field(default_factory=dict, init=False, repr=False)
 
-    def at_n(self, n: int) -> list[ReplicationRecord]:
-        """Records at n in rep order; the records are indexed by n on first use."""
-        if not self._by_n:
-            for r in self.records:
-                self._by_n.setdefault(r.n, []).append(r)
-        return self._by_n.get(n, [])
+    def zero_flags(self, n: int) -> np.ndarray:
+        """(R, p0): which zero-block coordinates are exactly 0."""
+        return self.theta_hat[n][:, :self.config.truth.p0] == 0.0
 
-    def stacked(self, n: int, name: str) -> np.ndarray:
-        """The (R, k) array of one per-record vector field at n."""
-        return np.stack([getattr(r, name) for r in self.at_n(n)])
+    def u_hat(self, n: int) -> np.ndarray:
+        """(R, p0): sqrt(n) * zero-block estimate."""
+        return math.sqrt(n) * self.theta_hat[n][:, :self.config.truth.p0]
+
+    def v_hat(self, n: int) -> np.ndarray:
+        """(R, p1): sqrt(n) * (nonzero-block estimate - rho0)."""
+        truth = self.config.truth
+        return math.sqrt(n) * (self.theta_hat[n][:, truth.p0:] - truth.rho0_array)
 
     def u_norms(self, n: int) -> np.ndarray:
-        return _row_norms(self.stacked(n, "u_hat"))
+        return _row_norms(self.u_hat(n))
 
     def v_norms(self, n: int) -> np.ndarray:
-        return _row_norms(self.stacked(n, "v_hat"))
+        return _row_norms(self.v_hat(n))
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
@@ -138,79 +128,59 @@ def limit_c0(cfg: MCConfig, X_largest: np.ndarray | None = None) -> tuple[np.nda
     return gram(X_largest, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
 
 
-def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int) -> ReplicationRecord:
+def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int) -> tuple[int, EstimateResult]:
     seed = replication_seed(cfg.master_seed, n, rep)
     Y = simulate_responses(X, cfg.truth, cfg.noise, seed)
     ds = Dataset(X=X, Y=Y, truth=cfg.truth, n=n)
-    res = minimize(Contrast(dataset=ds, penalty=cfg.penalty), cfg.box, cfg.solver)
-    sqrt_n = math.sqrt(n)
-    return ReplicationRecord(
-        n=n,
-        rep=rep,
-        seed=seed,
-        theta_hat=res.theta_hat,
-        zero_flags=res.exact_zero_flags,
-        objective=res.objective,
-        converged=res.converged,
-        u_hat=sqrt_n * res.z_hat,
-        v_hat=sqrt_n * (res.rho_hat - cfg.truth.rho0_array),
-    )
+    return seed, minimize(Contrast(dataset=ds, penalty=cfg.penalty), cfg.box, cfg.solver)
 
 
-def _run_block(args) -> list[tuple[int, int, ReplicationRecord]]:
-    cfg, n, rep_lo, rep_hi = args
-    X = generate_design(cfg.design, n, design_seed(cfg.master_seed, n))
-    out = []
-    for rep in range(rep_lo, rep_hi):
-        out.append((n, rep, _solve_one(cfg, X, n, rep)))
-    return out
+def _solve_block(task) -> list[tuple[int, EstimateResult]]:
+    cfg, X, n, lo, hi = task
+    return [_solve_one(cfg, X, n, rep) for rep in range(lo, hi)]
 
 
 def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
-    """Run the campaign; records are complete (non-converged solves are kept
+    """Run the campaign; results are complete (non-converged solves are kept
     and flagged, never dropped) and independent of worker scheduling."""
     if threads < 0:
         raise InvalidInputError("threads must be >= 0 (0 means auto)")
     if threads == 0:
         threads = min(os.cpu_count() or 1, 8)
 
-    records: dict[tuple[int, int], ReplicationRecord] = {}
     try:
-        designs: dict[int, np.ndarray] = {
-            n: generate_design(cfg.design, n, design_seed(cfg.master_seed, n))
-            for n in cfg.n_grid
-        }
+        designs = {n: generate_design(cfg.design, n, design_seed(cfg.master_seed, n))
+                   for n in cfg.n_grid}
     except Exception as exc:
         raise InvalidInputError(
             f"dataset generation failed ({exc}); config: design={cfg.design}, "
             f"truth={cfg.truth}, n_grid={cfg.n_grid}, seed={cfg.master_seed}") from exc
+    R = cfg.replications
+    block = max(1, math.ceil(R / (threads * 4)))
+    tasks = [(cfg, designs[n], n, lo, min(lo + block, R))
+             for n in cfg.n_grid for lo in range(0, R, block)]
     if threads == 1:
-        for n in cfg.n_grid:
-            X = designs[n]
-            for rep in range(cfg.replications):
-                records[(n, rep)] = _solve_one(cfg, X, n, rep)
+        blocks = list(map(_solve_block, tasks))
     else:
-        block = max(1, math.ceil(cfg.replications / (threads * 4)))
-        tasks = []
-        for n in cfg.n_grid:
-            for lo in range(0, cfg.replications, block):
-                tasks.append((cfg, n, lo, min(lo + block, cfg.replications)))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(_run_block, tasks):
-                for n, rep, rec in chunk:
-                    records[(n, rep)] = rec
-
-    ordered = [records[(n, rep)] for n in cfg.n_grid for rep in range(cfg.replications)]
-    if len(ordered) != len(cfg.n_grid) * cfg.replications:
-        raise RuntimeError("replication records are incomplete")
+            blocks = list(pool.map(_solve_block, tasks))
+    solved = [out for chunk in blocks for out in chunk]
+    if len(solved) != len(cfg.n_grid) * R:
+        raise RuntimeError("replication results are incomplete")
 
     C0, c0_source = limit_c0(cfg, designs[cfg.n_grid[-1]])
-    rs = ReplicationSet(config=cfg, records=ordered, designs=designs, C0=C0, c0_source=c0_source)
-    for n in cfg.n_grid:
-        bad = sum(not r.converged for r in rs.at_n(n))
-        if bad > 0.01 * cfg.replications:
-            rs.warnings.append(f"{bad} of {cfg.replications} solves did not stabilize at n={n}")
-        touching = int(np.count_nonzero(cfg.box.on_boundary(rs.stacked(n, "theta_hat"))))
+    rs = ReplicationSet(config=cfg, seeds={}, theta_hat={}, objective={}, converged={},
+                        C0=C0, c0_source=c0_source)
+    for i, n in enumerate(cfg.n_grid):
+        seeds, fits = zip(*solved[i * R:(i + 1) * R])
+        rs.seeds[n] = np.array(seeds, dtype=np.uint64)
+        rs.theta_hat[n] = np.stack([f.theta_hat for f in fits])
+        rs.objective[n] = np.array([f.objective for f in fits])
+        rs.converged[n] = np.array([f.converged for f in fits])
+        bad = R - int(np.count_nonzero(rs.converged[n]))
+        if bad > 0.01 * R:
+            rs.warnings.append(f"{bad} of {R} solves did not stabilize at n={n}")
+        touching = int(np.count_nonzero(cfg.box.on_boundary(rs.theta_hat[n])))
         if touching:
             rs.warnings.append(
                 f"{touching} estimates touch the box boundary at n={n}; "
@@ -332,7 +302,7 @@ def sparsity_curve(rs: ReplicationSet) -> SelectionCurve:
     freqs, ses, per_coord = [], [], []
     R = cfg.replications
     for n in cfg.n_grid:
-        flags = rs.stacked(n, "zero_flags")
+        flags = rs.zero_flags(n)
         p = float(np.mean(np.all(flags, axis=1)))
         freqs.append(p)
         ses.append(math.sqrt(p * (1.0 - p) / R))
@@ -417,7 +387,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
         bias = np.asarray(law.bias, dtype=float)
         cov = np.asarray(law.cov, dtype=float)
         for n in cfg.n_grid:
-            V = rs.stacked(n, "v_hat")
+            V = rs.v_hat(n)
             mean = V.mean(axis=0)
             se = V.std(axis=0, ddof=1) / math.sqrt(R)
             gap = np.where(se > 0.0, np.abs(mean - bias) / np.where(se > 0, se, 1.0), np.abs(mean - bias))
@@ -439,7 +409,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
 
     if law.regime.tag == REGIME_STANDARD:
         for n in cfg.n_grid:
-            scaled = np.hstack([rs.stacked(n, "u_hat"), rs.stacked(n, "v_hat")])
+            scaled = np.hstack([rs.u_hat(n), rs.v_hat(n)])
             if limit_samples is None:
                 draws = sample_limit_argmin(law, R=scaled.shape[0],
                                             seed=derive_seed(cfg.master_seed, 777, n))
@@ -459,7 +429,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
         sch = cfg.penalty.schedule
         for n in cfg.n_grid:
             lam_n = sch.value(n)
-            Vn = (n / lam_n) * (rs.stacked(n, "theta_hat")[:, cfg.truth.p0:] - cfg.truth.rho0_array)
+            Vn = (n / lam_n) * (rs.theta_hat[n][:, cfg.truth.p0:] - cfg.truth.rho0_array)
             mean = Vn.mean(axis=0)
             se = Vn.std(axis=0, ddof=1) / math.sqrt(R)
             gap = np.abs(mean - drift) / np.where(se > 0, se, 1.0)
@@ -474,7 +444,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
     point = np.asarray(law.pseudo_true_point, dtype=float)
     zero_idx = np.flatnonzero(law.pseudo_zero_flags)
     for n in cfg.n_grid:
-        thetas = rs.stacked(n, "theta_hat")
+        thetas = rs.theta_hat[n]
         mean = thetas.mean(axis=0)
         entry = {
             "mean": mean.tolist(),

@@ -361,45 +361,27 @@ def _prox_candidates(pen: PenaltySpec, n: int, c: float, b: float) -> list[float
     return _selo_candidates(c, b, lam, n, pen.tau.value(n))
 
 
-def _select_candidate(cands, objective) -> float:
-    """Smallest objective; ties toward smaller |x|, then toward negative x."""
-    best = None
-    key = None
-    for x in cands:
-        k = (objective(x), abs(x), x)
-        if key is None or k < key:
-            key = k
-            best = x
-    return best
-
-
 def scalar_prox(pen: PenaltySpec, n: int, c: float, b: float) -> float:
     """Global minimizer of x -> c*(x-b)^2 + p_n(x), c > 0.
 
     Returns a literal 0.0 when the zero candidate wins, so downstream sparsity
     events are exact rather than thresholded.
     """
-    if not (c > 0.0):
-        raise InvalidInputError(f"prox curvature must be positive, got {c}")
-    cands = _prox_candidates(pen, n, c, b)
-    if 0.0 not in cands:
-        cands = cands + [0.0]
-
-    def obj(x: float) -> float:
-        d = x - b
-        return c * d * d + _value_scalar(pen, n, x)
-
-    return _select_candidate(cands, obj)
+    return scalar_prox_interval(pen, n, c, b, -math.inf, math.inf)
 
 
 def scalar_prox_interval(pen: PenaltySpec, n: int, c: float, b: float,
                          lo: float, hi: float) -> float:
-    """scalar_prox constrained to [lo, hi] by candidate/endpoint comparison."""
+    """Minimizer of x -> c*(x-b)^2 + p_n(x) over [lo, hi], comparing the
+    stationary candidates inside, the finite ends and 0 (when inside).
+
+    Smallest objective wins; ties go toward smaller |x|, then toward negative x,
+    then to the first candidate.
+    """
     if not (c > 0.0):
         raise InvalidInputError(f"prox curvature must be positive, got {c}")
     cands = [x for x in _prox_candidates(pen, n, c, b) if lo <= x <= hi]
-    cands.append(lo)
-    cands.append(hi)
+    cands += [end for end in (lo, hi) if math.isfinite(end)]
     if lo <= 0.0 <= hi and 0.0 not in cands:
         cands.append(0.0)
 
@@ -407,7 +389,7 @@ def scalar_prox_interval(pen: PenaltySpec, n: int, c: float, b: float,
         d = x - b
         return c * d * d + _value_scalar(pen, n, x)
 
-    return _select_candidate(cands, obj)
+    return min(cands, key=lambda x: (obj(x), abs(x), x))
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,7 @@ def _multistart_points(c: Contrast, box: Box) -> list[np.ndarray]:
     for mask in itertools.product((False, True), repeat=k):
         if len(starts) >= MAX_STARTS:
             break
-        point = ols.copy()
-        for j in range(k):
-            if mask[j]:
-                point[j] = 0.0 if box.lo[j] <= 0.0 <= box.hi[j] else origin[j]
-        starts.append(point)
+        starts.append(np.where(mask + (False,) * (c.p - k), origin, ols))
     return list({s.tobytes(): s for s in starts}.values())
 
 

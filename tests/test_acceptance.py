@@ -172,7 +172,7 @@ def test_criterion_05_sparse_normal_limit():
         box=Box.cube(2),
     )
     rs = run_replications(cfg)
-    v = np.array([r.v_hat[0] for r in rs.records])
+    v = rs.v_hat(3200)[:, 0]
     ups, bias, cov = sparse_limit_params(0.5, 1.0, np.eye(1), 1.0, [1.0])
     # lambda0 = 1 here: Upsilon = 0.25 and the limit mean is -0.25 (the
     # criterion's "-0.5" parenthetical belongs to the lambda0 = 2 example)
@@ -218,7 +218,7 @@ def test_criterion_08_standard_moment_convergence():
         box=Box.cube(1),
     )
     rs = run_replications(cfg)
-    u2 = np.array([r.v_hat[0] ** 2 for r in rs.records])  # p0=0: |u_n| = |v_hat|
+    u2 = rs.v_hat(3200)[:, 0] ** 2  # p0=0: |u_n| = |v_hat|
     law = limit_law(1.0, cfg.penalty.schedule, 1.0, np.eye(1), np.array([1.0]), p0=0)
     draws = sample_limit_argmin(law, 100_000, seed=4242)
     lim2 = draws[:, 0] ** 2
@@ -281,7 +281,7 @@ def test_criterion_11_pseudo_true_regime():
         box=Box.cube(2),
     )
     rs = run_replications(cfg)
-    hits = np.mean([r.theta_hat[0] == 0.0 for r in rs.records])
+    hits = np.mean(rs.theta_hat[3200][:, 0] == 0.0)
     _report(11, point_ok and hits >= 0.9,
             f"pseudo-true point {np.round(law.pseudo_true_point, 4).tolist()} "
             f"(z exactly 0: {point_ok}); P(z'=0) = {hits:.3f} at n=3200")

@@ -5,7 +5,12 @@ import pytest
 
 from bridgelab.cli import main
 from bridgelab.config import config_from_echo, parse_config
+from bridgelab.contrast import Contrast
 from bridgelab.errors import ConfigError
+from bridgelab.model import Dataset, generate_design, simulate_responses
+from bridgelab.montecarlo import design_seed, replication_seed
+from bridgelab.solver import minimize
+from bridgelab.util import format_float
 
 BASE = """
 [model]
@@ -257,6 +262,40 @@ def test_mc_byte_identical_across_runs(cfg_path, tmp_path, capsys):
         a = open(os.path.join(d1, name), "rb").read()
         b = open(os.path.join(d2, name), "rb").read()
         assert a == b
+
+
+def test_mc_rows_equal_direct_fits(tmp_path, capsys):
+    # a binding box and a 2-sweep cap: both converged values and both warnings occur
+    path = tmp_path / "box.cfg"
+    path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 0.7, 0.9")
+                    .replace("design = standardized-orthonormal",
+                             "design = bounded-random-frozen\nbound = 3.0")
+                    .replace("[mc]", "[solver]\nbox_half = 0.8\nmax_sweeps = 2\n\n[mc]")
+                    .replace("seed = 424242", "seed = 9"))
+    out_dir = tmp_path / "out"
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir),
+                         "--threads", "2"])[0] == 0
+    mc = parse_config(str(path)).mc
+    p, p0 = mc.truth.p, mc.truth.p0
+    rows = [line.split(",") for line in
+            (out_dir / "replications.csv").read_text().splitlines()[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [
+        (n, rep) for n in mc.n_grid for rep in range(mc.replications)]
+    designs = {n: generate_design(mc.design, n, design_seed(mc.master_seed, n))
+               for n in mc.n_grid}
+    for row in rows:
+        n, rep, seed = int(row[0]), int(row[1]), int(row[2])
+        assert seed == replication_seed(mc.master_seed, n, rep)
+        Y = simulate_responses(designs[n], mc.truth, mc.noise, seed)
+        ds = Dataset(X=designs[n], Y=Y, truth=mc.truth, n=n)
+        res = minimize(Contrast(dataset=ds, penalty=mc.penalty), mc.box, mc.solver)
+        assert row[3:3 + p] == [format_float(v) for v in res.theta_hat]
+        assert row[3 + p:3 + p + p0] == ["1" if v == 0.0 else "0" for v in res.theta_hat[:p0]]
+        assert row[3 + p + p0:] == [format_float(res.objective), "1" if res.converged else "0"]
+    assert {r[-1] for r in rows} == {"0", "1"}
+    warnings = json.loads((out_dir / "summary.json").read_text())["warnings"]
+    assert any("did not stabilize" in w for w in warnings)
+    assert any("touch the box boundary" in w for w in warnings)
 
 
 def test_mc_io_error_exit_code(cfg_path, tmp_path, capsys):

@@ -9,7 +9,6 @@ from bridgelab.errors import InvalidInputError, InvalidSpecError
 from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter
 from bridgelab.montecarlo import (
     MCConfig,
-    ReplicationRecord,
     ReplicationSet,
     compare_to_limit,
     fit_tail_slope,
@@ -45,42 +44,40 @@ def _cfg(family="bridge", gamma=0.5, c=1.0, e=0.6, sigma=1.0, p0=1, rho0=(1.0,),
     )
 
 
-def _records_equal(a, b):
-    assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert (ra.n, ra.rep, ra.seed) == (rb.n, rb.rep, rb.seed)
-        assert_array_equal(ra.theta_hat, rb.theta_hat)
-        assert_array_equal(ra.u_hat, rb.u_hat)
-        assert_array_equal(ra.v_hat, rb.v_hat)
-        assert ra.objective == rb.objective
-        assert ra.converged == rb.converged
+def _results_equal(a, b):
+    assert a.config.n_grid == b.config.n_grid
+    for n in a.config.n_grid:
+        assert_array_equal(a.seeds[n], b.seeds[n])
+        assert_array_equal(a.theta_hat[n], b.theta_hat[n])
+        assert_array_equal(a.u_hat(n), b.u_hat(n))
+        assert_array_equal(a.v_hat(n), b.v_hat(n))
+        assert_array_equal(a.objective[n], b.objective[n])
+        assert_array_equal(a.converged[n], b.converged[n])
 
 
 def test_noiseless_unpenalized_exact_recovery():
     cfg = _cfg(family="none", sigma=0.0, n_grid=(50,), R=100)
     rs = run_replications(cfg)
-    for rec in rs.records:
-        assert_array_equal(rec.theta_hat, cfg.truth.theta)
-        assert_array_equal(rec.u_hat, np.zeros(1))
-        assert_array_equal(rec.v_hat, np.zeros(1))
-        assert rec.objective == 0.0
+    assert_array_equal(rs.theta_hat[50], np.tile(cfg.truth.theta, (100, 1)))
+    assert_array_equal(rs.u_hat(50), np.zeros((100, 1)))
+    assert_array_equal(rs.v_hat(50), np.zeros((100, 1)))
+    assert_array_equal(rs.objective[50], np.zeros(100))
 
 
 def test_campaign_deterministic_and_complete():
     cfg = _cfg(n_grid=(30, 60), R=100)
     rs1 = run_replications(cfg)
     rs2 = run_replications(cfg)
-    _records_equal(rs1.records, rs2.records)
-    assert len(rs1.records) == 2 * 100
-    seeds = {(r.n, r.rep): r.seed for r in rs1.records}
-    assert len(set(seeds.values())) == len(seeds)
-    assert seeds[(30, 0)] == replication_seed(cfg.master_seed, 30, 0)
+    _results_equal(rs1, rs2)
+    assert all(rs1.theta_hat[n].shape == (100, 2) for n in (30, 60))
+    seeds = np.concatenate([rs1.seeds[30], rs1.seeds[60]])
+    assert np.unique(seeds).size == 2 * 100
+    assert rs1.seeds[30][0] == replication_seed(cfg.master_seed, 30, 0)
 
 
 def test_serial_matches_parallel():
     cfg = _cfg(n_grid=(30, 60), R=100)
-    _records_equal(run_replications(cfg, threads=1).records,
-                   run_replications(cfg, threads=4).records)
+    _results_equal(run_replications(cfg, threads=1), run_replications(cfg, threads=4))
 
 
 def test_config_validation():
@@ -95,14 +92,13 @@ def test_config_validation():
 def _synthetic_set(u_values, v_values, n_grid=(100,), R=None):
     R = R if R is not None else len(u_values)
     cfg = _cfg(n_grid=n_grid, R=R)
-    records = []
-    for n in n_grid:
-        for rep in range(R):
-            records.append(ReplicationRecord(
-                n=n, rep=rep, seed=rep, theta_hat=np.zeros(2),
-                zero_flags=np.array([True]), objective=0.0, converged=True,
-                u_hat=np.array([u_values[rep]]), v_hat=np.array([v_values[rep]])))
-    return ReplicationSet(config=cfg, records=records, designs={},
+    # theta = (u / sqrt(n), rho0 + v / sqrt(n)): u_hat(n), v_hat(n) give back u, v up to rounding
+    theta = {n: np.column_stack([np.asarray(u_values[:R]) / math.sqrt(n),
+                                 1.0 + np.asarray(v_values[:R]) / math.sqrt(n)])
+             for n in n_grid}
+    return ReplicationSet(config=cfg, seeds={n: np.arange(R, dtype=np.uint64) for n in n_grid},
+                          theta_hat=theta, objective={n: np.zeros(R) for n in n_grid},
+                          converged={n: np.ones(R, dtype=bool) for n in n_grid},
                           C0=np.eye(2), c0_source="test")
 
 
@@ -233,7 +229,7 @@ def test_compare_to_limit_standard_self_comparison():
     cfg = _cfg(family="none", p0=0, rho0=(1.0,), n_grid=(100,), R=100)
     rs = run_replications(cfg)
     law = limit_law(2.0, cfg.penalty.schedule, 1.0, rs.C0, cfg.truth.theta, 0)
-    scaled = np.stack([np.concatenate([r.u_hat, r.v_hat]) for r in rs.records])
+    scaled = np.hstack([rs.u_hat(100), rs.v_hat(100)])
     rep = compare_to_limit(rs, law, limit_samples=scaled)
     assert rep["per_n"][100]["ks_per_margin"][0] == 0.0
 
