@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .penalty import TuningSchedule, power_prox_candidates
-from .solver import Box, tiebreak_argmin
+from .solver import PATTERN_COORDS, Box, tiebreak_argmin
 
 REGIME_STANDARD = "standard"
 REGIME_SPARSE_NORMAL = "sparse-normal"
@@ -263,9 +263,9 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     if np.all(s == 0.0):
         return base
 
-    # starts per draw: base, origin, and zero patterns of the first six
-    # nonconvex coordinates
-    nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:6]
+    # starts per draw: base, origin, and zero patterns of the first
+    # PATTERN_COORDS nonconvex coordinates
+    nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:PATTERN_COORDS]
     n_starts = 1 + 2 ** nonconvex.size
     samples = np.empty((R, p))
     for a in range(0, R, _SAMPLER_BLOCK):
@@ -322,7 +322,7 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     if eig[0] <= 0.0:
         raise InvalidInputError("C0 must be positive definite")
 
-    starts = _zeroed_starts(theta0[None, :], np.arange(min(p, 6)))
+    starts = _zeroed_starts(theta0[None, :], np.arange(min(p, PATTERN_COORDS)))
     th = box_descent(C0, C0 @ theta0, np.full(p, lambda0), np.full(p, gamma), starts,
                      box.lo_array(), box.hi_array())
     d = th - theta0

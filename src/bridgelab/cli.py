@@ -252,11 +252,7 @@ def cmd_limit(ec: ExperimentConfig) -> int:
     law = limit_law(gamma, mc.penalty.schedule, mc.noise.sigma ** 2,
                     C0, mc.truth.theta, mc.truth.p0, box=mc.box)
     payload: dict = {
-        "regime": {
-            "tag": law.regime.tag,
-            "lambda0": law.regime.lambda0,
-            "rate_limits": law.regime.rate_limits,
-        },
+        "regime": _regime_payload(ec),
         "gamma": gamma,
         "sigma2": mc.noise.sigma ** 2,
         "c0_source": c0_source,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
 from .penalty import TuningSchedule
-from .util import boundedness_verdict
+from .util import ConditionReport, boundedness_verdict
 
 DESIGN_KINDS = ("standardized-orthonormal", "explicit-matrix", "bounded-random-frozen")
 NOISE_FAMILIES = ("gaussian", "scaled-uniform", "scaled-rademacher")
@@ -153,31 +153,6 @@ class GramReport:
     min_eig_B: float
 
 
-@dataclass
-class ConditionSequence:
-    """One finite-n condition diagnostic: the sequence over the n-grid and a verdict."""
-
-    condition: str
-    n_grid: tuple[int, ...]
-    values: tuple[float, ...]
-    verdict: str
-    note: str = ""
-
-    def to_jsonable(self) -> dict:
-        out = {
-            "condition": self.condition,
-            "n_grid": list(self.n_grid),
-            "values": list(self.values),
-            "verdict": self.verdict,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-ConditionReport = dict[str, ConditionSequence]
-
-
 def generate_design(spec: DesignSpec, n: int, seed: int) -> np.ndarray:
     """Realize the design matrix; deterministic given (spec, n, seed)."""
     if spec.kind == "explicit-matrix":
@@ -259,8 +234,8 @@ def gram(X: np.ndarray, split: tuple[int, int]) -> GramReport:
                       min_eig_C=_min_eig(C), min_eig_D=_min_eig(D), min_eig_B=_min_eig(B))
 
 
-def check_design_conditions(designs, C0: np.ndarray, delta: float,
-                            q_n: TuningSchedule, split: tuple[int, int]) -> ConditionReport:
+def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSchedule,
+                            split: tuple[int, int]) -> dict[str, ConditionReport]:
     """Finite-n diagnostics for the design-side conditions over an n-grid.
 
     `designs` is a list of (n, X) pairs with strictly increasing n (>= 3
@@ -299,10 +274,10 @@ def check_design_conditions(designs, C0: np.ndarray, delta: float,
 
     ngrid = tuple(ns)
 
-    def seq(cond: str, values, note: str = "") -> ConditionSequence:
+    def seq(cond: str, values, note: str = "") -> ConditionReport:
         vals = tuple(float(v) for v in values)
-        return ConditionSequence(condition=cond, n_grid=ngrid, values=vals,
-                                 verdict=boundedness_verdict(vals), note=note)
+        return ConditionReport(condition=cond, n_grid=ngrid, values=vals,
+                               verdict=boundedness_verdict(vals), note=note)
 
     return {
         COND_GRAM_RATE: seq(COND_GRAM_RATE, gram_rate, note=f"delta={delta}"),

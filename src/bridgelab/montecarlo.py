@@ -30,7 +30,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
 from .solver import Box, EstimateResult, SolverOptions, minimize
-from .util import boundedness_verdict, derive_seed, spawn_rng
+from .util import boundedness_verdict, derive_seed, fit_line, spawn_rng
 
 BOOTSTRAP_RESAMPLES = 200
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
@@ -227,15 +227,12 @@ def fit_tail_slope(r, p_hat, cutoff: float) -> tuple[float | None, str]:
     r = np.asarray(r, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     mask = p_hat >= cutoff
-    if np.count_nonzero(mask) < 2 or np.ptp(np.log(r[mask])) == 0.0:
+    fit = fit_line(np.log(r[mask]), np.log(p_hat[mask]))
+    if fit is None:
         if np.all(p_hat == 0.0):
             return None, "all mass at 0"
         return None, "informative range too short for a slope fit"
-    x = np.log(r[mask])
-    y = np.log(p_hat[mask])
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0]), ""
+    return fit[0], ""
 
 
 def tail_curve(rs: ReplicationSet, r_grid=None, tail_orders=None) -> TailReport:

@@ -9,12 +9,12 @@ zeros are produced without thresholding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .util import PLAUSIBLY_BOUNDED, boundedness_verdict
+from .util import PLAUSIBLY_BOUNDED, ConditionReport, boundedness_verdict, fit_line
 
 FAMILIES = ("bridge", "scad", "selo", "none")
 
@@ -397,39 +397,6 @@ def scalar_prox_interval(pen: PenaltySpec, n: int, c: float, b: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PenaltyConditionReport:
-    """Finite-n diagnostic for one of the penalty-side conditions."""
-
-    condition: str
-    n_grid: tuple[int, ...]
-    probes: tuple
-    values: np.ndarray
-    verdict: str
-    fitted_exponent: float | None = None
-    fit_error: float | None = None
-    kappa: int | None = None
-    detail: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        out = {
-            "condition": self.condition,
-            "n_grid": list(self.n_grid),
-            "probes": [list(p) if isinstance(p, tuple) else p for p in self.probes],
-            "values": self.values.tolist(),
-            "verdict": self.verdict,
-        }
-        if self.fitted_exponent is not None:
-            out["fitted_exponent"] = self.fitted_exponent
-        if self.fit_error is not None:
-            out["fit_error"] = self.fit_error
-        if self.kappa is not None:
-            out["kappa"] = self.kappa
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
 def default_divergence_scale(pen: PenaltySpec) -> TuningSchedule:
     """Family-natural q_n: lambda_n/n^(gamma/2) for bridge, the bound scale otherwise."""
     sch = pen.schedule
@@ -443,52 +410,24 @@ def default_divergence_scale(pen: PenaltySpec) -> TuningSchedule:
 
 
 def _sphere_infimum(pen: PenaltySpec, n: int, r: float, p0: int) -> float:
-    """inf over |u| = r of sum_k p_n(u_k/sqrt(n)).
+    """inf over |u| = r of sum_k p_n(u_k/sqrt(n)), in closed form.
 
-    Monotone coordinatewise penalties attain the inf over |u| >= r on the
-    sphere. Candidates: equal mass on k axes for k = 1..p0 (axis allocation is
-    optimal for concave families, balanced for convex ones), refined by a
-    dense angular scan for p0 = 2 and a pairwise exchange pass for p0 > 2.
+    With s_k = u_k^2 the sum is sum_k f(s_k), f(s) = p_n(sqrt(s/n)), over the
+    simplex sum_k s_k = r^2. For SCAD, SELO and bridge with gamma <= 2, p_n' is
+    nonnegative and nonincreasing on t > 0, so f'(s) = p_n'(t)/(2 sqrt(n s))
+    (t = sqrt(s/n)) is nonincreasing and f is concave: its minimum over the
+    simplex sits at a vertex, all mass on one axis (Horst & Tuy, Global
+    Optimization, 1996). For bridge with gamma >= 2, f is convex and by Jensen
+    the minimum puts mass r^2/p0 on every axis. Both are among the allocations
+    of equal mass on k axes, k = 1..p0, so the least of those is the infimum.
     """
     rn = r / math.sqrt(n)
-    best = min(
-        k * _value_scalar(pen, n, rn / math.sqrt(k)) for k in range(1, p0 + 1)
-    )
-    if p0 == 2:
-        ang = np.linspace(0.0, math.pi / 4.0, 181)
-        vals = penalty_value(pen, n, rn * np.cos(ang)) + penalty_value(pen, n, rn * np.sin(ang))
-        best = min(best, float(np.min(vals)))
-    elif p0 > 2:
-        k_best = int(np.argmin([
-            k * _value_scalar(pen, n, rn / math.sqrt(k)) for k in range(1, p0 + 1)
-        ])) + 1
-        alloc = np.zeros(p0)
-        alloc[:k_best] = rn / math.sqrt(k_best)
-        ang = np.linspace(0.0, math.pi / 2.0, 91)
-        for _ in range(3):
-            improved = False
-            for i in range(p0):
-                for j in range(i + 1, p0):
-                    m = math.hypot(alloc[i], alloc[j])
-                    if m == 0.0:
-                        continue
-                    vals = (penalty_value(pen, n, m * np.cos(ang))
-                            + penalty_value(pen, n, m * np.sin(ang)))
-                    k = int(np.argmin(vals))
-                    cur = _value_scalar(pen, n, alloc[i]) + _value_scalar(pen, n, alloc[j])
-                    if vals[k] < cur - 1e-15 * (1.0 + cur):
-                        alloc[i] = m * math.cos(ang[k])
-                        alloc[j] = m * math.sin(ang[k])
-                        improved = True
-            if not improved:
-                break
-        best = min(best, float(np.sum(penalty_value(pen, n, alloc))))
-    return best
+    return min(k * _value_scalar(pen, n, rn / math.sqrt(k)) for k in range(1, p0 + 1))
 
 
 def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid,
                                q_n: TuningSchedule | None = None,
-                               p0: int = 1) -> PenaltyConditionReport:
+                               p0: int = 1) -> ConditionReport:
     """Check the scaled sphere infimum inf_{|u|=r} sum_k p_n(u_k/sqrt(n)) / q_n.
 
     Satisfied when, for every n on the grid, the curve in r is nondecreasing,
@@ -526,25 +465,11 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid,
             ok = False
             break
 
-    fitted = None
-    fit_err = None
     pos = vals > 0.0
-    if np.any(pos):
-        logr = np.log(np.asarray(r_grid))
-        xs, ys = [], []
-        for i in range(len(n_grid)):
-            m = pos[i]
-            xs.append(logr[m])
-            ys.append(np.log(vals[i][m]))
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        if x.size >= 2 and float(np.ptp(x)) > 0:
-            A = np.vstack([x, np.ones_like(x)]).T
-            coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-            fitted = float(coef[0])
-            fit_err = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
+    logr = np.broadcast_to(np.log(np.asarray(r_grid)), vals.shape)
+    fitted, fit_err = fit_line(logr[pos], np.log(vals[pos])) or (None, None)
 
-    return PenaltyConditionReport(
+    return ConditionReport(
         condition=COND_DIVERGENCE,
         n_grid=n_grid,
         probes=r_grid,
@@ -557,7 +482,7 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid,
 
 
 def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
-                            beta: float) -> tuple[PenaltyConditionReport, PenaltyConditionReport]:
+                            beta: float) -> tuple[ConditionReport, ConditionReport]:
     """Finite-n surrogates for the growth cap sup_n p_n(a)/n^(1/2+beta) < inf
     and the root-n shift bound |p_n(a + b/sqrt(n)) - p_n(a)| <= c_{a,b} |b|^kappa.
 
@@ -580,7 +505,7 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
             growth[i, j] = _value_scalar(pen, n, a) / float(n) ** (0.5 + beta)
     growth_ok = all(boundedness_verdict(growth[i]) == PLAUSIBLY_BOUNDED
                     for i in range(len(a_probes)))
-    growth_report = PenaltyConditionReport(
+    growth_report = ConditionReport(
         condition=COND_GROWTH_CAP,
         n_grid=n_grid,
         probes=a_probes,
@@ -613,7 +538,7 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
         if ok:
             kappa = cand
             break
-    shift_report = PenaltyConditionReport(
+    shift_report = ConditionReport(
         condition=COND_SHIFT,
         n_grid=n_grid,
         probes=tuple((a, b) for a in a_probes for b in b_probes),

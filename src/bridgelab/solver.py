@@ -18,6 +18,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .penalty import scalar_prox_interval
 
 MAX_STARTS = 64
+PATTERN_COORDS = 6  # zero-support patterns of multistart sets cover this many leading coordinates
 
 
 def tiebreak_key(objective: float, theta: np.ndarray) -> tuple:
@@ -123,7 +124,7 @@ def _multistart_points(c: Contrast, box: Box) -> list[np.ndarray]:
     ols = box.clip(np.linalg.lstsq(c.dataset.X, c.dataset.Y, rcond=None)[0])
     origin = box.clip(np.zeros(c.p))
     starts = [ols, origin, box.clip(c.dataset.truth.theta)]
-    k = min(c.p, 6)
+    k = min(c.p, PATTERN_COORDS)
     for mask in itertools.product((False, True), repeat=k):
         if len(starts) >= MAX_STARTS:
             break
@@ -182,7 +183,8 @@ def minimize(c: Contrast, box: Box | None = None,
     verbatim if descent cannot improve it, so the returned objective never
     exceeds any multistart objective. Points are compared on the exact
     residual objective (the Gram-form RSS cancels when RSS << Y'Y), evaluated
-    once per distinct point; one prox memo serves all starts.
+    once per distinct point; one prox memo serves all starts. `converged` is
+    true when any start that reached the returned point converged.
     """
     if box is None:
         box = Box.cube(c.p)
@@ -210,7 +212,9 @@ def minimize(c: Contrast, box: Box | None = None,
             theta, obj, conv, sweeps = start.copy(), start_obj, True, 0
         key = tiebreak_key(obj, theta)
         if best is None or key < best[0]:
-            best = (key, theta, obj, conv, sweeps)
+            best = [key, theta, obj, conv, sweeps]
+        elif key == best[0]:
+            best[3] = best[3] or conv
 
     _, theta, obj, conv, sweeps = best
     return EstimateResult.at(c, theta, obj, len(starts), conv, sweeps)
@@ -268,13 +272,12 @@ def grid_oracle(c: Contrast, box: Box | None = None, stages: int = 4,
     for _ in range(stages):
         pts = _lattice_points(center, span, box, points_per_axis, zero_coords)
         vals = contrast_on_points(c, pts)
-        vmin = float(np.min(vals))
-        if vmin <= best_obj:
-            idx = np.flatnonzero(vals == vmin)
-            cand = min(pts[idx], key=lambda q: tiebreak_key(vmin, q)[1:])
-            if vmin < best_obj or tiebreak_key(vmin, cand) < tiebreak_key(best_obj, best_pt):
-                best_obj = vmin
-                best_pt = np.asarray(cand)
+        low = vals == np.min(vals)
+        # the running best goes first, so it keeps a full tie
+        objs = np.r_[best_obj, vals[low]]
+        cands = np.vstack([best_pt, pts[low]])
+        i = tiebreak_argmin(np.zeros(objs.size, dtype=int), objs, cands)[0]
+        best_obj, best_pt = float(objs[i]), cands[i]
         center = best_pt.copy()
         span = span * (4.0 / points_per_axis)
 

@@ -1,9 +1,11 @@
-"""Seed derivation, boundedness heuristics, and byte-stable serialization helpers."""
+"""Seed derivation, boundedness heuristics, condition reports, line fits, and
+byte-stable serialization helpers."""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +47,48 @@ def boundedness_verdict(values, ratio: float = 2.0, floor: float = 1e-10) -> str
     top = v[v.size // 2:]
     monotone_top = bool(np.all(np.diff(top) > 0.0))
     return GROWING if (ratio_exceeded and monotone_top) else PLAUSIBLY_BOUNDED
+
+
+@dataclass
+class ConditionReport:
+    """Finite-n diagnostic for one design- or penalty-side condition: its
+    values over the n-grid (and probes, when it has them) and a verdict."""
+
+    condition: str
+    n_grid: tuple[int, ...]
+    values: np.ndarray | tuple[float, ...]
+    verdict: str
+    probes: tuple | None = None
+    fitted_exponent: float | None = None
+    fit_error: float | None = None
+    kappa: int | None = None
+    detail: dict = field(default_factory=dict)
+    note: str = ""
+
+    def to_jsonable(self) -> dict:
+        out = {"condition": self.condition, "n_grid": list(self.n_grid)}
+        if self.probes is not None:
+            out["probes"] = [list(p) if isinstance(p, tuple) else p for p in self.probes]
+        out["values"] = np.asarray(self.values).tolist()
+        out["verdict"] = self.verdict
+        for key in ("fitted_exponent", "fit_error", "kappa"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
+        if self.detail:
+            out["detail"] = self.detail
+        if self.note:
+            out["note"] = self.note
+        return out
+
+
+def fit_line(x, y) -> tuple[float, float] | None:
+    """Least-squares slope of y on x and the RMS residual of the line, or None
+    when x has fewer than two distinct values."""
+    if x.size < 2 or float(np.ptp(x)) == 0.0:
+        return None
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return float(coef[0]), float(np.sqrt(np.mean((A @ coef - y) ** 2)))
 
 
 def format_float(x: float) -> str:

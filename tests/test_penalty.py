@@ -333,6 +333,33 @@ def test_divergence_bridge_two_dim_sphere_matches_dense_search():
     assert rep.values[0][1] == pytest.approx(r ** 0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("p0", [3, 5])
+@pytest.mark.parametrize("pen", [
+    bridge(1.0, 0.3, 0.5),
+    bridge(1.0, 0.3, 2.0),
+    bridge(1.0, 0.3, 3.0),
+    scad(1.0, -0.25),
+    selo(1.0, -0.25),
+], ids=["bridge-0.5", "bridge-2", "bridge-3", "scad", "selo"])
+def test_divergence_sphere_infimum_matches_random_search(pen, p0):
+    # independent minimum over the sphere |u| = r: 20,000 random directions
+    # plus the one-axis and the equal-mass points
+    n_grid, r_grid = (16, 256), (0.5, 4.0, 40.0)
+    rep = check_divergence_condition(pen, n_grid, r_grid, p0=p0)
+    rng = np.random.default_rng(p0)
+    dirs = rng.standard_normal((20_000, p0))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.vstack([dirs, np.eye(p0)[:1], np.full((1, p0), 1.0 / math.sqrt(p0))])
+    q = penalty_mod.default_divergence_scale(pen)
+    for i, n in enumerate(n_grid):
+        for j, r in enumerate(r_grid):
+            sums = np.sum(penalty_value(pen, n, r * dirs / math.sqrt(n)), axis=1)
+            assert rep.values[i, j] * q.value(n) == pytest.approx(np.min(sums), rel=1e-12)
+            if pen.family == "bridge" and pen.gamma > 2.0:
+                # convex case: equal mass on all p0 axes beats one axis
+                assert sums[-1] < sums[-2]
+
+
 def test_divergence_rejects_bounded_penalties():
     rep = check_divergence_condition(scad(1.0, -0.25), N_GRID, R_GRID, p0=1)
     assert rep.verdict == "not-satisfied"

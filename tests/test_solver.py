@@ -4,7 +4,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bridgelab.contrast import Contrast, contrast_value
 from bridgelab.errors import InvalidInputError
-from bridgelab.model import Dataset, DesignSpec, NoiseSpec, TrueParameter, make_dataset
+from bridgelab.model import (
+    Dataset,
+    DesignSpec,
+    NoiseSpec,
+    TrueParameter,
+    generate_design,
+    make_dataset,
+    simulate_responses,
+)
+from bridgelab.montecarlo import design_seed, replication_seed
 from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval, zero_penalty
 from bridgelab.solver import (
     Box,
@@ -125,6 +134,34 @@ def test_minimize_rejects_nonfinite_data():
     c.dataset.Y[0] = np.nan
     with pytest.raises(InvalidInputError):
         minimize(c, Box.cube(2))
+
+
+def test_converged_if_any_start_reaching_the_winner_converged():
+    # a binding box and a 2-sweep cap: several starts often reach the winning
+    # point, and only some of them within the cap
+    truth = TrueParameter(p0=2, rho0=(1.0,))
+    design = DesignSpec(kind="bounded-random-frozen", p=truth.p)
+    noise = NoiseSpec("gaussian", 1.0)
+    pen, box, opts = _bridge(1.0, 0.6, 0.5), Box.cube(truth.p, half=0.8), SolverOptions(max_sweeps=2)
+    first_start_not_converged = 0
+    for n in (30, 60):
+        X = generate_design(design, n, design_seed(8, n))
+        for rep in range(100):
+            Y = simulate_responses(X, truth, noise, replication_seed(8, n, rep))
+            c = Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=n), penalty=pen)
+            res = minimize(c, box, opts)
+            reached = []
+            for start in _multistart_points(c, box):
+                theta, conv, _ = _coordinate_descent(c, box, opts, start)
+                if contrast_value(c, theta) > contrast_value(c, start):
+                    theta, conv = start, True
+                if np.array_equal(theta, res.theta_hat):
+                    reached.append(conv)
+            assert res.converged == any(reached)
+            first_start_not_converged += res.converged and not reached[0]
+    # fits where the first start to reach the winner stopped at the cap but a
+    # later one converged
+    assert first_start_not_converged > 0
 
 
 def test_grid_oracle_quadratic_argmin():
