@@ -55,13 +55,17 @@ class PlaqParts:
         return float(self.delta @ u + 0.5 * u @ self.gamma0 @ u + self.remainder(u))
 
 
-def contrast_value(c: Contrast, theta) -> float:
-    """Exact residual sum of squares plus total penalty at theta."""
+def contrast_value(c: Contrast, theta):
+    """Exact residual sum of squares plus total penalty at theta, or per row of
+    an (m, p) stack with the bits of each row's own call: one X @ theta and
+    one dot per row, and the elementwise penalty summed along each row."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (c.p,):
-        raise InvalidInputError(f"theta has shape {theta.shape}, expected ({c.p},)")
-    resid = c.dataset.Y - c.dataset.X @ theta
-    return float(resid @ resid) + penalty_total(c.penalty, c.n, theta)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != c.p:
+        raise InvalidInputError(f"theta has shape {theta.shape}, expected ({c.p},) or (m, {c.p})")
+    rows = np.atleast_2d(theta)
+    values = np.array([r @ r for r in (c.dataset.Y - c.dataset.X @ t for t in rows)])
+    values += np.sum(penalty_value(c.penalty, c.n, rows), axis=1)
+    return float(values[0]) if theta.ndim == 1 else values
 
 
 def contrast_on_points(c: Contrast, points: np.ndarray) -> np.ndarray:

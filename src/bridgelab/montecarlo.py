@@ -29,7 +29,7 @@ from .contrast import Contrast
 from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
-from .solver import Box, EstimateResult, SolverOptions, minimize
+from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize
 from .util import boundedness_verdict, derive_seed, fit_line, spawn_rng
 
 BOOTSTRAP_RESAMPLES = 200
@@ -128,16 +128,17 @@ def limit_c0(cfg: MCConfig, X_largest: np.ndarray | None = None) -> tuple[np.nda
     return gram(X_largest, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
 
 
-def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int) -> tuple[int, EstimateResult]:
+def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor=None) -> tuple[int, EstimateResult]:
     seed = replication_seed(cfg.master_seed, n, rep)
     Y = simulate_responses(X, cfg.truth, cfg.noise, seed)
     ds = Dataset(X=X, Y=Y, truth=cfg.truth, n=n)
-    return seed, minimize(Contrast(dataset=ds, penalty=cfg.penalty), cfg.box, cfg.solver)
+    return seed, minimize(Contrast(dataset=ds, penalty=cfg.penalty), cfg.box, cfg.solver, factor)
 
 
 def _solve_block(task) -> list[tuple[int, EstimateResult]]:
     cfg, X, n, lo, hi = task
-    return [_solve_one(cfg, X, n, rep) for rep in range(lo, hi)]
+    factor = DesignFactor(X)  # X'X and pinv once per task, shared by its fits
+    return [_solve_one(cfg, X, n, rep, factor) for rep in range(lo, hi)]
 
 
 def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:

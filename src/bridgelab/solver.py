@@ -115,13 +115,27 @@ class EstimateResult:
                    restarts_used=restarts_used, converged=converged, iterations=iterations)
 
 
-def _multistart_points(c: Contrast, box: Box) -> list[np.ndarray]:
+class DesignFactor:
+    """The design-only work of a fit, done once per X and shared by its fits:
+    the finiteness check, Q = X'X as Python lists and pinv(X) for the OLS
+    start. pinv cuts singular values at max(n, p) eps times the largest, as
+    lstsq(rcond=None) does, so rank-deficient designs keep the minimum-norm
+    solution. Holds X; `minimize` uses it only for that very X object."""
+
+    def __init__(self, X: np.ndarray):
+        if not np.all(np.isfinite(X)):
+            raise InvalidInputError("design contains non-finite values")
+        self.X, self.Q = X, (X.T @ X).tolist()
+        self.pinv = np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)
+
+
+def _multistart_points(c: Contrast, box: Box, factor: DesignFactor | None = None) -> list[np.ndarray]:
     """OLS projection, origin, generating truth, and zero-support patterns of OLS.
 
     Support patterns target the support-indexed basins of the nonconvex
     penalties; capped at MAX_STARTS starts, duplicates dropped.
     """
-    ols = box.clip(np.linalg.lstsq(c.dataset.X, c.dataset.Y, rcond=None)[0])
+    ols = box.clip((factor or DesignFactor(c.dataset.X)).pinv @ c.dataset.Y)
     origin = box.clip(np.zeros(c.p))
     starts = [ols, origin, box.clip(c.dataset.truth.theta)]
     k = min(c.p, PATTERN_COORDS)
@@ -130,11 +144,6 @@ def _multistart_points(c: Contrast, box: Box) -> list[np.ndarray]:
             break
         starts.append(np.where(mask + (False,) * (c.p - k), origin, ols))
     return list({s.tobytes(): s for s in starts}.values())
-
-
-def _gram(c: Contrast) -> tuple[list, list]:
-    X, Y = c.dataset.X, c.dataset.Y
-    return (X.T @ X).tolist(), (X.T @ Y).tolist()
 
 
 def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.ndarray,
@@ -147,7 +156,7 @@ def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.nd
     `memo` maps (j, b) to the prox value, a pure function of b within one fit,
     so a hit returns the same bits; b = +-0.0 (one dict key) bypasses it.
     """
-    Q, q = gram or _gram(c)
+    Q, q = gram or (DesignFactor(c.dataset.X).Q, (c.dataset.X.T @ c.dataset.Y).tolist())
     memo = {} if memo is None else memo
     pen, n, lo, hi = c.penalty, c.n, box.lo_array().tolist(), box.hi_array().tolist()
     theta = start.astype(float).tolist()
@@ -173,18 +182,21 @@ def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.nd
     return np.array(theta), False, opts.max_sweeps
 
 
-def minimize(c: Contrast, box: Box | None = None,
-             opts: SolverOptions | None = None) -> EstimateResult:
+def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = None,
+             factor: DesignFactor | None = None) -> EstimateResult:
     """Best terminal point of coordinate descent over the multistart set.
 
     Deterministic: identical inputs give bit-identical results; ties across
     restarts break toward the smaller objective, then smaller coordinate
     magnitudes, then the lexicographically smaller point. A start is kept
     verbatim if descent cannot improve it, so the returned objective never
-    exceeds any multistart objective. Points are compared on the exact
-    residual objective (the Gram-form RSS cancels when RSS << Y'Y), evaluated
-    once per distinct point; one prox memo serves all starts. `converged` is
-    true when any start that reached the returned point converged.
+    exceeds any multistart objective. `factor` (built here when absent or
+    made from another X) gives X'X and the OLS start pinv(X) Y, so a fit forms
+    only X'Y. After every descent, one `contrast_value` call gives the exact
+    residual objective (the Gram-form RSS cancels when RSS << Y'Y) of every
+    distinct start and endpoint. One prox memo serves all starts. Of the starts
+    that reached the returned point, `converged` says whether any converged and
+    `iterations` counts the first converged one's sweeps (else the first's).
     """
     if box is None:
         box = Box.cube(c.p)
@@ -192,29 +204,27 @@ def minimize(c: Contrast, box: Box | None = None,
         raise InvalidInputError(f"box has {box.p} coordinates, contrast has {c.p}")
     if opts is None:
         opts = SolverOptions()
-    if not (np.all(np.isfinite(c.dataset.X)) and np.all(np.isfinite(c.dataset.Y))):
-        raise InvalidInputError("design or responses contain non-finite values")
+    if factor is None or factor.X is not c.dataset.X:
+        factor = DesignFactor(c.dataset.X)
+    if not np.all(np.isfinite(c.dataset.Y)):
+        raise InvalidInputError("responses contain non-finite values")
 
-    starts = _multistart_points(c, box)
-    gram, memo, values = _gram(c), {}, {}
-
-    def value(theta: np.ndarray) -> float:
-        key = theta.tobytes()
-        if key not in values:
-            values[key] = contrast_value(c, theta)
-        return values[key]
+    starts = _multistart_points(c, box, factor)
+    gram, memo = (factor.Q, (c.dataset.X.T @ c.dataset.Y).tolist()), {}
+    runs = [_coordinate_descent(c, box, opts, start, gram, memo) for start in starts]
+    points = {t.tobytes(): t for start, (theta, _, _) in zip(starts, runs) for t in (start, theta)}
+    values = dict(zip(points, contrast_value(c, np.array(list(points.values()))).tolist()))
 
     best = None
-    for start in starts:
-        theta, conv, sweeps = _coordinate_descent(c, box, opts, start, gram, memo)
-        obj, start_obj = value(theta), value(start)
+    for start, (theta, conv, sweeps) in zip(starts, runs):
+        obj, start_obj = values[theta.tobytes()], values[start.tobytes()]
         if obj > start_obj:  # float-pathological sweep; keep the start itself
             theta, obj, conv, sweeps = start.copy(), start_obj, True, 0
         key = tiebreak_key(obj, theta)
         if best is None or key < best[0]:
             best = [key, theta, obj, conv, sweeps]
-        elif key == best[0]:
-            best[3] = best[3] or conv
+        elif key == best[0] and conv and not best[3]:
+            best[3:] = conv, sweeps
 
     _, theta, obj, conv, sweeps = best
     return EstimateResult.at(c, theta, obj, len(starts), conv, sweeps)

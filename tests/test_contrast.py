@@ -14,9 +14,9 @@ from bridgelab.contrast import (
     profile_field,
     yn_field,
 )
-from bridgelab.errors import DomainError
+from bridgelab.errors import DomainError, InvalidInputError
 from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter, make_dataset
-from bridgelab.penalty import PenaltySpec, TuningSchedule, zero_penalty
+from bridgelab.penalty import PenaltySpec, TuningSchedule, penalty_total, zero_penalty
 from bridgelab.solver import Box
 
 
@@ -46,6 +46,48 @@ def test_contrast_zero_at_truth_noiseless():
     ds = _dataset(sigma=0.0)
     c = Contrast(dataset=ds, penalty=zero_penalty())
     assert contrast_value(c, ds.truth.theta) == 0.0
+
+
+def test_contrast_value_on_stacks_matches_single_points():
+    # every row of an (m, p) stack has the bits of its own single-point call
+    # and of the single-point definition, at p up to 12 (numpy's pairwise sum
+    # unrolls beyond 8 terms)
+    rng = np.random.default_rng(3)
+    pens = (zero_penalty(), _bridge(0.8, 0.3, 0.5),
+            PenaltySpec(family="scad", schedule=TuningSchedule(0.5, -0.25), a=3.7),
+            PenaltySpec(family="selo", schedule=TuningSchedule(0.002, 0.0), tau=TuningSchedule(0.1, -0.5)))
+    for sigma, p0, rho0 in ((1.0, 1, (1.0,)), (1.0, 3, (1.0, -2.0)), (0.0, 8, (0.5, 1.5, -1.0, 2.0))):
+        ds = _dataset(n=50, sigma=sigma, seed=p0, p0=p0, rho0=rho0, kind="bounded-random-frozen")
+        p = ds.p
+        # near the truth of noiseless data the penalty's last bits reach the sum
+        near = ds.truth.theta + rng.normal(scale=1e-3, size=(6, p))
+        stack = np.vstack([rng.normal(scale=2.0, size=(6, p)), near, np.zeros(p), ds.truth.theta,
+                           np.where(rng.random(p) < 0.5, 0.0, rng.normal(size=p))])
+        for pen in pens:
+            c = Contrast(dataset=ds, penalty=pen)
+            values = contrast_value(c, stack)
+            assert values.shape == (stack.shape[0],)
+            assert [float(v) for v in values] == [contrast_value(c, row) for row in stack]
+            # the single-point definition: one residual dot plus penalty_total
+            resid = [ds.Y - ds.X @ row for row in stack]
+            assert [float(v) for v in values] == [
+                float(r @ r) + penalty_total(pen, ds.n, row) for r, row in zip(resid, stack)]
+            assert contrast_value(c, stack[:1])[0] == contrast_value(c, stack[0])
+
+
+def test_contrast_value_stack_zero_at_truth_noiseless():
+    ds = _dataset(sigma=0.0)
+    c = Contrast(dataset=ds, penalty=zero_penalty())
+    values = contrast_value(c, np.vstack([np.ones(2), ds.truth.theta]))
+    assert values[1] == 0.0 and values[0] > 0.0
+
+
+def test_contrast_value_rejects_wrong_shapes():
+    ds = _dataset()
+    c = Contrast(dataset=ds, penalty=zero_penalty())
+    for bad in (np.zeros(3), np.zeros((2, 2, 2)), np.zeros((4, 3)), np.float64(1.0)):
+        with pytest.raises(InvalidInputError):
+            contrast_value(c, bad)
 
 
 def test_contrast_matches_two_pass_recomputation():

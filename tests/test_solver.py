@@ -17,6 +17,7 @@ from bridgelab.montecarlo import design_seed, replication_seed
 from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval, zero_penalty
 from bridgelab.solver import (
     Box,
+    DesignFactor,
     SolverOptions,
     _coordinate_descent,
     _multistart_points,
@@ -97,9 +98,8 @@ def test_minimize_never_above_multistart_objectives():
     c = _contrast(_bridge(1.0, 0.6, 0.5), n=30, seed=4)
     box = Box.cube(2)
     res = minimize(c, box)
-    for start in (np.zeros(2), c.dataset.truth.theta,
-                  np.linalg.lstsq(c.dataset.X, c.dataset.Y, rcond=None)[0]):
-        assert res.objective <= contrast_value(c, box.clip(start)) + 1e-12
+    for start in _multistart_points(c, box):
+        assert res.objective <= contrast_value(c, start)
 
 
 def test_exact_zero_is_fixed_point():
@@ -134,6 +134,12 @@ def test_minimize_rejects_nonfinite_data():
     c.dataset.Y[0] = np.nan
     with pytest.raises(InvalidInputError):
         minimize(c, Box.cube(2))
+    c = _contrast(zero_penalty(), n=10, seed=1)
+    c.dataset.X[3, 1] = np.inf
+    with pytest.raises(InvalidInputError):
+        minimize(c, Box.cube(2))
+    with pytest.raises(InvalidInputError):
+        DesignFactor(c.dataset.X)
 
 
 def test_converged_if_any_start_reaching_the_winner_converged():
@@ -150,17 +156,19 @@ def test_converged_if_any_start_reaching_the_winner_converged():
             Y = simulate_responses(X, truth, noise, replication_seed(8, n, rep))
             c = Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=n), penalty=pen)
             res = minimize(c, box, opts)
-            reached = []
+            reached = []  # (converged, sweeps) of each start that reached the winner
             for start in _multistart_points(c, box):
-                theta, conv, _ = _coordinate_descent(c, box, opts, start)
+                theta, conv, sweeps = _coordinate_descent(c, box, opts, start)
                 if contrast_value(c, theta) > contrast_value(c, start):
-                    theta, conv = start, True
+                    theta, conv, sweeps = start, True, 0
                 if np.array_equal(theta, res.theta_hat):
-                    reached.append(conv)
-            assert res.converged == any(reached)
-            first_start_not_converged += res.converged and not reached[0]
+                    reached.append((conv, sweeps))
+            assert res.converged == any(conv for conv, _ in reached)
+            # the sweeps of the first such start that converged, else of the first
+            assert res.iterations == next((s for conv, s in reached if conv), reached[0][1])
+            first_start_not_converged += res.converged and not reached[0][0]
     # fits where the first start to reach the winner stopped at the cap but a
-    # later one converged
+    # later one converged: their sweep count comes from that later start
     assert first_start_not_converged > 0
 
 
@@ -310,3 +318,54 @@ def test_prox_memo_is_per_coordinate():
     again, _, _ = _coordinate_descent(c, box, SolverOptions(), np.zeros(2), memo=memo)
     assert_array_equal(again, theta)  # memo hits return the computed values
     assert_array_equal(minimize(c, box).theta_hat, theta)
+
+
+def _bits(res):
+    return (res.theta_hat.tobytes(), res.objective, res.converged, res.iterations,
+            res.restarts_used)
+
+
+def test_shared_factor_gives_bit_identical_fits():
+    # one factor per design serves every response vector on it; a factor made
+    # from another design is ignored, so it cannot change a fit either
+    rng = np.random.default_rng(12)
+    kinds = ("standardized-orthonormal", "bounded-random-frozen")
+    for trial in range(18):
+        pen = zero_penalty() if trial % 6 == 0 else random_penalty(rng, gammas=(0.3, 0.5, 1.0, 1.5))
+        p = int(rng.integers(1, 9))
+        p0 = int(rng.integers(0, p))
+        truth = TrueParameter(p0=p0, rho0=tuple(float(rng.uniform(0.5, 2.0)) for _ in range(p - p0)))
+        n = int(rng.integers(p + 3, 60))
+        X = generate_design(DesignSpec(kind=kinds[trial % 2], p=p), n, int(rng.integers(1, 10**6)))
+        if trial % 3 == 2:
+            X[:, int(rng.integers(0, p))] = 0.0  # a dead column: Q_jj = 0
+        box = Box.cube(p)
+        if trial % 3 == 1:  # every coordinate's interval excludes 0
+            lo = rng.uniform(0.1, 0.5, p) * rng.choice([-1.0, 1.0], p)
+            lo = np.where(lo < 0.0, lo - 3.0, lo)
+            box = Box(lo=tuple(lo), hi=tuple(lo + 3.0 - 0.05))
+        factor = DesignFactor(X)
+        foreign = DesignFactor(X + 1.0)
+        for _ in range(3):
+            Y = X @ truth.theta + rng.standard_normal(n)
+            c = Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=n), penalty=pen)
+            alone = _bits(minimize(c, box))
+            assert _bits(minimize(c, box, None, factor)) == alone, trial
+            assert _bits(minimize(c, box, None, foreign)) == alone, trial
+
+
+def test_pinv_ols_start_matches_lstsq():
+    # the OLS start is pinv(X) Y; it stays within 1e-12 (1 + max|OLS|) of
+    # lstsq, on rank-deficient and underdetermined designs too
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        p, n = int(rng.integers(1, 9)), int(rng.integers(1, 80))
+        X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p)
+        if trial % 3 == 1:
+            X[:, rng.integers(p)] = 0.0
+        if trial % 3 == 2 and p > 1:
+            X[:, -1] = 2.0 * X[:, 0]
+        Y = 3.0 * rng.standard_normal(n)
+        ols = np.linalg.lstsq(X, Y, rcond=None)[0]
+        got = DesignFactor(X).pinv @ Y
+        assert np.max(np.abs(got - ols)) <= 1e-12 * (1.0 + np.max(np.abs(ols))), trial
