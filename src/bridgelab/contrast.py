@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 from .model import Dataset
 from .penalty import PenaltySpec, penalty_total, penalty_value
+from .util import row_squares
 
 DELTA_TRUE_NOISE = "true-noise"
 DELTA_ESTIMATED = "estimated"
@@ -57,23 +58,16 @@ class PlaqParts:
 
 def contrast_value(c: Contrast, theta):
     """Exact residual sum of squares plus total penalty at theta, or per row of
-    an (m, p) stack with the bits of each row's own call: one X @ theta and
-    one dot per row, and the elementwise penalty summed along each row."""
+    an (m, p) stack in one pass; the only evaluator of Z_n. Each row keeps the
+    bits of its own call on a contiguous theta: one gemv X @ theta and one dot
+    per row, and the elementwise penalty summed along each row."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim not in (1, 2) or theta.shape[-1] != c.p:
         raise InvalidInputError(f"theta has shape {theta.shape}, expected ({c.p},) or (m, {c.p})")
-    rows = np.atleast_2d(theta)
-    values = np.array([r @ r for r in (c.dataset.Y - c.dataset.X @ t for t in rows)])
-    values += np.sum(penalty_value(c.penalty, c.n, rows), axis=1)
+    rows = np.ascontiguousarray(np.atleast_2d(theta))  # strided rows change the bits on F-ordered X
+    resid = c.dataset.Y - np.matmul(c.dataset.X, rows[:, :, None])[:, :, 0]
+    values = row_squares(resid) + np.sum(penalty_value(c.penalty, c.n, rows), axis=1)
     return float(values[0]) if theta.ndim == 1 else values
-
-
-def contrast_on_points(c: Contrast, points: np.ndarray) -> np.ndarray:
-    """Vectorized Z_n over rows of `points` (m x p); used by grid oracles."""
-    points = np.asarray(points, dtype=float)
-    resid = c.dataset.Y[None, :] - points @ c.dataset.X.T
-    pen = np.sum(penalty_value(c.penalty, c.n, points), axis=1)
-    return np.einsum("ij,ij->i", resid, resid) + pen
 
 
 def local_field(c: Contrast, theta0, u, rate: float | None = None,

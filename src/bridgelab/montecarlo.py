@@ -30,7 +30,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
 from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize
-from .util import boundedness_verdict, derive_seed, fit_line, spawn_rng
+from .util import boundedness_verdict, derive_seed, fit_line, row_squares, spawn_rng
 
 BOOTSTRAP_RESAMPLES = 200
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
@@ -66,6 +66,15 @@ class MCConfig:
             raise InvalidSpecError("design and truth dimensions differ")
         if self.box.p != self.truth.p:
             raise InvalidSpecError("box and truth dimensions differ")
+        _check_moment_orders(self.moment_orders)
+
+
+def _check_moment_orders(orders) -> tuple[float, ...]:
+    """Orders in (0, 8]: |u|^q at an exact zero is 1 for q = 0, inf for q < 0; q > 8 is unreliable."""
+    orders = tuple(orders)
+    if not all(0.0 < q <= 8.0 for q in orders):
+        raise InvalidInputError(f"moment_orders: every order must lie in (0, 8], got {orders}")
+    return orders
 
 
 @dataclass
@@ -95,17 +104,10 @@ class ReplicationSet:
         return math.sqrt(n) * (self.theta_hat[n][:, truth.p0:] - truth.rho0_array)
 
     def u_norms(self, n: int) -> np.ndarray:
-        return _row_norms(self.u_hat(n))
+        return np.sqrt(row_squares(self.u_hat(n)))
 
     def v_norms(self, n: int) -> np.ndarray:
-        return _row_norms(self.v_hat(n))
-
-
-def _row_norms(A: np.ndarray) -> np.ndarray:
-    """Norm of each row. Each row's square is the BLAS dot that np.linalg.norm
-    takes of one vector, so these equal the per-vector norms bit for bit
-    (np.linalg.norm(A, axis=1) sums the squares in another order)."""
-    return np.sqrt((A[:, None, :] @ A[:, :, None]).ravel())
+        return np.sqrt(row_squares(self.v_hat(n)))
 
 
 def design_seed(master_seed: int, n: int) -> int:
@@ -128,7 +130,7 @@ def limit_c0(cfg: MCConfig, X_largest: np.ndarray | None = None) -> tuple[np.nda
     return gram(X_largest, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
 
 
-def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor=None) -> tuple[int, EstimateResult]:
+def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor) -> tuple[int, EstimateResult]:
     seed = replication_seed(cfg.master_seed, n, rep)
     Y = simulate_responses(X, cfg.truth, cfg.noise, seed)
     ds = Dataset(X=X, Y=Y, truth=cfg.truth, n=n)
@@ -335,9 +337,7 @@ def moment_trajectory(rs: ReplicationSet, orders=None) -> list[MomentTrajectory]
     by more than x2 across the grid; shrinking trajectories are bounded.
     """
     cfg = rs.config
-    orders = tuple(orders if orders is not None else cfg.moment_orders)
-    if any(q > 8.0 for q in orders):
-        raise InvalidInputError("moment orders above 8 are numerically unreliable here")
+    orders = _check_moment_orders(cfg.moment_orders if orders is None else orders)
     out = []
     for qi, q in enumerate(orders):
         u_m, u_s, v_m, v_s = [], [], [], []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import Contrast, contrast_on_points, contrast_value
+from .contrast import Contrast, contrast_value
 from .errors import InvalidInputError, InvalidSpecError
 from .penalty import scalar_prox_interval
 
@@ -21,22 +21,18 @@ MAX_STARTS = 64
 PATTERN_COORDS = 6  # zero-support patterns of multistart sets cover this many leading coordinates
 
 
-def tiebreak_key(objective: float, theta: np.ndarray) -> tuple:
-    """Order candidates by objective, then coordinate magnitudes, then sign.
+def tiebreak_argmin(groups: np.ndarray, objectives: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per group, the index of the first row in the order of objective, then
+    coordinate magnitudes, then the signed point (the earliest row on a full
+    tie). Groups must be sorted; one stable lexsort.
 
     Magnitudes come before the signed lexicographic order so that exact-zero
     coordinates beat ulp-level perturbations when objectives tie; this keeps
     zero-hit events and noiseless recovery well defined.
     """
-    return (objective, tuple(np.abs(theta)), tuple(theta))
-
-
-def tiebreak_argmin(groups: np.ndarray, objectives: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Per group, the index of the row that tiebreak_key ranks first (the
-    earliest row on a full tie). Groups must be sorted; one stable lexsort."""
     order = np.lexsort((*points.T[::-1], *np.abs(points).T[::-1], objectives, groups))
     g = groups[order]
-    return order[np.r_[True, g[1:] != g[:-1]]]
+    return order[np.concatenate(([True], g[1:] != g[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -47,6 +43,8 @@ class Box:
     hi: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("lo", "hi"):  # Python floats, which the descent reads directly
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if len(self.lo) != len(self.hi):
             raise InvalidSpecError("box lo/hi lengths differ")
         if any(not (a < b) for a, b in zip(self.lo, self.hi)):
@@ -129,26 +127,24 @@ class DesignFactor:
         self.pinv = np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)
 
 
-def _multistart_points(c: Contrast, box: Box, factor: DesignFactor | None = None) -> list[np.ndarray]:
-    """OLS projection, origin, generating truth, and zero-support patterns of OLS.
+def _multistart_points(c: Contrast, box: Box, factor: DesignFactor) -> np.ndarray:
+    """(k, p) starts: OLS projection, origin, generating truth, and zero-support
+    patterns of OLS, clipped to the box.
 
     Support patterns target the support-indexed basins of the nonconvex
-    penalties; capped at MAX_STARTS starts, duplicates dropped.
+    penalties; capped at MAX_STARTS starts, byte-duplicate rows dropped in order.
     """
-    ols = box.clip((factor or DesignFactor(c.dataset.X)).pinv @ c.dataset.Y)
-    origin = box.clip(np.zeros(c.p))
-    starts = [ols, origin, box.clip(c.dataset.truth.theta)]
+    ols, origin = factor.pinv @ c.dataset.Y, np.zeros(c.p)
     k = min(c.p, PATTERN_COORDS)
-    for mask in itertools.product((False, True), repeat=k):
-        if len(starts) >= MAX_STARTS:
-            break
-        starts.append(np.where(mask + (False,) * (c.p - k), origin, ols))
-    return list({s.tobytes(): s for s in starts}.values())
+    masks = itertools.islice(itertools.product((False, True), repeat=k), MAX_STARTS - 3)
+    starts = box.clip([ols, origin, c.dataset.truth.theta]
+                      + [np.where(mask + (False,) * (c.p - k), origin, ols) for mask in masks])
+    first = {row.tobytes(): i for i, row in reversed(list(enumerate(starts)))}  # earliest row wins
+    return starts[sorted(first.values())]
 
 
 def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.ndarray,
-                        gram: tuple | None = None,
-                        memo: dict | None = None) -> tuple[np.ndarray, bool, int]:
+                        gram: tuple, memo: dict) -> tuple[list[float], bool, int]:
     """Cyclic exact coordinate descent in Gram form, Q = X'X and q = X'Y.
 
     Coordinate j moves to the prox of b = theta_j + (q_j - sum_k Q_jk theta_k) / Q_jj
@@ -156,10 +152,8 @@ def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.nd
     `memo` maps (j, b) to the prox value, a pure function of b within one fit,
     so a hit returns the same bits; b = +-0.0 (one dict key) bypasses it.
     """
-    Q, q = gram or (DesignFactor(c.dataset.X).Q, (c.dataset.X.T @ c.dataset.Y).tolist())
-    memo = {} if memo is None else memo
-    pen, n, lo, hi = c.penalty, c.n, box.lo_array().tolist(), box.hi_array().tolist()
-    theta = start.astype(float).tolist()
+    (Q, q), pen, n, lo, hi = gram, c.penalty, c.n, box.lo, box.hi
+    theta = start.tolist()
     for sweeps in range(1, opts.max_sweeps + 1):
         max_move = 0.0
         for j, Qj in enumerate(Q):
@@ -178,8 +172,8 @@ def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.nd
                 max_move = max(max_move, abs(new - theta[j]))
                 theta[j] = new
         if max_move <= opts.tolerance:
-            return np.array(theta), True, sweeps
-    return np.array(theta), False, opts.max_sweeps
+            return theta, True, sweeps
+    return theta, False, opts.max_sweeps
 
 
 def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = None,
@@ -187,16 +181,15 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
     """Best terminal point of coordinate descent over the multistart set.
 
     Deterministic: identical inputs give bit-identical results; ties across
-    restarts break toward the smaller objective, then smaller coordinate
-    magnitudes, then the lexicographically smaller point. A start is kept
-    verbatim if descent cannot improve it, so the returned objective never
-    exceeds any multistart objective. `factor` (built here when absent or
+    restarts break by `tiebreak_argmin`. `factor` (built here when absent or
     made from another X) gives X'X and the OLS start pinv(X) Y, so a fit forms
-    only X'Y. After every descent, one `contrast_value` call gives the exact
-    residual objective (the Gram-form RSS cancels when RSS << Y'Y) of every
-    distinct start and endpoint. One prox memo serves all starts. Of the starts
-    that reached the returned point, `converged` says whether any converged and
-    `iterations` counts the first converged one's sweeps (else the first's).
+    only X'Y. One prox memo serves all starts. After every descent, one
+    `contrast_value` call scores the table of starts and endpoints by the exact
+    residual objective (the Gram-form RSS cancels when RSS << Y'Y). A start is
+    kept verbatim if descent cannot improve it, so the returned objective never
+    exceeds any multistart objective. Of the starts that reached the returned
+    point, `converged` says whether any converged and `iterations` counts the
+    first converged one's sweeps (else the first's).
     """
     if box is None:
         box = Box.cube(c.p)
@@ -211,23 +204,20 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
 
     starts = _multistart_points(c, box, factor)
     gram, memo = (factor.Q, (c.dataset.X.T @ c.dataset.Y).tolist()), {}
-    runs = [_coordinate_descent(c, box, opts, start, gram, memo) for start in starts]
-    points = {t.tobytes(): t for start, (theta, _, _) in zip(starts, runs) for t in (start, theta)}
-    values = dict(zip(points, contrast_value(c, np.array(list(points.values()))).tolist()))
+    runs = (_coordinate_descent(c, box, opts, start, gram, memo) for start in starts)
+    ends, conv, sweeps = map(np.array, zip(*runs))
+    k = len(starts)
+    values = contrast_value(c, np.concatenate((starts, ends)))
+    start_obj, obj = values[:k], values[k:]
+    back = obj > start_obj  # float-pathological sweep; keep the start itself
+    if back.any():
+        ends[back], obj[back], conv[back], sweeps[back] = starts[back], start_obj[back], True, 0
 
-    best = None
-    for start, (theta, conv, sweeps) in zip(starts, runs):
-        obj, start_obj = values[theta.tobytes()], values[start.tobytes()]
-        if obj > start_obj:  # float-pathological sweep; keep the start itself
-            theta, obj, conv, sweeps = start.copy(), start_obj, True, 0
-        key = tiebreak_key(obj, theta)
-        if best is None or key < best[0]:
-            best = [key, theta, obj, conv, sweeps]
-        elif key == best[0] and conv and not best[3]:
-            best[3:] = conv, sweeps
-
-    _, theta, obj, conv, sweeps = best
-    return EstimateResult.at(c, theta, obj, len(starts), conv, sweeps)
+    i = j = tiebreak_argmin(np.zeros(k, dtype=int), obj, ends)[0]
+    if not conv[i]:  # flags of the first converged start that reached the winner, if any
+        reached = np.flatnonzero((obj == obj[i]) & np.all(ends == ends[i], axis=1) & conv)
+        j = reached[0] if reached.size else i
+    return EstimateResult.at(c, ends[i], float(obj[i]), k, bool(conv[j]), int(sweeps[j]))
 
 
 def _lattice_points(center: np.ndarray, span: np.ndarray, box: Box,
@@ -235,24 +225,14 @@ def _lattice_points(center: np.ndarray, span: np.ndarray, box: Box,
     lo = np.maximum(box.lo_array(), center - span)
     hi = np.minimum(box.hi_array(), center + span)
     axes = [np.linspace(lo[j], hi[j], points_per_axis) for j in range(center.size)]
-    blocks = []
-    free_all = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, center.size)
-    blocks.append(free_all)
-    # every subset of zero-block coordinates pinned to exactly 0, so exact-zero
-    # minima are representable on the lattice
+    # the full lattice, then every subset of zero-block coordinates pinned to
+    # exactly 0, so exact-zero minima are representable on the lattice
     pinnable = [j for j in zero_coords if box.lo[j] <= 0.0 <= box.hi[j]]
-    for r in range(1, len(pinnable) + 1):
-        for subset in itertools.combinations(pinnable, r):
-            free = [j for j in range(center.size) if j not in subset]
-            if free:
-                grid = np.stack(np.meshgrid(*[axes[j] for j in free], indexing="ij"),
-                                axis=-1).reshape(-1, len(free))
-            else:
-                grid = np.zeros((1, 0))
-            pts = np.zeros((grid.shape[0], center.size))
-            pts[:, free] = grid
-            blocks.append(pts)
-    return np.vstack(blocks)
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(pinnable, r) for r in range(len(pinnable) + 1))
+    return np.vstack([np.stack(np.meshgrid(*[np.zeros(1) if j in pinned else axes[j]
+                                             for j in range(center.size)], indexing="ij"),
+                               axis=-1).reshape(-1, center.size) for pinned in subsets])
 
 
 def grid_oracle(c: Contrast, box: Box | None = None, stages: int = 4,
@@ -281,7 +261,7 @@ def grid_oracle(c: Contrast, box: Box | None = None, stages: int = 4,
     best_pt = center.copy()
     for _ in range(stages):
         pts = _lattice_points(center, span, box, points_per_axis, zero_coords)
-        vals = contrast_on_points(c, pts)
+        vals = contrast_value(c, pts)
         low = vals == np.min(vals)
         # the running best goes first, so it keeps a full tie
         objs = np.r_[best_obj, vals[low]]

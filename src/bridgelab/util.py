@@ -1,5 +1,5 @@
-"""Seed derivation, boundedness heuristics, condition reports, line fits, and
-byte-stable serialization helpers."""
+"""Seed derivation, per-row dots, boundedness heuristics, condition reports,
+line fits, and byte-stable serialization helpers."""
 
 from __future__ import annotations
 
@@ -26,6 +26,12 @@ def derive_seed(*parts: int) -> int:
 def spawn_rng(*parts: int) -> np.random.Generator:
     """Generator seeded by :func:`derive_seed` of the given parts."""
     return np.random.default_rng(derive_seed(*parts))
+
+
+def row_squares(A: np.ndarray) -> np.ndarray:
+    """Sum of squares per row of a 2-D array: one dot per row, the bits of each
+    row's own `r @ r` (np.einsum and np.sum(A**2, axis=1) add in other orders)."""
+    return (A[:, None, :] @ A[:, :, None]).ravel()
 
 
 def boundedness_verdict(values, ratio: float = 2.0, floor: float = 1e-10) -> str:

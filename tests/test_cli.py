@@ -121,6 +121,22 @@ def test_n_grid_below_p_names_the_field(tmp_path, capsys):
     assert err.startswith("config error: [mc] n_grid: ")
 
 
+@pytest.mark.parametrize("orders", ["2, 10", "-1, 2"])
+def test_bad_moment_orders_rejected_before_any_fit(tmp_path, capsys, monkeypatch, orders):
+    # orders must lie in (0, 8]; the config check runs before the campaign
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr("bridgelab.cli.run_replications", no_campaign)
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE.replace("seed = 424242", f"seed = 424242\nmoment_orders = {orders}"))
+    out_dir = tmp_path / "o"
+    code, out, err = _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: [mc] moment_orders: ")
+    assert not out_dir.exists()
+
+
 def _explicit_matrix_config(tmp_path, rows: int, n: int, n_grid: str) -> str:
     import numpy as np
 

@@ -15,7 +15,7 @@ from bridgelab.contrast import (
     yn_field,
 )
 from bridgelab.errors import DomainError, InvalidInputError
-from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter, make_dataset
+from bridgelab.model import Dataset, DesignSpec, NoiseSpec, TrueParameter, make_dataset
 from bridgelab.penalty import PenaltySpec, TuningSchedule, penalty_total, zero_penalty
 from bridgelab.solver import Box
 
@@ -50,29 +50,36 @@ def test_contrast_zero_at_truth_noiseless():
 
 def test_contrast_value_on_stacks_matches_single_points():
     # every row of an (m, p) stack has the bits of its own single-point call
-    # and of the single-point definition, at p up to 12 (numpy's pairwise sum
-    # unrolls beyond 8 terms)
+    # and of the single-point definition on the same X: at p up to 12 (numpy's
+    # pairwise sum unrolls beyond 8 terms), for C- and F-ordered designs,
+    # contiguous, strided, transposed and reversed stacks, m up to 10,000 and
+    # n up to 3200
     rng = np.random.default_rng(3)
     pens = (zero_penalty(), _bridge(0.8, 0.3, 0.5),
             PenaltySpec(family="scad", schedule=TuningSchedule(0.5, -0.25), a=3.7),
             PenaltySpec(family="selo", schedule=TuningSchedule(0.002, 0.0), tau=TuningSchedule(0.1, -0.5)))
-    for sigma, p0, rho0 in ((1.0, 1, (1.0,)), (1.0, 3, (1.0, -2.0)), (0.0, 8, (0.5, 1.5, -1.0, 2.0))):
-        ds = _dataset(n=50, sigma=sigma, seed=p0, p0=p0, rho0=rho0, kind="bounded-random-frozen")
+    for sigma, p0, rho0, n, m in ((1.0, 1, (1.0,), 50, 6), (1.0, 3, (1.0, -2.0), 3200, 6),
+                                  (0.0, 8, (0.5, 1.5, -1.0, 2.0), 50, 6), (1.0, 1, (1.0,), 50, 10_000)):
+        ds = _dataset(n=n, sigma=sigma, seed=p0, p0=p0, rho0=rho0, kind="bounded-random-frozen")
         p = ds.p
         # near the truth of noiseless data the penalty's last bits reach the sum
         near = ds.truth.theta + rng.normal(scale=1e-3, size=(6, p))
-        stack = np.vstack([rng.normal(scale=2.0, size=(6, p)), near, np.zeros(p), ds.truth.theta,
+        stack = np.vstack([rng.normal(scale=2.0, size=(m, p)), near, np.zeros(p), ds.truth.theta,
                            np.where(rng.random(p) < 0.5, 0.0, rng.normal(size=p))])
-        for pen in pens:
-            c = Contrast(dataset=ds, penalty=pen)
-            values = contrast_value(c, stack)
-            assert values.shape == (stack.shape[0],)
-            assert [float(v) for v in values] == [contrast_value(c, row) for row in stack]
-            # the single-point definition: one residual dot plus penalty_total
-            resid = [ds.Y - ds.X @ row for row in stack]
-            assert [float(v) for v in values] == [
-                float(r @ r) + penalty_total(pen, ds.n, row) for r, row in zip(resid, stack)]
-            assert contrast_value(c, stack[:1])[0] == contrast_value(c, stack[0])
+        layouts = (stack, np.repeat(stack, 2, axis=1)[:, ::2], np.ascontiguousarray(stack.T).T,
+                   stack[::-1])
+        for X in (ds.X, np.asfortranarray(ds.X)):
+            resid = [ds.Y - X @ row for row in stack]
+            for pen in pens if m < 1000 else pens[1:2]:
+                c = Contrast(dataset=Dataset(X=X, Y=ds.Y, truth=ds.truth, n=n), penalty=pen)
+                expect = [float(r @ r) + penalty_total(pen, n, row) for r, row in zip(resid, stack)]
+                for rows, order in zip(layouts, (expect, expect, expect, expect[::-1])):
+                    values = contrast_value(c, rows)
+                    assert values.shape == (rows.shape[0],)
+                    assert values.tolist() == order
+                if m < 1000:
+                    assert expect == [contrast_value(c, row) for row in stack]
+                assert contrast_value(c, stack[:1])[0] == contrast_value(c, stack[0])
 
 
 def test_contrast_value_stack_zero_at_truth_noiseless():

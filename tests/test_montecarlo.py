@@ -193,6 +193,15 @@ def test_moment_trajectory_rejects_large_orders():
         moment_trajectory(rs, orders=(10.0,))
 
 
+def test_moment_trajectory_rejects_nonpositive_orders():
+    # E|u|^q is infinite at an exact zero for q < 0; the config check and an
+    # explicit orders argument share one rule
+    rs = _synthetic_set(np.zeros(100), np.zeros(100))
+    for orders in ((-1.0, 2.0), (0.0,)):
+        with pytest.raises(InvalidInputError):
+            moment_trajectory(rs, orders=orders)
+
+
 def test_compare_to_limit_sparse_normal_unit_case():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.5, n_grid=(1600,), R=200)
     rs = run_replications(cfg)

@@ -24,13 +24,29 @@ from bridgelab.solver import (
     grid_oracle,
     minimize,
     tiebreak_argmin,
-    tiebreak_key,
 )
 from conftest import random_penalty
 
 
 def _bridge(c, e, gamma):
     return PenaltySpec(family="bridge", schedule=TuningSchedule(c, e), gamma=gamma)
+
+
+def _tiebreak_key(objective, theta):
+    """The tie-break order as a tuple key: objective, then coordinate
+    magnitudes, then the signed point; the reference for `tiebreak_argmin`."""
+    return (objective, tuple(np.abs(theta)), tuple(theta))
+
+
+def _starts(c, box):
+    return _multistart_points(c, box, DesignFactor(c.dataset.X))
+
+
+def _descend(c, box, opts, start, memo=None):
+    """One descent from `start` with the Gram data that `minimize` forms per fit."""
+    gram = (DesignFactor(c.dataset.X).Q, (c.dataset.X.T @ c.dataset.Y).tolist())
+    theta, conv, sweeps = _coordinate_descent(c, box, opts, start, gram, {} if memo is None else memo)
+    return np.array(theta), conv, sweeps
 
 
 def _contrast(pen, n=30, sigma=1.0, seed=5, p0=1, rho0=(1.0,),
@@ -98,7 +114,7 @@ def test_minimize_never_above_multistart_objectives():
     c = _contrast(_bridge(1.0, 0.6, 0.5), n=30, seed=4)
     box = Box.cube(2)
     res = minimize(c, box)
-    for start in _multistart_points(c, box):
+    for start in _starts(c, box):
         assert res.objective <= contrast_value(c, start)
 
 
@@ -108,7 +124,7 @@ def test_exact_zero_is_fixed_point():
     res = minimize(c, box)
     assert res.exact_zero_flags[0]
     assert res.z_hat[0] == 0.0
-    rerun, _, _ = _coordinate_descent(c, box, SolverOptions(), res.theta_hat.copy())
+    rerun, _, _ = _descend(c, box, SolverOptions(), res.theta_hat.copy())
     assert rerun[0] == 0.0
 
 
@@ -157,8 +173,8 @@ def test_converged_if_any_start_reaching_the_winner_converged():
             c = Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=n), penalty=pen)
             res = minimize(c, box, opts)
             reached = []  # (converged, sweeps) of each start that reached the winner
-            for start in _multistart_points(c, box):
-                theta, conv, sweeps = _coordinate_descent(c, box, opts, start)
+            for start in _starts(c, box):
+                theta, conv, sweeps = _descend(c, box, opts, start)
                 if contrast_value(c, theta) > contrast_value(c, start):
                     theta, conv, sweeps = start, True, 0
                 if np.array_equal(theta, res.theta_hat):
@@ -192,6 +208,21 @@ def test_grid_oracle_represents_exact_zero():
     assert res.exact_zero_flags[0]
 
 
+def test_grid_oracle_objective_is_the_exact_objective():
+    # the oracle scores its lattices with the one evaluator, so its objective
+    # is contrast_value at its point, bit for bit
+    rng = np.random.default_rng(77)
+    for trial in range(30):
+        pen = random_penalty(rng)
+        p0 = int(rng.integers(0, 3))
+        p1 = int(rng.integers(1, 4 - p0))
+        rho0 = tuple(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)) for _ in range(p1))
+        c = _contrast(pen, n=int(rng.integers(5, 200)), seed=int(rng.integers(1, 10**6)), p0=p0,
+                      rho0=rho0, kind="bounded-random-frozen")
+        res = grid_oracle(c, Box.cube(c.p), stages=2, points_per_axis=21)
+        assert res.objective == contrast_value(c, res.theta_hat), trial
+
+
 def test_grid_oracle_cost_guard():
     truth = TrueParameter(p0=2, rho0=(1.0, 1.0))
     ds = make_dataset(DesignSpec(kind="standardized-orthonormal", p=4), truth,
@@ -214,7 +245,7 @@ def test_zero_column_coordinate_goes_to_zero():
 
 
 def test_tiebreak_argmin_matches_tiebreak_key():
-    # per group, the vectorized pick equals the first minimum of tiebreak_key,
+    # per group, the vectorized pick equals the first minimum of the tuple key,
     # with exact objective ties, equal magnitudes of both signs and signed zeros
     rng = np.random.default_rng(8)
     groups = np.sort(rng.integers(0, 40, 400))
@@ -224,7 +255,7 @@ def test_tiebreak_argmin_matches_tiebreak_key():
     expected = []
     for grp in np.unique(groups):
         rows = np.flatnonzero(groups == grp)
-        expected.append(min(rows, key=lambda i: tiebreak_key(objectives[i], points[i])))
+        expected.append(min(rows, key=lambda i: _tiebreak_key(objectives[i], points[i])))
     assert winners.tolist() == expected
 
 
@@ -262,7 +293,7 @@ def _residual_form_minimize(c, box, opts=SolverOptions()):
     col_sq = np.einsum("ij,ij->j", X, X)
     lo, hi = box.lo_array(), box.hi_array()
     best = None
-    for start in _multistart_points(c, box):
+    for start in _starts(c, box):
         theta = start.copy()
         for _ in range(opts.max_sweeps):
             resid = Y - X @ theta
@@ -279,7 +310,7 @@ def _residual_form_minimize(c, box, opts=SolverOptions()):
         obj, start_obj = contrast_value(c, theta), contrast_value(c, start)
         if obj > start_obj:
             theta, obj = start.copy(), start_obj
-        if best is None or tiebreak_key(obj, theta) < tiebreak_key(best[1], best[0]):
+        if best is None or _tiebreak_key(obj, theta) < _tiebreak_key(best[1], best[0]):
             best = (theta, obj)
     return best
 
@@ -313,9 +344,9 @@ def test_prox_memo_is_per_coordinate():
     c = Contrast(dataset=ds, penalty=_bridge(0.5, 0.0, 0.5))
     box = Box(lo=(-10.0, -10.0), hi=(10.0, 0.5))
     memo = {}
-    theta, _, _ = _coordinate_descent(c, box, SolverOptions(), np.zeros(2), memo=memo)
+    theta, _, _ = _descend(c, box, SolverOptions(), np.zeros(2), memo)
     assert theta[0] > 0.5 and theta[1] == 0.5
-    again, _, _ = _coordinate_descent(c, box, SolverOptions(), np.zeros(2), memo=memo)
+    again, _, _ = _descend(c, box, SolverOptions(), np.zeros(2), memo)
     assert_array_equal(again, theta)  # memo hits return the computed values
     assert_array_equal(minimize(c, box).theta_hat, theta)
 
