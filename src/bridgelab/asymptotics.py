@@ -5,7 +5,6 @@ lambda_n/n -> lambda0 > 0 regime.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .penalty import TuningSchedule, power_prox_candidates
-from .solver import PATTERN_COORDS, Box, tiebreak_argmin
+from .solver import PATTERN_COORDS, Box, tiebreak_argmin, zeroed_starts
 
 REGIME_STANDARD = "standard"
 REGIME_SPARSE_NORMAL = "sparse-normal"
@@ -215,18 +214,6 @@ def box_descent(Q, q, s, g, starts, lo=-np.inf, hi=np.inf) -> np.ndarray:
     return U
 
 
-def _zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Per row of base, in order: the row, the origin, and the row with each
-    nonempty subset of `coords` set to 0."""
-    masks = list(itertools.product((False, True), repeat=coords.size))[1:]
-    per_row = 2 + len(masks)
-    starts = np.repeat(base, per_row, axis=0)
-    starts[1::per_row] = 0.0
-    for i, mask in enumerate(masks):
-        starts[2 + i::per_row, coords[list(mask)]] = 0.0
-    return starts
-
-
 _SAMPLER_BLOCK = 4096  # draws per kernel call: bounds the sampler's working memory
 
 
@@ -270,7 +257,7 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     samples = np.empty((R, p))
     for a in range(0, R, _SAMPLER_BLOCK):
         W = np.repeat(W_all[a:a + _SAMPLER_BLOCK], n_starts, axis=0)
-        U = box_descent(C0, W - 0.5 * t, s, g, _zeroed_starts(base[a:a + _SAMPLER_BLOCK], nonconvex))
+        U = box_descent(C0, W - 0.5 * t, s, g, zeroed_starts(base[a:a + _SAMPLER_BLOCK], nonconvex))
         vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
         draw = np.arange(U.shape[0]) // n_starts
         samples[a:a + _SAMPLER_BLOCK] = U[tiebreak_argmin(draw, vals, U)]
@@ -322,7 +309,7 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     if eig[0] <= 0.0:
         raise InvalidInputError("C0 must be positive definite")
 
-    starts = _zeroed_starts(theta0[None, :], np.arange(min(p, PATTERN_COORDS)))
+    starts = zeroed_starts(theta0[None, :], np.arange(min(p, PATTERN_COORDS)))
     th = box_descent(C0, C0 @ theta0, np.full(p, lambda0), np.full(p, gamma), starts,
                      box.lo_array(), box.hi_array())
     d = th - theta0

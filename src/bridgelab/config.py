@@ -2,48 +2,65 @@
 
 The format is INI-style and diff-friendly. Unknown sections or keys are
 errors, not warnings: silently misconfiguring gamma or the schedule exponent
-would change which limit theory applies.
+would change which limit theory applies. `_KEYS` lists every allowed key with
+its reader; every value present is read up front, and a key missing from the
+file takes the default of the spec that uses it.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import GenericAlias
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpecError
 from .model import DESIGN_KINDS, NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter
 from .montecarlo import MCConfig
 from .penalty import FAMILIES, PenaltySpec, TuningSchedule
 from .solver import Box, SolverOptions
+from .util import require_finite
 
-_ALLOWED = {
-    "model": {"p0", "rho0", "design", "bound", "noise", "sigma", "rho_min",
-              "design_file", "response_file"},
-    "penalty": {"family", "gamma", "a", "tau_c", "tau_e"},
-    "schedule": {"c", "e"},
-    "solver": {"box_half", "box_lo", "box_hi", "tolerance", "max_sweeps"},
-    "mc": {"n", "n_grid", "replications", "seed", "r_grid", "moment_orders",
-           "tail_orders"},
-    "output": {"dir"},
-    "check": {"beta", "delta", "n_grid", "r_grid", "a_probes", "b_probes"},
+# {section: {key: reader}}: int, float, str, list[cast] (comma-separated) or a
+# tuple of the allowed words.
+_KEYS = {
+    "model": {"p0": int, "rho0": list[float], "design": DESIGN_KINDS, "bound": float,
+              "noise": NOISE_FAMILIES, "sigma": float, "rho_min": float,
+              "design_file": str, "response_file": str},
+    "penalty": {"family": FAMILIES, "gamma": float, "a": float, "tau_c": float,
+                "tau_e": float},
+    "schedule": {"c": float, "e": float},
+    "solver": {"box_half": float, "box_lo": list[float], "box_hi": list[float],
+               "tolerance": float, "max_sweeps": int},
+    "mc": {"n": int, "n_grid": list[int], "replications": int, "seed": int,
+           "r_grid": list[float], "moment_orders": list[float], "tail_orders": list[float]},
+    "output": {"dir": str},
+    "check": {"beta": float, "delta": float, "n_grid": list[int], "r_grid": list[float],
+              "a_probes": list[float], "b_probes": list[float]},
 }
-
-_DEFAULT_CHECK_N_GRID = (16, 64, 256, 1024, 4096)
-_DEFAULT_CHECK_R_GRID = tuple(float(x) for x in np.geomspace(1.0, 1024.0, 21))
-_DEFAULT_A_PROBES = (0.5, 1.0, 2.0)
-_DEFAULT_B_PROBES = (0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass
 class CheckSettings:
     beta: float = 0.25
     delta: float = 0.25
-    n_grid: tuple[int, ...] = _DEFAULT_CHECK_N_GRID
-    r_grid: tuple[float, ...] = _DEFAULT_CHECK_R_GRID
-    a_probes: tuple[float, ...] = _DEFAULT_A_PROBES
-    b_probes: tuple[float, ...] = _DEFAULT_B_PROBES
+    n_grid: tuple[int, ...] = (16, 64, 256, 1024, 4096)
+    r_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(1.0, 1024.0, 21))
+    a_probes: tuple[float, ...] = (0.5, 1.0, 2.0)
+    b_probes: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
+
+    def __post_init__(self):
+        if not (0.0 < self.beta < 0.5):
+            raise InvalidSpecError(f"beta: must lie in (0, 1/2), got {self.beta}")
+        if not (0.0 < self.delta < math.inf):
+            raise InvalidSpecError(f"delta: must be positive and finite, got {self.delta}")
+        n = self.n_grid
+        if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
+            raise InvalidSpecError(f"n_grid: must be strictly increasing positive integers, got {n}")
+        require_finite(r_grid=self.r_grid, a_probes=self.a_probes, b_probes=self.b_probes)
 
 
 @dataclass
@@ -62,38 +79,36 @@ def _fail(section: str, key: str, msg: str):
     raise ConfigError(f"[{section}] {key}: {msg}")
 
 
-def _get(raw: dict, section: str, key: str, default=None) -> str | None:
-    return raw.get(section, {}).get(key, default)
-
-
-def _parse_float(raw, section, key, default):
-    text = _get(raw, section, key)
-    if text is None:
-        return default
+@contextmanager
+def _section(name: str):
+    """Report a spec's ValueError as a config error of section [name]."""
     try:
-        return float(text)
-    except ValueError:
-        _fail(section, key, f"expected a number, got {text!r}")
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
-def _parse_int(raw, section, key, default):
-    text = _get(raw, section, key)
-    if text is None:
-        return default
+def _read(section: str, key: str, text: str):
+    """Convert one value by its `_KEYS` reader; a malformed value names its field."""
+    reader = _KEYS[section][key]
+    if isinstance(reader, tuple):
+        if text not in reader:
+            _fail(section, key, f"must be one of {reader}, got {text!r}")
+        return text
     try:
-        return int(text)
+        if isinstance(reader, GenericAlias):  # list[cast]
+            return tuple(reader.__args__[0](tok.strip()) for tok in text.split(",") if tok.strip())
+        return reader(text)
     except ValueError:
-        _fail(section, key, f"expected an integer, got {text!r}")
+        expected = {int: "an integer", float: "a number"}.get(reader, "a comma-separated list")
+        _fail(section, key, f"expected {expected}, got {text!r}")
 
 
-def _parse_list(raw, section, key, default, cast):
-    text = _get(raw, section, key)
-    if text is None:
-        return default
-    try:
-        return tuple(cast(tok.strip()) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        _fail(section, key, f"expected a comma-separated list, got {text!r}")
+def _given(values: dict, *keys: str, **renamed: str) -> dict:
+    """The keys present in one section, as keyword arguments of the spec that
+    holds their defaults (`renamed` maps an argument name to its key)."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {arg: values[key] for arg, key in names.items() if key in values}
 
 
 def load_raw(path: str) -> dict:
@@ -113,30 +128,21 @@ def load_raw(path: str) -> dict:
 def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     """Validate the raw mapping and assemble the MCConfig. Given a CLI command, an
     explicit-matrix design must have the rows of every n it builds a design at."""
-    for section in raw:
-        if section not in _ALLOWED:
+    for section, keys in raw.items():
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in raw[section]:
-            if key not in _ALLOWED[section]:
+        for key in keys:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
+    values = {s: {k: _read(s, k, text) for k, text in raw.get(s, {}).items()} for s in _KEYS}
+    model, pen, sched, sol, mcv = (values[s] for s in ("model", "penalty", "schedule", "solver", "mc"))
 
-    rho0 = _parse_list(raw, "model", "rho0", None, float)
-    if rho0 is None:
+    if "rho0" not in model:
         _fail("model", "rho0", "required (the nonzero-block true values)")
-    p0 = _parse_int(raw, "model", "p0", 0)
-    rho_min = _parse_float(raw, "model", "rho_min", 0.5)
-    try:
-        truth = TrueParameter(p0=p0, rho0=rho0, rho_min=rho_min)
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from exc
-
-    kind = _get(raw, "model", "design", "standardized-orthonormal")
-    if kind not in DESIGN_KINDS:
-        _fail("model", "design", f"must be one of {DESIGN_KINDS}, got {kind!r}")
-    bound = _parse_float(raw, "model", "bound", 10.0)
+    kind = model.get("design", "standardized-orthonormal")
     matrix = None
     if kind == "explicit-matrix":
-        path = _get(raw, "model", "design_file")
+        path = model.get("design_file")
         if path is None:
             _fail("model", "design_file", "required for explicit-matrix designs")
         try:
@@ -144,90 +150,41 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"[model] design_file: cannot read {path}: {exc}") from exc
         matrix = tuple(tuple(float(v) for v in row) for row in data)
-    try:
-        design = DesignSpec(kind=kind, p=truth.p, bound=bound, matrix=matrix)
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from exc
+    with _section("model"):
+        truth = TrueParameter(p0=model.get("p0", 0), rho0=model["rho0"], **_given(model, "rho_min"))
+        design = DesignSpec(kind=kind, p=truth.p, matrix=matrix, **_given(model, "bound"))
+        noise = NoiseSpec(family=model.get("noise", "gaussian"), sigma=model.get("sigma", 1.0))
 
-    family_noise = _get(raw, "model", "noise", "gaussian")
-    if family_noise not in NOISE_FAMILIES:
-        _fail("model", "noise", f"must be one of {NOISE_FAMILIES}, got {family_noise!r}")
-    sigma = _parse_float(raw, "model", "sigma", 1.0)
-    try:
-        noise = NoiseSpec(family=family_noise, sigma=sigma)
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from exc
-
-    family = _get(raw, "penalty", "family")
+    family = pen.get("family")
     if family is None:
         _fail("penalty", "family", "required")
-    if family not in FAMILIES:
-        _fail("penalty", "family", f"must be one of {FAMILIES}, got {family!r}")
-    c = _parse_float(raw, "schedule", "c", 1.0)
-    e = _parse_float(raw, "schedule", "e", 0.5)
-    try:
-        schedule = TuningSchedule(c=c, e=e)
-        gamma = _parse_float(raw, "penalty", "gamma", None)
-        a = _parse_float(raw, "penalty", "a", 3.7 if family == "scad" else None)
-        tau = None
-        if family == "selo":
-            tau = TuningSchedule(c=_parse_float(raw, "penalty", "tau_c", 1.0),
-                                 e=_parse_float(raw, "penalty", "tau_e", -1.5))
-        penalty = PenaltySpec(family=family, schedule=schedule, gamma=gamma, a=a, tau=tau)
-    except ValueError as exc:
-        raise ConfigError(f"[penalty] {exc}") from exc
+    with _section("penalty"):
+        schedule = TuningSchedule(c=sched.get("c", 1.0), e=sched.get("e", 0.5))
+        tau = (TuningSchedule(c=pen.get("tau_c", 1.0), e=pen.get("tau_e", -1.5))
+               if family == "selo" else None)
+        penalty = PenaltySpec(family=family, schedule=schedule, gamma=pen.get("gamma"),
+                              a=pen.get("a", 3.7 if family == "scad" else None), tau=tau)
 
     p = truth.p
-    if _get(raw, "solver", "box_lo") is not None or _get(raw, "solver", "box_hi") is not None:
-        lo = _parse_list(raw, "solver", "box_lo", (-10.0,) * p, float)
-        hi = _parse_list(raw, "solver", "box_hi", (10.0,) * p, float)
-        if len(lo) == 1:
-            lo = lo * p
-        if len(hi) == 1:
-            hi = hi * p
-    else:
-        half = _parse_float(raw, "solver", "box_half", 10.0)
-        lo, hi = (-half,) * p, (half,) * p
-    try:
-        box = Box(lo=lo, hi=hi)
-        solver = SolverOptions(
-            tolerance=_parse_float(raw, "solver", "tolerance", 1e-10),
-            max_sweeps=_parse_int(raw, "solver", "max_sweeps", 10_000),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[solver] {exc}") from exc
+    with _section("solver"):
+        if "box_lo" in sol or "box_hi" in sol:  # box_half is then ignored
+            cube = Box.cube(p)
+            sides = (sol.get("box_lo", cube.lo), sol.get("box_hi", cube.hi))
+            box = Box(*(side * p if len(side) == 1 else side for side in sides))
+        else:
+            box = Box.cube(p, **_given(sol, half="box_half"))
+        solver = SolverOptions(**_given(sol, "tolerance", "max_sweeps"))
 
-    n_grid = _parse_list(raw, "mc", "n_grid", (50, 200, 800), int)
-    try:
-        mc = MCConfig(
-            design=design,
-            noise=noise,
-            truth=truth,
-            penalty=penalty,
-            n_grid=n_grid,
-            replications=_parse_int(raw, "mc", "replications", 200),
-            master_seed=_parse_int(raw, "mc", "seed", 12345),
-            box=box,
-            solver=solver,
-            r_grid=_parse_list(raw, "mc", "r_grid", (0.25, 0.5, 1.0, 2.0, 4.0, 8.0), float),
-            moment_orders=_parse_list(raw, "mc", "moment_orders", (2.0, 4.0), float),
-            tail_orders=_parse_list(raw, "mc", "tail_orders", (2.0, 4.0), float),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[mc] {exc}") from exc
+    n_grid = mcv.get("n_grid", (50, 200, 800))
+    with _section("mc"):
+        mc = MCConfig(design=design, noise=noise, truth=truth, penalty=penalty, n_grid=n_grid,
+                      replications=mcv.get("replications", 200),
+                      master_seed=mcv.get("seed", 12345), box=box, solver=solver,
+                      **_given(mcv, "r_grid", "moment_orders", "tail_orders"))
+    with _section("check"):
+        check = CheckSettings(**values["check"])
 
-    check = CheckSettings(
-        beta=_parse_float(raw, "check", "beta", 0.25),
-        delta=_parse_float(raw, "check", "delta", 0.25),
-        n_grid=_parse_list(raw, "check", "n_grid", _DEFAULT_CHECK_N_GRID, int),
-        r_grid=_parse_list(raw, "check", "r_grid", _DEFAULT_CHECK_R_GRID, float),
-        a_probes=_parse_list(raw, "check", "a_probes", _DEFAULT_A_PROBES, float),
-        b_probes=_parse_list(raw, "check", "b_probes", _DEFAULT_B_PROBES, float),
-    )
-    if not (0.0 < check.beta < 0.5):
-        _fail("check", "beta", f"must lie in (0, 1/2), got {check.beta}")
-
-    n_single = _parse_int(raw, "mc", "n", n_grid[0])
+    n_single = mcv.get("n", n_grid[0])
     if n_single < p:
         _fail("mc", "n", f"n={n_single} < p={p}: a fit needs at least p rows")
     if kind == "explicit-matrix":
@@ -239,14 +196,8 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
                 _fail("model", "design_file",
                       f"holds {len(matrix)} rows but [mc] {key} requests n={n}")
 
-    return ExperimentConfig(
-        mc=mc,
-        n_single=n_single,
-        out_dir=_get(raw, "output", "dir", "out"),
-        check=check,
-        response_file=_get(raw, "model", "response_file"),
-        raw=raw,
-    )
+    return ExperimentConfig(mc=mc, n_single=n_single, out_dir=values["output"].get("dir", "out"),
+                            check=check, response_file=model.get("response_file"), raw=raw)
 
 
 def parse_config(path: str, command: str | None = None) -> ExperimentConfig:

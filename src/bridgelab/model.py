@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
 from .penalty import TuningSchedule
-from .util import ConditionReport, boundedness_verdict
+from .util import ConditionReport, boundedness_verdict, require_finite
 
 DESIGN_KINDS = ("standardized-orthonormal", "explicit-matrix", "bounded-random-frozen")
 NOISE_FAMILIES = ("gaussian", "scaled-uniform", "scaled-rademacher")
@@ -52,6 +52,7 @@ class TrueParameter:
         if bad:
             raise InvalidSpecError(
                 f"nonzero-block entries {bad} fall below the margin rho_min={self.rho_min}")
+        require_finite(rho0=self.rho0, rho_min=self.rho_min)
 
     @property
     def p1(self) -> int:
@@ -92,6 +93,7 @@ class DesignSpec:
             raise InvalidSpecError("design needs p >= 1")
         if not (self.bound > 0.0):
             raise InvalidSpecError("row bound must be positive")
+        require_finite(bound=self.bound)
         if self.kind == "explicit-matrix":
             if self.matrix is None:
                 raise InvalidSpecError("explicit-matrix design requires the matrix")
@@ -116,6 +118,7 @@ class NoiseSpec:
             raise InvalidSpecError(f"unknown noise family {self.family!r}")
         if not (self.sigma >= 0.0):
             raise InvalidSpecError("sigma must be >= 0")
+        require_finite(sigma=self.sigma)
 
 
 @dataclass

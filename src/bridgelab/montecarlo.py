@@ -30,7 +30,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
 from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize
-from .util import boundedness_verdict, derive_seed, fit_line, row_squares, spawn_rng
+from .util import boundedness_verdict, derive_seed, fit_line, require_finite, row_squares, spawn_rng
 
 BOOTSTRAP_RESAMPLES = 200
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
@@ -62,6 +62,7 @@ class MCConfig:
             raise InvalidSpecError("n_grid: every n must be >= p")
         if any(r <= 0 for r in self.r_grid) or any(b <= a for a, b in zip(self.r_grid, self.r_grid[1:])):
             raise InvalidSpecError("r-grid must be positive and strictly increasing")
+        require_finite(r_grid=self.r_grid, tail_orders=self.tail_orders)
         if self.design.p != self.truth.p:
             raise InvalidSpecError("design and truth dimensions differ")
         if self.box.p != self.truth.p:

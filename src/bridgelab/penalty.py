@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .util import PLAUSIBLY_BOUNDED, ConditionReport, boundedness_verdict, fit_line
+from .util import PLAUSIBLY_BOUNDED, ConditionReport, boundedness_verdict, fit_line, require_finite
 
 FAMILIES = ("bridge", "scad", "selo", "none")
 
@@ -80,6 +80,7 @@ class PenaltySpec:
         elif self.family == "selo":
             if self.tau is None or self.tau.c <= 0.0:
                 raise InvalidSpecError("selo penalty requires a positive tau schedule")
+        require_finite(gamma=self.gamma, a=self.a)
 
 
 def zero_penalty() -> PenaltySpec:

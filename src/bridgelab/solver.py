@@ -16,6 +16,7 @@ import numpy as np
 from .contrast import Contrast, contrast_value
 from .errors import InvalidInputError, InvalidSpecError
 from .penalty import scalar_prox_interval
+from .util import require_finite
 
 MAX_STARTS = 64
 PATTERN_COORDS = 6  # zero-support patterns of multistart sets cover this many leading coordinates
@@ -86,6 +87,7 @@ class SolverOptions:
     def __post_init__(self):
         if not (self.tolerance > 0.0):
             raise InvalidSpecError("tolerance must be positive")
+        require_finite(tolerance=self.tolerance)  # inf would stop every descent after one sweep
         if self.max_sweeps < 1:
             raise InvalidSpecError("max_sweeps must be >= 1")
 
@@ -127,18 +129,28 @@ class DesignFactor:
         self.pinv = np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)
 
 
+def zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Per row of base, in order: the row, the origin, and the row with each
+    nonempty subset of `coords` set to 0 (subsets in `itertools.product` order)."""
+    k, p = coords.size, base.shape[1]
+    # bit j of subset i, first coordinate most significant: itertools.product's order
+    zeroed = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)[::-1]) & 1
+    keep = np.ones((2 ** k + 1, p), dtype=bool)
+    keep[1] = False
+    keep[2:, coords] = zeroed == 0
+    return np.where(keep, base[:, None, :], 0.0).reshape(-1, p)
+
+
 def _multistart_points(c: Contrast, box: Box, factor: DesignFactor) -> np.ndarray:
     """(k, p) starts: OLS projection, origin, generating truth, and zero-support
-    patterns of OLS, clipped to the box.
+    patterns of OLS over its first PATTERN_COORDS coordinates, clipped to the box.
 
     Support patterns target the support-indexed basins of the nonconvex
     penalties; capped at MAX_STARTS starts, byte-duplicate rows dropped in order.
     """
-    ols, origin = factor.pinv @ c.dataset.Y, np.zeros(c.p)
-    k = min(c.p, PATTERN_COORDS)
-    masks = itertools.islice(itertools.product((False, True), repeat=k), MAX_STARTS - 3)
-    starts = box.clip([ols, origin, c.dataset.truth.theta]
-                      + [np.where(mask + (False,) * (c.p - k), origin, ols) for mask in masks])
+    ols = factor.pinv @ c.dataset.Y
+    patterns = zeroed_starts(ols[None], np.arange(min(c.p, PATTERN_COORDS)))[:MAX_STARTS - 2]
+    starts = box.clip(np.concatenate((patterns[:2], c.dataset.truth.theta[None], patterns[2:])))
     first = {row.tobytes(): i for i, row in reversed(list(enumerate(starts)))}  # earliest row wins
     return starts[sorted(first.values())]
 

@@ -1,5 +1,5 @@
-"""Seed derivation, per-row dots, boundedness heuristics, condition reports,
-line fits, and byte-stable serialization helpers."""
+"""Seed derivation, the spec finiteness check, per-row dots, boundedness
+heuristics, condition reports, line fits, and byte-stable serialization helpers."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import InvalidSpecError
 
 PLAUSIBLY_BOUNDED = "plausibly-bounded"
 GROWING = "growing"
@@ -21,6 +23,14 @@ def derive_seed(*parts: int) -> int:
     """
     ss = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def require_finite(**values) -> None:
+    """Raise InvalidSpecError naming the first value (a float or a tuple of
+    floats) that holds a nan or an infinity; None passes."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise InvalidSpecError(f"{name} must be finite, got {value}")
 
 
 def spawn_rng(*parts: int) -> np.random.Generator:

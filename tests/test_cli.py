@@ -1,10 +1,12 @@
+import configparser
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from bridgelab.cli import main
-from bridgelab.config import config_from_echo, parse_config
+from bridgelab.config import _KEYS, config_from_echo, parse_config
 from bridgelab.contrast import Contrast
 from bridgelab.errors import ConfigError
 from bridgelab.model import Dataset, generate_design, simulate_responses
@@ -91,6 +93,72 @@ def test_invalid_value_messages_name_the_field(tmp_path):
     path.write_text(BASE.replace("sigma = 1.0", "sigma = abc"))
     with pytest.raises(ConfigError, match=r"\[model\] sigma"):
         parse_config(str(path))
+
+
+def _config_with(tmp_path, section, key, text, base=BASE):
+    """BASE with `[section] key = text` set (the section added when absent)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(base)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, text)
+    path = tmp_path / "edited.cfg"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("section, key, text", [
+    (section, key, "bogus" if isinstance(reader, tuple) else "1, two")
+    for section, keys in _KEYS.items() for key, reader in keys.items() if reader is not str
+])
+def test_every_malformed_value_names_its_field(tmp_path, capsys, section, key, text):
+    # every present value is read, even one that the chosen family ignores (tau_c, tau_e)
+    code, out, err = _run(capsys, ["estimate", "--config", _config_with(tmp_path, section, key, text)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: [{section}] {key}: ")
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc", "check", "limit"])
+@pytest.mark.parametrize("section, key, text, base", [
+    ("model", "bound", "inf", BASE),
+    ("model", "sigma", "inf", BASE),
+    ("penalty", "gamma", "inf", BASE),
+    ("penalty", "a", "inf", BASE.replace("family = bridge", "family = scad").replace("gamma = 0.5", "")),
+    ("solver", "tolerance", "inf", BASE),
+    ("mc", "tail_orders", "2, inf", BASE),
+    ("check", "r_grid", "1, 2, inf", BASE),
+])
+def test_non_finite_spec_values_are_config_errors(tmp_path, capsys, command, section, key, text, base):
+    path = _config_with(tmp_path, section, key, text, base)
+    code, out, err = _run(capsys, [command, "--config", path, "--out", str(tmp_path / "o")]
+                          if command == "mc" else [command, "--config", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: [{section}] {key} must be finite, got ")
+
+
+@pytest.mark.parametrize("key, text", [("n_grid", "4096, 1024, 256, 64, 16"), ("delta", "0")])
+def test_check_grid_settings_checked_at_parse_time(tmp_path, capsys, key, text):
+    code, out, err = _run(capsys, ["check", "--config", _config_with(tmp_path, "check", key, text)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: [check] {key}: ")
+
+
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_sample_config_parses(tmp_path):
+    path = tmp_path / "sample.cfg"
+    path.write_text(_readme().split("```ini\n", 1)[1].split("```", 1)[0])
+    ec = parse_config(str(path))
+    assert (ec.mc.truth.p, ec.mc.penalty.gamma, ec.n_single, ec.mc.replications) == (2, 0.5, 100, 2000)
+
+
+def test_readme_key_reference_lists_every_key():
+    rows = [line.split("|") for line in _readme().splitlines() if line.startswith("| `[")]
+    listed = {(cells[1].strip(" `[]"), cells[2].strip(" `")) for cells in rows}
+    assert listed == {(section, key) for section, keys in _KEYS.items() for key in keys}
 
 
 def test_unrealizable_spec_is_config_error_not_traceback(tmp_path, capsys):

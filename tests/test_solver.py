@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -16,6 +18,8 @@ from bridgelab.model import (
 from bridgelab.montecarlo import design_seed, replication_seed
 from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval, zero_penalty
 from bridgelab.solver import (
+    MAX_STARTS,
+    PATTERN_COORDS,
     Box,
     DesignFactor,
     SolverOptions,
@@ -116,6 +120,30 @@ def test_minimize_never_above_multistart_objectives():
     res = minimize(c, box)
     for start in _starts(c, box):
         assert res.objective <= contrast_value(c, start)
+
+
+@pytest.mark.parametrize("p0, box, count", [
+    (1, Box.cube(2), 5),
+    (4, Box(lo=(-2.0,) * 7 + (0.5,), hi=(2.0,) * 8), MAX_STARTS - 1),
+])
+def test_multistart_points_follow_their_definition(p0, box, count):
+    # OLS, origin, truth, then OLS under each zero pattern of its first
+    # PATTERN_COORDS coordinates in product order (the empty pattern first):
+    # the first MAX_STARTS rows, clipped to the box, byte duplicates dropped
+    # with the first one kept
+    c = _contrast(_bridge(1.0, 0.5, 0.5), n=40, seed=8, p0=p0,
+                  rho0=(1.0, -1.5, 0.8, 1.2)[:box.p - p0])
+    ols = DesignFactor(c.dataset.X).pinv @ c.dataset.Y
+    k = min(c.p, PATTERN_COORDS)
+    rows = [ols, np.zeros(c.p), c.dataset.truth.theta]
+    rows += [np.where(np.array(mask + (False,) * (c.p - k)), 0.0, ols)
+             for mask in itertools.product((False, True), repeat=k)]
+    expected = []
+    for row in box.clip(rows[:MAX_STARTS]):
+        if not any(row.tobytes() == kept.tobytes() for kept in expected):
+            expected.append(row)
+    assert len(expected) == count
+    assert_array_equal(_starts(c, box), np.array(expected))
 
 
 def test_exact_zero_is_fixed_point():
