@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .penalty import TuningSchedule, power_prox_candidates
 from .solver import PATTERN_COORDS, Box, tiebreak_argmin, zeroed_starts
+from .util import spawned_normals
 
 REGIME_STANDARD = "standard"
 REGIME_SPARSE_NORMAL = "sparse-normal"
@@ -220,12 +221,12 @@ _SAMPLER_BLOCK = 4096  # draws per kernel call: bounds the sampler's working mem
 def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     """Draw R argmin samples of the standard-regime limit field.
 
-    Per draw: W ~ N(0, sigma^2 C0) from a seed spawned deterministically for
-    (seed, draw index). The field is then minimized from a multistart set by
-    `box_descent` (closed form when the effective penalty is smooth), with
-    the start chosen by the solver's tie-break. Draws go through the kernel
-    in fixed blocks with elementwise rules, so draw k depends only on
-    (law, seed, k).
+    Per draw: W ~ N(0, sigma^2 C0) from the normals of the k-th child of
+    `SeedSequence(seed).spawn(R)` (`util.spawned_normals`). The field is then
+    minimized from a multistart set by `box_descent` (closed form when the
+    effective penalty is smooth), with the start chosen by the solver's
+    tie-break. Draws go through the kernel in fixed blocks with elementwise
+    rules, so draw k depends only on (law, seed, k).
     """
     if law.regime.tag != REGIME_STANDARD:
         raise InvalidInputError(
@@ -240,11 +241,7 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     lam0 = law.regime.lambda0 or 0.0
     t, s, g = _v0_penalty_terms(law.gamma, lam0, theta0)
 
-    children = np.random.SeedSequence(seed).spawn(R)
-    Z = np.empty((R, p))
-    for k, child in enumerate(children):
-        Z[k] = np.random.default_rng(child).standard_normal(p)
-    W_all = sigma * _rows_times(Z, np.linalg.cholesky(C0).T)
+    W_all = sigma * _rows_times(spawned_normals(seed, R, p), np.linalg.cholesky(C0).T)
     # stationary point of the smooth part: C0 u = W - t/2
     base = _rows_times(W_all - 0.5 * t, np.linalg.inv(C0).T)
     if np.all(s == 0.0):

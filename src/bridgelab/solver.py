@@ -48,6 +48,7 @@ class Box:
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if len(self.lo) != len(self.hi):
             raise InvalidSpecError("box lo/hi lengths differ")
+        require_finite(box_lo=self.lo, box_hi=self.hi)
         if any(not (a < b) for a, b in zip(self.lo, self.hi)):
             raise InvalidSpecError("box needs lo_j < hi_j in every coordinate")
 

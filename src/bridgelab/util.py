@@ -1,15 +1,17 @@
-"""Seed derivation, the spec finiteness check, per-row dots, boundedness
-heuristics, condition reports, line fits, and byte-stable serialization helpers."""
+"""Seed derivation, spawned normal draws, the spec finiteness check, per-row
+dots, boundedness heuristics, condition reports, line fits, and byte-stable
+serialization helpers."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError
 
 PLAUSIBLY_BOUNDED = "plausibly-bounded"
 GROWING = "growing"
@@ -23,6 +25,64 @@ def derive_seed(*parts: int) -> int:
     """
     ss = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _hash_step(value, init: int, mult: int, t: int) -> np.ndarray:
+    """Step t of a SeedSequence hash on uint32 words: xor with the hash
+    constant init * mult**t, multiply by the next one, fold the high half down."""
+    const = init * pow(mult, t, 1 << 32)
+    value = (value ^ np.uint32(const & 0xFFFFFFFF)) * np.uint32(const * mult & 0xFFFFFFFF)
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y) -> np.ndarray:
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def spawned_normals(seed: int, R: int, p: int) -> np.ndarray:
+    """(R, p) standard normals whose row k has the bits of
+    `default_rng(SeedSequence(seed).spawn(R)[k]).standard_normal(p)`.
+
+    SeedSequence's pool hash (numpy/random/bit_generator.pyx) runs once for
+    all R children on uint32 arrays, and one reused PCG64 is set to the state
+    its constructor would compute from each child's `generate_state(4, uint64)`.
+    """
+    seed, R = int(seed), int(R)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    if not 0 <= R < 2 ** 32:  # from 2**32 on a spawn key takes two words
+        raise InvalidInputError(f"draw count must lie in [0, 2**32), got {R}")
+    words = [(seed >> s) & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))  # a spawned child pads its seed to the pool size
+    entropy = [np.full(R, w, dtype=np.uint32) for w in words] + [np.arange(R, dtype=np.uint32)]
+    step = itertools.count()
+
+    def hashmix(value):  # one hash constant per call, so the calls keep numpy's order
+        return _hash_step(value, 0x43B0D7E5, 0x931E8875, next(step))
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 uint32 words from the cycled pool, little-endian pairs
+    state = np.stack([_hash_step(pool[i % 4], 0x8B51F9DD, 0x58F38DED, i) for i in range(8)], axis=1)
+    words64 = state.astype("<u4").view("<u8").astype(np.uint64).tolist()
+    Z = np.empty((R, p))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    # PCG64's seeding: seed = w0:w1, inc = w2:w3 << 1 | 1, two LCG steps from state 0
+    mult, mask = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
+    for k, (w0, w1, w2, w3) in enumerate(words64):
+        inc = ((w2 << 64 | w3) << 1 | 1) & mask
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                        "state": {"state": ((inc + (w0 << 64 | w1)) * mult + inc) & mask, "inc": inc}}
+        gen.standard_normal(out=Z[k])
+    return Z
 
 
 def require_finite(**values) -> None:

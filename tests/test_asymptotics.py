@@ -20,6 +20,8 @@ from bridgelab.asymptotics import (
 )
 from bridgelab.errors import InvalidInputError, UnsupportedRegimeError
 from bridgelab.penalty import TuningSchedule
+from bridgelab.solver import Box
+from bridgelab.util import spawned_normals
 
 
 def sched(c, e):
@@ -214,6 +216,44 @@ def test_sampler_draws_independent_of_count_and_block_size(monkeypatch):
     assert sample_limit_argmin(law, 10_000, seed=21).tobytes() == full.tobytes()
     monkeypatch.setattr(asymptotics, "_SAMPLER_BLOCK", 7)
     assert sample_limit_argmin(law, 137, seed=21).tobytes() == full[:137].tobytes()
+
+
+def _spawned_normals_loop(seed, R, p):
+    Z = np.empty((R, p))
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
+        Z[k] = np.random.default_rng(child).standard_normal(p)
+    return Z
+
+
+# seeds of 1, 2, 3 and 5 uint32 words: the last one fills the 4-word pool
+# without padding and mixes its fifth word in with the spawn key
+@pytest.mark.parametrize("seed", [20250809, 2 ** 40 + 7, 2 ** 64 + 12345, 2 ** 128 + 99])
+@pytest.mark.parametrize("R", [0, 1, 137, 4097])
+@pytest.mark.parametrize("p", [1, 2, 8])
+def test_spawned_normals_match_spawned_generators(seed, R, p):
+    Z = spawned_normals(seed, R, p)
+    assert Z.shape == (R, p)
+    assert Z.tobytes() == _spawned_normals_loop(seed, R, p).tobytes()
+
+
+@pytest.mark.parametrize("seed, R", [(0, 2 ** 32), (-1, 5)])
+def test_spawned_normals_rejects_before_allocating(monkeypatch, seed, R):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the argument check")
+    for name in ("empty", "full", "arange"):
+        monkeypatch.setattr(np, name, no_allocation)
+    with pytest.raises(InvalidInputError):
+        spawned_normals(seed, R, 2)
+
+
+def test_sampler_draws_through_spawned_normals(monkeypatch):
+    C0 = np.array([[1.0, 0.6], [0.6, 1.5]])
+    law = limit_law(0.5, sched(1.0, 0.25), 1.0, C0, np.array([0.0, 1.0]), p0=1,
+                    box=Box(lo=(-3.0, -2.0), hi=(2.0, 4.0)))
+    assert law.regime.tag == REGIME_STANDARD
+    S = sample_limit_argmin(law, 300, seed=31)
+    monkeypatch.setattr(asymptotics, "spawned_normals", _spawned_normals_loop)
+    assert sample_limit_argmin(law, 300, seed=31).tobytes() == S.tobytes()
 
 
 def test_sampler_gamma_above_one_stationarity():

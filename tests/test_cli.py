@@ -137,6 +137,22 @@ def test_non_finite_spec_values_are_config_errors(tmp_path, capsys, command, sec
     assert err.startswith(f"config error: [{section}] {key} must be finite, got ")
 
 
+@pytest.mark.parametrize("command", ["estimate", "mc", "check", "limit"])
+@pytest.mark.parametrize("key, text, side", [
+    ("box_half", "inf", "box_lo"),
+    ("box_lo", "-inf", "box_lo"),
+    ("box_hi", "inf", "box_hi"),
+    ("box_lo", "nan", "box_lo"),
+])
+def test_unbounded_box_is_a_config_error(tmp_path, capsys, command, key, text, side):
+    # the estimator assumes a compact box; box_half sets both sides
+    path = _config_with(tmp_path, "solver", key, text)
+    code, out, err = _run(capsys, [command, "--config", path, "--out", str(tmp_path / "o")]
+                          if command == "mc" else [command, "--config", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: [solver] {side} must be finite, got ")
+
+
 @pytest.mark.parametrize("key, text", [("n_grid", "4096, 1024, 256, 64, 16"), ("delta", "0")])
 def test_check_grid_settings_checked_at_parse_time(tmp_path, capsys, key, text):
     code, out, err = _run(capsys, ["check", "--config", _config_with(tmp_path, "check", key, text)])
