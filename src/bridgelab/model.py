@@ -118,7 +118,7 @@ class NoiseSpec:
             raise InvalidSpecError(f"unknown noise family {self.family!r}")
         if not (self.sigma >= 0.0):
             raise InvalidSpecError("sigma must be >= 0")
-        require_finite(sigma=self.sigma)
+        require_finite(sigma=self.sigma, **{"sigma^2": self.sigma * self.sigma})
 
 
 @dataclass
@@ -167,8 +167,10 @@ def generate_design(spec: DesignSpec, n: int, seed: int) -> np.ndarray:
     if n < spec.p:
         raise InvalidSpecError(
             f"cannot build a rank-p design with n={n} < p={spec.p}")
-    rng = np.random.default_rng(seed)
     half = spec.bound / math.sqrt(spec.p)
+    if not math.isfinite(n * half * half):  # the bound on every diagonal entry of X'X
+        raise InvalidSpecError(f"bound = {spec.bound} overflows X'X at n = {n}")
+    rng = np.random.default_rng(seed)
     base = rng.uniform(-half, half, size=(n, spec.p))
     if spec.kind == "bounded-random-frozen":
         return base

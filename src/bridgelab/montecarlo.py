@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,8 @@ from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
 from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize
-from .util import boundedness_verdict, derive_seed, fit_line, require_finite, row_squares, spawn_rng
+from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, require_finite, row_squares,
+                   seeded_generators)
 
 BOOTSTRAP_RESAMPLES = 200
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
@@ -131,9 +131,9 @@ def limit_c0(cfg: MCConfig, X_largest: np.ndarray | None = None) -> tuple[np.nda
     return gram(X_largest, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
 
 
-def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor) -> tuple[int, EstimateResult]:
-    seed = replication_seed(cfg.master_seed, n, rep)
-    Y = simulate_responses(X, cfg.truth, cfg.noise, seed)
+def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor, seed: int,
+               rng: np.random.Generator) -> tuple[int, EstimateResult]:  # rng = default_rng(seed)
+    Y = simulate_responses(X, cfg.truth, cfg.noise, rng)
     ds = Dataset(X=X, Y=Y, truth=cfg.truth, n=n)
     return seed, minimize(Contrast(dataset=ds, penalty=cfg.penalty), cfg.box, cfg.solver, factor)
 
@@ -141,7 +141,9 @@ def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor) -> tuple[
 def _solve_block(task) -> list[tuple[int, EstimateResult]]:
     cfg, X, n, lo, hi = task
     factor = DesignFactor(X)  # X'X and pinv once per task, shared by its fits
-    return [_solve_one(cfg, X, n, rep, factor) for rep in range(lo, hi)]
+    seeded = seeded_generators(derived_seeds((cfg.master_seed, n), range(lo, hi)))  # one hash pass
+    return [_solve_one(cfg, X, n, rep, factor, seed, rng)
+            for rep, (seed, rng) in zip(range(lo, hi), seeded)]
 
 
 def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
@@ -166,6 +168,7 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
     if threads == 1:
         blocks = list(map(_solve_block, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~11 ms to import
         with ProcessPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(_solve_block, tasks))
     solved = [out for chunk in blocks for out in chunk]
@@ -343,7 +346,7 @@ def moment_trajectory(rs: ReplicationSet, orders=None) -> list[MomentTrajectory]
     for qi, q in enumerate(orders):
         u_m, u_s, v_m, v_s = [], [], [], []
         for n in cfg.n_grid:
-            rng = spawn_rng(cfg.master_seed, 946, n, qi)
+            rng = np.random.default_rng(derive_seed(cfg.master_seed, 946, n, qi))
             u = rs.u_norms(n) ** q
             v = rs.v_norms(n) ** q
             u_m.append(float(np.mean(u)) if u.size else 0.0)

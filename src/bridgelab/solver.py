@@ -7,6 +7,7 @@ scalar prox, never from thresholding, so zero-hit events are well defined.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,16 +131,24 @@ class DesignFactor:
         self.pinv = np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)
 
 
-def zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Per row of base, in order: the row, the origin, and the row with each
-    nonempty subset of `coords` set to 0 (subsets in `itertools.product` order)."""
-    k, p = coords.size, base.shape[1]
+@functools.lru_cache
+def _keep_mask(coords: tuple[int, ...], p: int) -> np.ndarray:
+    """Read-only (2**k + 1, p) mask of `zeroed_starts` for k coords, built once per (coords, p)."""
+    k = len(coords)
     # bit j of subset i, first coordinate most significant: itertools.product's order
     zeroed = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)[::-1]) & 1
     keep = np.ones((2 ** k + 1, p), dtype=bool)
     keep[1] = False
-    keep[2:, coords] = zeroed == 0
-    return np.where(keep, base[:, None, :], 0.0).reshape(-1, p)
+    keep[2:, list(coords)] = zeroed == 0
+    keep.flags.writeable = False
+    return keep
+
+
+def zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Per row of base, in order: the row, the origin, and the row with each
+    nonempty subset of `coords` set to 0 (subsets in `itertools.product` order)."""
+    keep = _keep_mask(tuple(coords.tolist()), base.shape[1])
+    return np.where(keep, base[:, None, :], 0.0).reshape(-1, keep.shape[1])
 
 
 def _multistart_points(c: Contrast, box: Box, factor: DesignFactor) -> np.ndarray:
@@ -230,6 +239,8 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
     if not conv[i]:  # flags of the first converged start that reached the winner, if any
         reached = np.flatnonzero((obj == obj[i]) & np.all(ends == ends[i], axis=1) & conv)
         j = reached[0] if reached.size else i
+    if not np.isfinite(obj[i]):
+        raise InvalidInputError(f"the objective overflows: {obj[i]} at the best of {k} starts")
     return EstimateResult.at(c, ends[i], float(obj[i]), k, bool(conv[j]), int(sweeps[j]))
 
 

@@ -1,6 +1,6 @@
-"""Seed derivation, spawned normal draws, the spec finiteness check, per-row
-dots, boundedness heuristics, condition reports, line fits, and byte-stable
-serialization helpers."""
+"""Seed derivation and bulk SeedSequence seeding (derived seeds, per-seed generators,
+spawned normals), the spec finiteness check, per-row dots, boundedness heuristics,
+condition reports, line fits, and byte-stable serialization helpers."""
 
 from __future__ import annotations
 
@@ -40,47 +40,86 @@ def _mix(x, y) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def spawned_normals(seed: int, R: int, p: int) -> np.ndarray:
-    """(R, p) standard normals whose row k has the bits of
-    `default_rng(SeedSequence(seed).spawn(R)[k]).standard_normal(p)`.
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian uint32 words, 0 as [0]."""
+    return [(value >> s) & 0xFFFFFFFF for s in range(0, max(value.bit_length(), 1), 32)]
 
-    SeedSequence's pool hash (numpy/random/bit_generator.pyx) runs once for
-    all R children on uint32 arrays, and one reused PCG64 is set to the state
-    its constructor would compute from each child's `generate_state(4, uint64)`.
-    """
-    seed, R = int(seed), int(R)
-    if seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
-    if not 0 <= R < 2 ** 32:  # from 2**32 on a spawn key takes two words
-        raise InvalidInputError(f"draw count must lie in [0, 2**32), got {R}")
-    words = [(seed >> s) & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))  # a spawned child pads its seed to the pool size
-    entropy = [np.full(R, w, dtype=np.uint32) for w in words] + [np.arange(R, dtype=np.uint32)]
+
+def seed_sequence_words(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
+    """(m, n_words) uint32: row i is `SeedSequence(row i).generate_state(n_words)` for entropy as
+    uint32 columns of length m (a spawned child's: seed words padded to 4, then the spawn key).
+    numpy's pool hash (numpy/random/bit_generator.pyx) runs once for all rows; the pool pads zeros."""
+    cols = list(entropy) + [np.zeros_like(entropy[0])] * (4 - len(entropy))
     step = itertools.count()
 
     def hashmix(value):  # one hash constant per call, so the calls keep numpy's order
         return _hash_step(value, 0x43B0D7E5, 0x931E8875, next(step))
 
-    pool = [hashmix(w) for w in entropy[:4]]
+    pool = [hashmix(w) for w in cols[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
+    for word in cols[4:]:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): 8 uint32 words from the cycled pool, little-endian pairs
-    state = np.stack([_hash_step(pool[i % 4], 0x8B51F9DD, 0x58F38DED, i) for i in range(8)], axis=1)
-    words64 = state.astype("<u4").view("<u8").astype(np.uint64).tolist()
-    Z = np.empty((R, p))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    # PCG64's seeding: seed = w0:w1, inc = w2:w3 << 1 | 1, two LCG steps from state 0
+    return np.stack([_hash_step(pool[i % 4], 0x8B51F9DD, 0x58F38DED, i) for i in range(n_words)], axis=1)
+
+
+def _uint64(words32: np.ndarray) -> np.ndarray:
+    """Pairs of uint32 words as uint64, little-endian, as `generate_state(k, uint64)` pairs them."""
+    return words32.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_states(entropy: list[np.ndarray]):
+    """A PCG64, a state dict for it and that dict's inner entry, and per entropy row the plain-int
+    (state, inc) of `PCG64(SeedSequence(row))`: put a pair in the entry, then set `.state` to the
+    dict. Of `generate_state(4, uint64)`, seed = w0:w1, inc = w2:w3 << 1 | 1; two LCG steps from 0."""
+    w0, w1, w2, w3 = _uint64(seed_sequence_words(entropy, 8)).T.tolist()
     mult, mask = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
-    for k, (w0, w1, w2, w3) in enumerate(words64):
-        inc = ((w2 << 64 | w3) << 1 | 1) & mask
-        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                        "state": {"state": ((inc + (w0 << 64 | w1)) * mult + inc) & mask, "inc": inc}}
+    incs = [((a << 64 | b) << 1 | 1) & mask for a, b in zip(w2, w3)]
+    states = [((inc + (a << 64 | b)) * mult + inc) & mask for a, b, inc in zip(w0, w1, incs)]
+    inner = {}
+    full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": inner}
+    return np.random.PCG64(0), full, inner, zip(states, incs)
+
+
+def derived_seeds(parts: tuple[int, ...], reps) -> np.ndarray:
+    """uint64 `derive_seed(*parts, rep)` per rep in [0, 2**32) (one entropy word), in one hash pass."""
+    if len(reps) and not (0 <= min(reps) and max(reps) < 2 ** 32):
+        raise InvalidInputError(f"reps must lie in [0, 2**32), got {min(reps)}..{max(reps)}")
+    words = [w for part in parts for w in _uint32_words(int(part) & 0xFFFFFFFFFFFFFFFF)]
+    cols = [np.full(len(reps), w, dtype=np.uint32) for w in words] + [np.array(reps, dtype=np.uint32)]
+    return _uint64(seed_sequence_words(cols, 2)).ravel()
+
+
+def seeded_generators(seeds: np.ndarray):
+    """Yield (seed, rng) per seed of a uint64 array, rng being one reused Generator in the state
+    `default_rng(seed)` starts in (a seed below 2**32 hashes as [seed, 0]: the pool pads with 0)."""
+    bitgen, full, inner, states = _pcg64_states([*seeds.astype("<u8").view("<u4").reshape(-1, 2).T])
+    rng = np.random.Generator(bitgen)
+    for seed, (inner["state"], inner["inc"]) in zip(seeds.tolist(), states):
+        bitgen.state = full
+        yield seed, rng
+
+
+def spawned_normals(seed: int, R: int, p: int) -> np.ndarray:
+    """(R, p) standard normals whose row k has the bits of
+    `default_rng(SeedSequence(seed).spawn(R)[k]).standard_normal(p)`: one hash
+    pass seeds all R children, and one reused PCG64 is set to each child's state."""
+    seed, R = int(seed), int(R)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    if not 0 <= R < 2 ** 32:  # from 2**32 on a spawn key takes two words
+        raise InvalidInputError(f"draw count must lie in [0, 2**32), got {R}")
+    words = _uint32_words(seed)
+    words += [0] * (4 - len(words))  # a spawned child pads its seed to the pool size
+    entropy = [np.full(R, w, dtype=np.uint32) for w in words] + [np.arange(R, dtype=np.uint32)]
+    bitgen, full, inner, states = _pcg64_states(entropy)
+    gen = np.random.Generator(bitgen)
+    Z = np.empty((R, p))
+    for k, (inner["state"], inner["inc"]) in enumerate(states):
+        bitgen.state = full
         gen.standard_normal(out=Z[k])
     return Z
 
@@ -91,11 +130,6 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if value is not None and not np.all(np.isfinite(value)):
             raise InvalidSpecError(f"{name} must be finite, got {value}")
-
-
-def spawn_rng(*parts: int) -> np.random.Generator:
-    """Generator seeded by :func:`derive_seed` of the given parts."""
-    return np.random.default_rng(derive_seed(*parts))
 
 
 def row_squares(A: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 import configparser
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bridgelab
 from bridgelab.cli import main
 from bridgelab.config import _KEYS, config_from_echo, parse_config
 from bridgelab.contrast import Contrast
@@ -135,6 +138,43 @@ def test_non_finite_spec_values_are_config_errors(tmp_path, capsys, command, sec
                           if command == "mc" else [command, "--config", path])
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: [{section}] {key} must be finite, got ")
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc", "check", "limit"])
+@pytest.mark.parametrize("edit, message", [
+    (("sigma = 1.0", "sigma = 1e300"), "[model] sigma^2 must be finite, got inf"),
+    (("design = standardized-orthonormal", "design = bounded-random-frozen\nbound = 1e300"),
+     "bound = 1e+300 overflows X'X at n = "),
+])
+def test_overflowing_spec_values_are_config_errors(tmp_path, capsys, command, edit, message):
+    # finite values whose square overflows: sigma^2 in the limit law, X'X in every fit
+    path = tmp_path / "big.cfg"
+    path.write_text(BASE.replace(*edit))
+    code, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
+                                   "--threads", "1"] if command == "mc" else [command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["estimate", "mc"])
+def test_overflowing_objective_is_a_config_error(tmp_path, capsys, command):
+    # a huge finite truth overflows the residual sum of squares at every start
+    path = tmp_path / "big.cfg"
+    path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 1e300"))
+    code, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
+                                   "--threads", "1"] if command == "mc" else [command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: the objective overflows: inf")
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # multiprocessing is imported only when a campaign runs with --threads > 1
+    code = ("import sys, bridgelab.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(bridgelab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["estimate", "mc", "check", "limit"])

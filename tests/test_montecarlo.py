@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bridgelab.asymptotics import limit_law
 from bridgelab.errors import InvalidInputError, InvalidSpecError
-from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter
+from bridgelab.model import NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter, simulate_responses
 from bridgelab.montecarlo import (
     MCConfig,
     ReplicationSet,
@@ -22,6 +22,7 @@ from bridgelab.montecarlo import (
 )
 from bridgelab.penalty import PenaltySpec, TuningSchedule, zero_penalty
 from bridgelab.solver import Box
+from bridgelab.util import derive_seed, derived_seeds, seeded_generators
 
 
 def _cfg(family="bridge", gamma=0.5, c=1.0, e=0.6, sigma=1.0, p0=1, rho0=(1.0,),
@@ -73,6 +74,39 @@ def test_campaign_deterministic_and_complete():
     seeds = np.concatenate([rs1.seeds[30], rs1.seeds[60]])
     assert np.unique(seeds).size == 2 * 100
     assert rs1.seeds[30][0] == replication_seed(cfg.master_seed, 30, 0)
+
+
+@pytest.mark.parametrize("master", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7, 2 ** 64 - 1, 2 ** 70 + 3])
+@pytest.mark.parametrize("n", [50, 3200, 2 ** 32 - 1])
+def test_derived_seeds_equal_derive_seed(master, n):
+    # masters of one and two uint32 words, and one above 2**64 that both mask to 64 bits
+    for reps in (range(0, 150), [2 ** 31, 7, 2 ** 32 - 1]):
+        assert derived_seeds((master, n), reps).tolist() == [derive_seed(master, n, r) for r in reps]
+    assert derived_seeds((master, n), range(5, 5)).size == 0
+
+
+@pytest.mark.parametrize("reps", [[0, 2 ** 32], [-1, 3]])
+def test_derived_seeds_rejects_reps_beyond_one_word(reps):
+    with pytest.raises(InvalidInputError):
+        derived_seeds((1, 50), reps)
+
+
+@pytest.mark.parametrize("family", NOISE_FAMILIES)
+def test_seeded_generators_start_as_default_rng(family):
+    # one reused generator per seed: the rademacher draws leave a buffered uint32
+    # behind (odd n) that the next seed's state must clear
+    seeds = np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 1], dtype=np.uint64)
+    X = np.random.default_rng(5).standard_normal((41, 2))
+    truth, noise = TrueParameter(p0=1, rho0=(1.0,)), NoiseSpec(family=family, sigma=1.5)
+    out = []
+    for seed, rng in seeded_generators(seeds):
+        ref = np.random.default_rng(seed)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        Y = simulate_responses(X, truth, noise, rng)
+        assert Y.tobytes() == simulate_responses(X, truth, noise, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        out.append(seed)
+    assert out == seeds.tolist()
 
 
 def test_serial_matches_parallel():

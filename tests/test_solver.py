@@ -24,10 +24,12 @@ from bridgelab.solver import (
     DesignFactor,
     SolverOptions,
     _coordinate_descent,
+    _keep_mask,
     _multistart_points,
     grid_oracle,
     minimize,
     tiebreak_argmin,
+    zeroed_starts,
 )
 from conftest import random_penalty
 
@@ -428,3 +430,20 @@ def test_pinv_ols_start_matches_lstsq():
         ols = np.linalg.lstsq(X, Y, rcond=None)[0]
         got = DesignFactor(X).pinv @ Y
         assert np.max(np.abs(got - ols)) <= 1e-12 * (1.0 + np.max(np.abs(ols))), trial
+
+
+@pytest.mark.parametrize("coords", [(), (1,), (0, 2), (1, 3, 0)])
+def test_zeroed_starts_order_and_cached_read_only_mask(coords):
+    base = np.arange(1.0, 9.0).reshape(2, 4)
+    expected = []
+    for row in base:
+        expected += [row, np.zeros(4)]
+        for zeroed in itertools.product((False, True), repeat=len(coords)):
+            if any(zeroed):
+                expected.append(np.where(np.isin(np.arange(4), np.compress(zeroed, coords)), 0.0, row))
+    starts = zeroed_starts(base, np.array(coords, dtype=int))
+    assert_array_equal(starts, np.array(expected))
+    mask = _keep_mask(coords, 4)
+    assert mask is _keep_mask(coords, 4) and not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = False
