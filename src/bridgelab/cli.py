@@ -69,15 +69,8 @@ def cmd_estimate(ec: ExperimentConfig) -> int:
     n = ec.n_single
     X = generate_design(mc.design, n, design_seed(mc.master_seed, n))
     seed = replication_seed(mc.master_seed, n, 0)
-    if ec.response_file is not None:
-        try:
-            Y = np.loadtxt(ec.response_file, delimiter=",")
-        except OSError as exc:
-            raise ConfigError(f"cannot read response file: {exc}") from exc
-        if Y.shape != (n,):
-            raise ConfigError(
-                f"response file holds {Y.size} values, expected n={n}")
-    else:
+    Y = ec.responses
+    if Y is None:
         Y = simulate_responses(X, mc.truth, mc.noise, seed)
     ds = Dataset(X=X, Y=Y, truth=mc.truth, n=n)
     res = minimize(Contrast(dataset=ds, penalty=mc.penalty), mc.box, mc.solver)

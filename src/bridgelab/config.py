@@ -71,7 +71,7 @@ class ExperimentConfig:
     n_single: int
     out_dir: str
     check: CheckSettings
-    response_file: str | None
+    responses: np.ndarray | None  # Y for `estimate`, read from [model] response_file
     raw: dict = field(default_factory=dict)
 
 
@@ -111,6 +111,13 @@ def _given(values: dict, *keys: str, **renamed: str) -> dict:
     return {arg: values[key] for arg, key in names.items() if key in values}
 
 
+def _load_csv(key: str, path: str, ndmin: int) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=ndmin)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[model] {key}: cannot read {path}: {exc}") from exc
+
+
 def load_raw(path: str) -> dict:
     """Read the file into {section: {key: string}}; build_config checks the keys."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -145,11 +152,7 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
         path = model.get("design_file")
         if path is None:
             _fail("model", "design_file", "required for explicit-matrix designs")
-        try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"[model] design_file: cannot read {path}: {exc}") from exc
-        matrix = tuple(tuple(float(v) for v in row) for row in data)
+        matrix = tuple(tuple(float(v) for v in row) for row in _load_csv("design_file", path, 2))
     with _section("model"):
         truth = TrueParameter(p0=model.get("p0", 0), rho0=model["rho0"], **_given(model, "rho_min"))
         design = DesignSpec(kind=kind, p=truth.p, matrix=matrix, **_given(model, "bound"))
@@ -187,6 +190,15 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     n_single = mcv.get("n", n_grid[0])
     if n_single < p:
         _fail("mc", "n", f"n={n_single} < p={p}: a fit needs at least p rows")
+    underflow = [n for n in (n_single, *n_grid) if tau is not None and tau.value(n) == 0.0]
+    if underflow:
+        _fail("penalty", "tau_c", f"tau_n = tau_c * n^tau_e underflows to 0 at n={underflow[0]}")
+    responses = None
+    if "response_file" in model:
+        responses = _load_csv("response_file", model["response_file"], 1)
+        if responses.shape != (n_single,):
+            _fail("model", "response_file", f"holds {responses.size} values in {len(responses)} rows "
+                                            f"but [mc] n requests one column of n={n_single}")
     if kind == "explicit-matrix":
         requested = {"estimate": [("n", n_single)],
                      "mc": [("n_grid", n) for n in n_grid],
@@ -197,7 +209,7 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
                       f"holds {len(matrix)} rows but [mc] {key} requests n={n}")
 
     return ExperimentConfig(mc=mc, n_single=n_single, out_dir=values["output"].get("dir", "out"),
-                            check=check, response_file=model.get("response_file"), raw=raw)
+                            check=check, responses=responses, raw=raw)
 
 
 def parse_config(path: str, command: str | None = None) -> ExperimentConfig:

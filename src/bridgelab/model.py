@@ -185,8 +185,11 @@ def generate_design(spec: DesignSpec, n: int, seed: int) -> np.ndarray:
 
 
 def simulate_responses(X: np.ndarray, truth: TrueParameter, noise: NoiseSpec,
-                       seed: int) -> np.ndarray:
-    """Y_i = theta0 . X_i + eps_i with iid noise; bit-identical given the seed."""
+                       seed: int | np.random.Generator) -> np.ndarray:
+    """Y_i = theta0 . X_i + eps_i with iid noise; bit-identical given the seed.
+
+    `seed` is an int, or a Generator that draws the noise from its current
+    state (`default_rng` returns a Generator unchanged)."""
     X = np.asarray(X, dtype=float)
     theta = truth.theta
     if X.ndim != 2 or X.shape[1] != theta.size:

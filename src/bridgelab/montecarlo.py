@@ -148,11 +148,11 @@ def _solve_block(task) -> list[tuple[int, EstimateResult]]:
 
 def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
     """Run the campaign; results are complete (non-converged solves are kept
-    and flagged, never dropped) and independent of worker scheduling."""
+    and flagged, never dropped) and independent of worker scheduling. Uses
+    min(threads, CPUs, tasks) worker processes, threads = 0 meaning 8."""
     if threads < 0:
         raise InvalidInputError("threads must be >= 0 (0 means auto)")
-    if threads == 0:
-        threads = min(os.cpu_count() or 1, 8)
+    workers = min(threads or 8, os.cpu_count() or 1)  # the pool forks every worker up front
 
     try:
         designs = {n: generate_design(cfg.design, n, design_seed(cfg.master_seed, n))
@@ -162,14 +162,15 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
             f"dataset generation failed ({exc}); config: design={cfg.design}, "
             f"truth={cfg.truth}, n_grid={cfg.n_grid}, seed={cfg.master_seed}") from exc
     R = cfg.replications
-    block = max(1, math.ceil(R / (threads * 4)))
+    block = max(1, math.ceil(R / (workers * 4)))
     tasks = [(cfg, designs[n], n, lo, min(lo + block, R))
              for n in cfg.n_grid for lo in range(0, R, block)]
-    if threads == 1:
+    workers = min(workers, len(tasks))
+    if workers == 1:
         blocks = list(map(_solve_block, tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~11 ms to import
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_solve_block, tasks))
     solved = [out for chunk in blocks for out in chunk]
     if len(solved) != len(cfg.n_grid) * R:

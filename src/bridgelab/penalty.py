@@ -290,8 +290,6 @@ def _power_prox_array(c, b: np.ndarray, lam, gamma: float) -> np.ndarray:
 
 
 def _scad_candidates(c: float, b: float, lam: float, n: int, a: float) -> list[float]:
-    if lam == 0.0 or b == 0.0:
-        return [b]
     s = 1.0 if b > 0.0 else -1.0
     beta = abs(b)
     cands = [0.0, s * lam, s * a * lam]
@@ -309,42 +307,30 @@ def _scad_candidates(c: float, b: float, lam: float, n: int, a: float) -> list[f
 
 
 def _selo_candidates(c: float, b: float, lam: float, n: int, tau: float) -> list[float]:
-    if lam == 0.0:
-        return [b]
-    if b == 0.0:
-        return [0.0]
     s = 1.0 if b > 0.0 else -1.0
     beta = abs(b)
     coef = 2.0 * n * lam / LOG2
 
+    # p_n'(x) = coef tau / (u v), u = x + tau, v = 2x + tau. h, h' and h'' divide by u
+    # and v one at a time, so no product of small factors underflows to a zero divisor.
     def dpen(x: float) -> float:
-        return coef * tau / ((x + tau) * (2.0 * x + tau))
+        return coef * (tau / (2.0 * x + tau)) / (x + tau)
 
     def h(x: float) -> float:
         return 2.0 * c * (x - beta) + dpen(x)
 
     def hp(x: float) -> float:
-        return 2.0 * c - coef * tau * (4.0 * x + 3.0 * tau) / ((x + tau) * (2.0 * x + tau)) ** 2
+        return 2.0 * c - dpen(x) * (1.0 / (x + tau) + 2.0 / (2.0 * x + tau))
 
-    # h is convex on [0, beta] with h(beta) > 0; an interior local minimum of
-    # the objective exists only where h crosses 0 from below.
+    def hpp(x: float) -> float:
+        iu, iv = 1.0 / (x + tau), 2.0 / (2.0 * x + tau)
+        return dpen(x) * ((iu + iv) * (iu + iv) + iu * iu + iv * iv)
+
+    # h is convex on [0, beta] with h(beta) > 0; an interior local minimum of the objective
+    # exists only where h crosses 0 from below, right of its dip (the root of increasing h').
     if hp(beta) <= 0.0:
         return [0.0]
-    if hp(0.0) >= 0.0:
-        x_h = 0.0
-    else:
-        lo, hi = 0.0, beta
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if hp(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * (1.0 + hi):
-                break
-        x_h = 0.5 * (lo + hi)
+    x_h = 0.0 if hp(0.0) >= 0.0 else _bracketed_newton(hp, hpp, 0.0, beta)
     if h(x_h) > 0.0:
         return [0.0]
     root = _bracketed_newton(h, hp, x_h, beta)
@@ -352,9 +338,12 @@ def _selo_candidates(c: float, b: float, lam: float, n: int, tau: float) -> list
 
 
 def _prox_candidates(pen: PenaltySpec, n: int, c: float, b: float) -> list[float]:
-    if pen.family == "none":
+    """Candidates for c(x-b)^2 + p_n(x); in every family b = +-0 gives +0.0, then p_n = 0 gives b."""
+    if b == 0.0:
+        return [0.0]
+    lam = 0.0 if pen.family == "none" else pen.schedule.value(n)
+    if lam == 0.0:
         return [b]
-    lam = pen.schedule.value(n)
     if pen.family == "bridge":
         return power_prox_candidates(c, b, lam, pen.gamma)
     if pen.family == "scad":

@@ -171,8 +171,8 @@ def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.nd
 
     Coordinate j moves to the prox of b = theta_j + (q_j - sum_k Q_jk theta_k) / Q_jj
     in Python floats: O(p) per update, no residual, so the cost is flat in n.
-    `memo` maps (j, b) to the prox value, a pure function of b within one fit,
-    so a hit returns the same bits; b = +-0.0 (one dict key) bypasses it.
+    `memo` maps (j, b) to the prox value, a pure function of b's value within
+    one fit, so a hit returns the same bits.
     """
     (Q, q), pen, n, lo, hi = gram, c.penalty, c.n, box.lo, box.hi
     theta = start.tolist()
@@ -187,7 +187,7 @@ def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.nd
                 for Qjk, t in zip(Qj, theta):
                     g -= Qjk * t
                 b = theta[j] + g / Qj[j]
-                new = memo.get((j, b)) if b else None
+                new = memo.get((j, b))
                 if new is None:
                     new = memo[j, b] = scalar_prox_interval(pen, n, Qj[j], b, lo[j], hi[j])
             if new != theta[j]:

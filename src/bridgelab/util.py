@@ -71,17 +71,19 @@ def _uint64(words32: np.ndarray) -> np.ndarray:
     return words32.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_states(entropy: list[np.ndarray]):
-    """A PCG64, a state dict for it and that dict's inner entry, and per entropy row the plain-int
-    (state, inc) of `PCG64(SeedSequence(row))`: put a pair in the entry, then set `.state` to the
-    dict. Of `generate_state(4, uint64)`, seed = w0:w1, inc = w2:w3 << 1 | 1; two LCG steps from 0."""
+def _pcg64_generators(entropy: list[np.ndarray]):
+    """Yield, per entropy row, one reused Generator set to the state of
+    `default_rng(SeedSequence(row))`. Of `generate_state(4, uint64)`, seed = w0:w1 and
+    inc = w2:w3 << 1 | 1; the state is two PCG64 steps from 0, worked out for all rows up front."""
     w0, w1, w2, w3 = _uint64(seed_sequence_words(entropy, 8)).T.tolist()
     mult, mask = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
     incs = [((a << 64 | b) << 1 | 1) & mask for a, b in zip(w2, w3)]
     states = [((inc + (a << 64 | b)) * mult + inc) & mask for a, b, inc in zip(w0, w1, incs)]
-    inner = {}
+    rng, inner = np.random.Generator(np.random.PCG64(0)), {}
     full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": inner}
-    return np.random.PCG64(0), full, inner, zip(states, incs)
+    for inner["state"], inner["inc"] in zip(states, incs):
+        rng.bit_generator.state = full
+        yield rng
 
 
 def derived_seeds(parts: tuple[int, ...], reps) -> np.ndarray:
@@ -94,13 +96,9 @@ def derived_seeds(parts: tuple[int, ...], reps) -> np.ndarray:
 
 
 def seeded_generators(seeds: np.ndarray):
-    """Yield (seed, rng) per seed of a uint64 array, rng being one reused Generator in the state
+    """(seed, rng) per seed of a uint64 array, rng being one reused Generator in the state
     `default_rng(seed)` starts in (a seed below 2**32 hashes as [seed, 0]: the pool pads with 0)."""
-    bitgen, full, inner, states = _pcg64_states([*seeds.astype("<u8").view("<u4").reshape(-1, 2).T])
-    rng = np.random.Generator(bitgen)
-    for seed, (inner["state"], inner["inc"]) in zip(seeds.tolist(), states):
-        bitgen.state = full
-        yield seed, rng
+    return zip(seeds.tolist(), _pcg64_generators([*seeds.astype("<u8").view("<u4").reshape(-1, 2).T]))
 
 
 def spawned_normals(seed: int, R: int, p: int) -> np.ndarray:
@@ -115,12 +113,9 @@ def spawned_normals(seed: int, R: int, p: int) -> np.ndarray:
     words = _uint32_words(seed)
     words += [0] * (4 - len(words))  # a spawned child pads its seed to the pool size
     entropy = [np.full(R, w, dtype=np.uint32) for w in words] + [np.arange(R, dtype=np.uint32)]
-    bitgen, full, inner, states = _pcg64_states(entropy)
-    gen = np.random.Generator(bitgen)
     Z = np.empty((R, p))
-    for k, (inner["state"], inner["inc"]) in enumerate(states):
-        bitgen.state = full
-        gen.standard_normal(out=Z[k])
+    for z, rng in zip(Z, _pcg64_generators(entropy)):
+        rng.standard_normal(out=z)
     return Z
 
 

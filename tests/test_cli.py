@@ -1,5 +1,6 @@
 import configparser
 import json
+import math
 import os
 import subprocess
 import sys
@@ -356,6 +357,40 @@ def test_estimate_with_external_responses(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["theta_hat"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("content", ["a,b\n", "1.0\n2.0\n3.0\n"], ids=["non-numeric", "wrong-size"])
+def test_bad_response_file_exits_2_naming_the_field(tmp_path, capsys, content):
+    resp = tmp_path / "responses.csv"
+    resp.write_text(content)
+    code, out, err = _run(capsys, ["estimate", "--config",
+                                   _config_with(tmp_path, "model", "response_file", str(resp))])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: [model] response_file: ")
+
+
+@pytest.mark.parametrize("tau_c, tau_e", [(1e-300, "0"), (1e-200, "0"), (1e-80, "0"), (1e-80, None)])
+def test_selo_with_tiny_tau_estimates_finite_values(tmp_path, capsys, tau_c, tau_e):
+    # (x + tau)(2x + tau) underflows to 0 near x = 0 for such tau_n
+    text = BASE.replace("family = bridge", "family = selo").replace("gamma = 0.5", f"tau_c = {tau_c!r}")
+    if tau_e is not None:
+        text = text.replace("[penalty]", f"[penalty]\ntau_e = {tau_e}")
+    path = tmp_path / "selo.cfg"
+    path.write_text(text)
+    code, out, _ = _run(capsys, ["estimate", "--config", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert all(math.isfinite(v) for v in payload["theta_hat"] + [payload["objective"]])
+
+
+def test_selo_tau_underflowing_to_zero_exits_2(tmp_path, capsys):
+    text = BASE.replace("family = bridge", "family = selo")
+    text = text.replace("gamma = 0.5", "tau_c = 1e-300\ntau_e = -20")
+    path = tmp_path / "selo.cfg"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["mc", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    assert err == "config error: [penalty] tau_c: tau_n = tau_c * n^tau_e underflows to 0 at n=100\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -112,6 +113,42 @@ def test_seeded_generators_start_as_default_rng(family):
 def test_serial_matches_parallel():
     cfg = _cfg(n_grid=(30, 60), R=100)
     _results_equal(run_replications(cfg, threads=1), run_replications(cfg, threads=4))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("threads, cpus, pools", [
+    (5000, 3, [3]), (5000, 10 ** 6, [200]), (5000, 1, []), (2, 4, [2]), (0, 16, [8]), (0, None, []),
+])
+def test_workers_capped_at_cpus_and_tasks(monkeypatch, threads, cpus, pools):
+    # the pool forks every worker when it starts, so --threads must not ask for more
+    # workers than there are CPUs or tasks; R = 100 at two n makes 2 * 4w blocks for
+    # w workers, but at most 200 of one rep; one worker runs serially without a pool
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _RecordingPool.max_workers.clear()
+    cfg = _cfg(n_grid=(30, 60), R=100)
+    rs = run_replications(cfg, threads=threads)
+    assert _RecordingPool.max_workers == pools
+    _results_equal(rs, run_replications(cfg, threads=1))
 
 
 def test_config_validation():

@@ -182,10 +182,33 @@ def test_prox_interval_respects_box():
     assert x == pytest.approx(2.0)
 
 
-def test_prox_tie_breaks_toward_smaller_magnitude():
-    # with b = 0 every family returns the literal 0
-    for pen in (bridge(1.0, 0.0, 0.5), scad(0.2, 0.0), selo(0.2, 0.0), zero_penalty()):
-        assert scalar_prox(pen, 10, 2.0, 0.0) == 0.0
+@pytest.mark.parametrize("pen", [bridge(1.0, 0.0, 0.5), bridge(1.0, 0.0, 1.5), bridge(0.0, 0.0, 0.5),
+                                 scad(0.2, 0.0), selo(0.2, 0.0), zero_penalty()],
+                         ids=["bridge-0.5", "bridge-1.5", "bridge-lam0", "scad", "selo", "none"])
+def test_prox_zero_rule_is_positive_zero_in_every_family(pen):
+    # b = +-0 gives the literal +0.0 wherever the box holds 0, and the end
+    # nearest 0 where it does not
+    for b in (0.0, -0.0):
+        zeros = [scalar_prox(pen, 10, 2.0, b)] + [
+            scalar_prox_interval(pen, 10, 2.0, b, lo, hi)
+            for lo, hi in ((-1.0, 1.0), (0.0, 2.0), (-2.0, 0.0), (-2.0, -0.0))]
+        assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in zeros), zeros
+        for (lo, hi), end in (((0.2, 2.0), 0.2), ((-2.0, -0.2), -0.2)):
+            assert scalar_prox_interval(pen, 10, 2.0, b, lo, hi) == end
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e-80])
+def test_selo_prox_is_finite_for_tiny_tau(tau):
+    # the products (x + tau)(2x + tau) of the SELO slopes underflow to 0 near
+    # x = 0 for such tau; the prox must still return a finite minimizer
+    rng = np.random.default_rng(3)
+    for c, b, lam in _log_uniform_prox_inputs(5, 300):
+        n = int(rng.integers(1, 5000))
+        pen = selo(lam, 0.0, tau_c=tau, tau_e=0.0)
+        x = scalar_prox(pen, n, c, b)
+        assert math.isfinite(x) and (x == 0.0 or abs(x) <= abs(b))
+        obj = lambda t: scalar_objective(pen, n, c, b, t)
+        assert obj(x) <= min(obj(0.0), obj(b))
 
 
 def _half_thresholding_root(c, b, lam):
