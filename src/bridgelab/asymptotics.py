@@ -226,7 +226,8 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     minimized from a multistart set by `box_descent` (closed form when the
     effective penalty is smooth), with the start chosen by the solver's
     tie-break. Draws go through the kernel in fixed blocks with elementwise
-    rules, so draw k depends only on (law, seed, k).
+    rules, so draw k depends only on (law, seed, k). Raises InvalidInputError,
+    before any draw, when the field's linear tilt t is not finite.
     """
     if law.regime.tag != REGIME_STANDARD:
         raise InvalidInputError(
@@ -240,6 +241,8 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     sigma = math.sqrt(law.sigma2)
     lam0 = law.regime.lambda0 or 0.0
     t, s, g = _v0_penalty_terms(law.gamma, lam0, theta0)
+    if not np.all(np.isfinite(t)):
+        raise InvalidInputError(f"the limit field's linear tilt overflows: t = {t.tolist()}")
 
     W_all = sigma * _rows_times(spawned_normals(seed, R, p), np.linalg.cholesky(C0).T)
     # stationary point of the smooth part: C0 u = W - t/2
@@ -290,7 +293,7 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
 
     Returns (point, exact-zero flags); the flags define the pseudo-true split.
     Deterministic: multistart over zero-support patterns with the lexicographic
-    tie-break.
+    tie-break. Raises InvalidInputError when the best objective is not finite.
     """
     C0 = np.asarray(C0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
@@ -311,8 +314,10 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
                      box.lo_array(), box.hi_array())
     d = th - theta0
     objective = np.sum(_rows_times(d, C0) * d, axis=1) + lambda0 * np.sum(np.abs(th) ** gamma, axis=1)
-    best = th[tiebreak_argmin(np.zeros(th.shape[0], dtype=int), objective, th)[0]]
-    return best, best == 0.0
+    i = tiebreak_argmin(np.zeros(th.shape[0], dtype=int), objective, th)[0]
+    if not np.isfinite(objective[i]):
+        raise InvalidInputError(f"the pseudo-true objective overflows: {objective[i]} at every start")
+    return th[i], th[i] == 0.0
 
 
 def limit_law(gamma: float, schedule: TuningSchedule, sigma2: float, C0,

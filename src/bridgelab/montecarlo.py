@@ -350,9 +350,9 @@ def moment_trajectory(rs: ReplicationSet, orders=None) -> list[MomentTrajectory]
             rng = np.random.default_rng(derive_seed(cfg.master_seed, 946, n, qi))
             u = rs.u_norms(n) ** q
             v = rs.v_norms(n) ** q
-            u_m.append(float(np.mean(u)) if u.size else 0.0)
+            u_m.append(float(np.mean(u)))
             v_m.append(float(np.mean(v)))
-            u_s.append(_bootstrap_se(u, rng) if u.size else 0.0)
+            u_s.append(_bootstrap_se(u, rng))
             v_s.append(_bootstrap_se(v, rng))
         out.append(MomentTrajectory(
             order=q, n_grid=cfg.n_grid,
@@ -394,7 +394,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
             mean = V.mean(axis=0)
             se = V.std(axis=0, ddof=1) / math.sqrt(R)
             gap = np.where(se > 0.0, np.abs(mean - bias) / np.where(se > 0, se, 1.0), np.abs(mean - bias))
-            emp_cov = np.atleast_2d(np.cov(V.T)) if R > 1 else np.zeros_like(cov)
+            emp_cov = np.atleast_2d(np.cov(V.T))
             denom = float(np.linalg.norm(cov))
             if denom > 0.0:
                 cov_gap = float(np.linalg.norm(emp_cov - cov)) / denom

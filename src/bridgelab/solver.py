@@ -19,7 +19,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .penalty import scalar_prox_interval
 from .util import require_finite
 
-MAX_STARTS = 64
+MAX_STARTS = 63
 PATTERN_COORDS = 6  # zero-support patterns of multistart sets cover this many leading coordinates
 
 
@@ -30,7 +30,9 @@ def tiebreak_argmin(groups: np.ndarray, objectives: np.ndarray, points: np.ndarr
 
     Magnitudes come before the signed lexicographic order so that exact-zero
     coordinates beat ulp-level perturbations when objectives tie; this keeps
-    zero-hit events and noiseless recovery well defined.
+    zero-hit events well defined. `minimize`, `sample_limit_argmin` and
+    `pseudo_true` pick with it among the endpoints of one start rule:
+    `zeroed_starts` of their unpenalized stationary point.
     """
     order = np.lexsort((*points.T[::-1], *np.abs(points).T[::-1], objectives, groups))
     g = groups[order]
@@ -151,16 +153,16 @@ def zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.where(keep, base[:, None, :], 0.0).reshape(-1, keep.shape[1])
 
 
-def _multistart_points(c: Contrast, box: Box, factor: DesignFactor) -> np.ndarray:
-    """(k, p) starts: OLS projection, origin, generating truth, and zero-support
-    patterns of OLS over its first PATTERN_COORDS coordinates, clipped to the box.
+def _multistart_points(Y: np.ndarray, box: Box, factor: DesignFactor) -> np.ndarray:
+    """(k, p) starts from the data alone: the OLS point pinv(X) Y, the origin,
+    and OLS with each nonempty subset of its first PATTERN_COORDS coordinates
+    set to 0 (`zeroed_starts`), clipped to the box.
 
     Support patterns target the support-indexed basins of the nonconvex
     penalties; capped at MAX_STARTS starts, byte-duplicate rows dropped in order.
     """
-    ols = factor.pinv @ c.dataset.Y
-    patterns = zeroed_starts(ols[None], np.arange(min(c.p, PATTERN_COORDS)))[:MAX_STARTS - 2]
-    starts = box.clip(np.concatenate((patterns[:2], c.dataset.truth.theta[None], patterns[2:])))
+    ols = factor.pinv @ Y
+    starts = box.clip(zeroed_starts(ols[None], np.arange(min(ols.size, PATTERN_COORDS)))[:MAX_STARTS])
     first = {row.tobytes(): i for i, row in reversed(list(enumerate(starts)))}  # earliest row wins
     return starts[sorted(first.values())]
 
@@ -202,6 +204,8 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
              factor: DesignFactor | None = None) -> EstimateResult:
     """Best terminal point of coordinate descent over the multistart set.
 
+    A function of (X, Y, penalty, box) alone: the starts are those of
+    `_multistart_points`, built from Y, never from the generating truth.
     Deterministic: identical inputs give bit-identical results; ties across
     restarts break by `tiebreak_argmin`. `factor` (built here when absent or
     made from another X) gives X'X and the OLS start pinv(X) Y, so a fit forms
@@ -224,7 +228,7 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
     if not np.all(np.isfinite(c.dataset.Y)):
         raise InvalidInputError("responses contain non-finite values")
 
-    starts = _multistart_points(c, box, factor)
+    starts = _multistart_points(c.dataset.Y, box, factor)
     gram, memo = (factor.Q, (c.dataset.X.T @ c.dataset.Y).tolist()), {}
     runs = (_coordinate_descent(c, box, opts, start, gram, memo) for start in starts)
     ends, conv, sweeps = map(np.array, zip(*runs))

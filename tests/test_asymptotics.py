@@ -271,6 +271,16 @@ def test_sampler_gamma_above_one_stationarity():
         assert np.linalg.norm(grad) <= 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sampler_refuses_an_overflowing_tilt_before_drawing(monkeypatch):
+    # gamma = 4 tilts by 4 lambda0 |theta0|^3, which overflows for theta0 = 1e300
+    law = limit_law(4.0, sched(1.0, 0.5), 1.0, np.eye(2), np.array([0.0, 1e300]), p0=1)
+    assert law.regime.tag == REGIME_STANDARD
+    monkeypatch.setattr(asymptotics, "spawned_normals", None)  # a draw would raise TypeError
+    with pytest.raises(InvalidInputError, match="tilt overflows"):
+        sample_limit_argmin(law, 10, seed=0)
+
+
 def test_sampler_requires_standard_regime():
     law = limit_law(0.5, sched(1.0, 0.5), 1.0, np.eye(2), np.array([0.0, 1.0]), p0=1)
     with pytest.raises(InvalidInputError):

@@ -320,9 +320,20 @@ def test_estimate_noiseless_recovers_truth(tmp_path, capsys):
     code, out, _ = _run(capsys, ["estimate", "--config", str(path)])
     assert code == 0
     payload = json.loads(out)
-    assert payload["theta_hat"] == [0.0, 1.0]
-    assert payload["exact_zero_flags"] == [True]
+    # the OLS start meets the truth to rounding only: no start is placed at the truth
+    assert max(abs(a - b) for a, b in zip(payload["theta_hat"], [0.0, 1.0])) <= 4 * sys.float_info.epsilon
+    assert 0.0 <= payload["objective"] <= 1e-28
     assert payload["converged"] is True
+
+
+def test_estimate_noiseless_bridge_hits_exact_zero(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE.replace("sigma = 1.0", "sigma = 0.0"))
+    code, out, _ = _run(capsys, ["estimate", "--config", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["theta_hat"][0] == 0.0
+    assert payload["exact_zero_flags"] == [True]
 
 
 def test_estimate_byte_identical(cfg_path, capsys):
@@ -356,7 +367,31 @@ def test_estimate_with_external_responses(tmp_path, capsys):
     code, out, _ = _run(capsys, ["estimate", "--config", str(path)])
     assert code == 0
     payload = json.loads(out)
-    assert payload["theta_hat"] == [0.0, 1.0]
+    assert max(abs(a - b) for a, b in zip(payload["theta_hat"], [0.0, 1.0])) <= 4 * sys.float_info.epsilon
+
+
+def test_estimate_on_external_responses_ignores_the_configured_truth(tmp_path, capsys):
+    # the fit of given data depends on (X, Y, penalty, box) only, so a truth
+    # that the config merely declares cannot change a byte of the output
+    import numpy as np
+
+    from bridgelab.model import DesignSpec, generate_design
+    from bridgelab.montecarlo import design_seed
+
+    X = generate_design(DesignSpec(kind="standardized-orthonormal", p=2), 100,
+                        design_seed(424242, 100))
+    Y = X @ np.array([0.0, 1.0]) + np.random.default_rng(5).standard_normal(100)
+    resp = tmp_path / "responses.csv"
+    resp.write_text("\n".join(repr(float(v)) for v in Y) + "\n")
+    outs = []
+    for rho0 in ("1.0", "-3.0"):
+        text = BASE.replace("rho0 = 1.0", f"rho0 = {rho0}")
+        path = tmp_path / "exp.cfg"
+        path.write_text(text.replace("sigma = 1.0", f"sigma = 1.0\nresponse_file = {resp}"))
+        code, out, _ = _run(capsys, ["estimate", "--config", str(path)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("content", ["a,b\n", "1.0\n2.0\n3.0\n"], ids=["non-numeric", "wrong-size"])
@@ -571,6 +606,24 @@ def test_limit_standard_sampler_moments(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["regime"]["tag"] == "standard"
     assert payload["argmin_samples"]["cov"][0][0] == pytest.approx(1.0, rel=0.1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("edits, message", [
+    # pseudo-true regime: every start's objective overflows, though (0, 10) is the box argmin
+    ((("e = 0.6", "e = 1.0"),), "the pseudo-true objective overflows: inf"),
+    # standard regime with gamma = 4: the tilt 4 lambda0 |rho0|^3 overflows
+    ((("e = 0.6", "e = 0.5"), ("gamma = 0.5", "gamma = 4.0")), "the limit field's linear tilt overflows"),
+], ids=["pseudo-true", "standard-tilt"])
+def test_limit_with_overflowing_truth_exits_2(tmp_path, capsys, edits, message):
+    text = BASE.replace("rho0 = 1.0", "rho0 = 1e300")
+    for edit in edits:
+        text = text.replace(*edit)
+    path = tmp_path / "big.cfg"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["limit", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: " + message)
 
 
 @pytest.mark.parametrize("command, edit", [

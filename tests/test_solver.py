@@ -44,8 +44,13 @@ def _tiebreak_key(objective, theta):
     return (objective, tuple(np.abs(theta)), tuple(theta))
 
 
+def _bits(res):
+    return (res.theta_hat.tobytes(), res.objective, res.converged, res.iterations,
+            res.restarts_used)
+
+
 def _starts(c, box):
-    return _multistart_points(c, box, DesignFactor(c.dataset.X))
+    return _multistart_points(c.dataset.Y, box, DesignFactor(c.dataset.X))
 
 
 def _descend(c, box, opts, start, memo=None):
@@ -125,27 +130,52 @@ def test_minimize_never_above_multistart_objectives():
 
 
 @pytest.mark.parametrize("p0, box, count", [
-    (1, Box.cube(2), 5),
-    (4, Box(lo=(-2.0,) * 7 + (0.5,), hi=(2.0,) * 8), MAX_STARTS - 1),
+    (1, Box.cube(2), 4),
+    (4, Box(lo=(-2.0,) * 7 + (0.5,), hi=(2.0,) * 8), MAX_STARTS),
 ])
 def test_multistart_points_follow_their_definition(p0, box, count):
-    # OLS, origin, truth, then OLS under each zero pattern of its first
-    # PATTERN_COORDS coordinates in product order (the empty pattern first):
-    # the first MAX_STARTS rows, clipped to the box, byte duplicates dropped
-    # with the first one kept
+    # OLS, origin, then OLS under each nonempty zero pattern of its first
+    # PATTERN_COORDS coordinates in product order: the first MAX_STARTS rows,
+    # clipped to the box, byte duplicates dropped with the first one kept
     c = _contrast(_bridge(1.0, 0.5, 0.5), n=40, seed=8, p0=p0,
                   rho0=(1.0, -1.5, 0.8, 1.2)[:box.p - p0])
     ols = DesignFactor(c.dataset.X).pinv @ c.dataset.Y
     k = min(c.p, PATTERN_COORDS)
-    rows = [ols, np.zeros(c.p), c.dataset.truth.theta]
+    rows = [ols, np.zeros(c.p)]
     rows += [np.where(np.array(mask + (False,) * (c.p - k)), 0.0, ols)
-             for mask in itertools.product((False, True), repeat=k)]
+             for mask in itertools.product((False, True), repeat=k) if any(mask)]
     expected = []
     for row in box.clip(rows[:MAX_STARTS]):
         if not any(row.tobytes() == kept.tobytes() for kept in expected):
             expected.append(row)
     assert len(expected) == count
     assert_array_equal(_starts(c, box), np.array(expected))
+
+
+@pytest.mark.parametrize("pen", [
+    _bridge(1.0, 0.6, 0.5),
+    _bridge(1.0, 0.4, 1.5),
+    PenaltySpec(family="scad", schedule=TuningSchedule(0.5, -0.25), a=3.7),
+    PenaltySpec(family="selo", schedule=TuningSchedule(0.05, 0.0), tau=TuningSchedule(0.1, -0.5)),
+    zero_penalty(),
+], ids=["bridge-0.5", "bridge-1.5", "scad", "selo", "none"])
+@pytest.mark.parametrize("kind, p0, p", [
+    ("standardized-orthonormal", 1, 2),
+    ("bounded-random-frozen", 4, 8),
+])
+def test_fit_never_reads_the_generating_truth(pen, kind, p0, p):
+    # the estimator is a function of (X, Y, penalty, box): two truths with the
+    # same zero block but other nonzero entries give the same bits on one data set
+    rng = np.random.default_rng(31)
+    X = generate_design(DesignSpec(kind=kind, p=p), 60, 17)
+    factor, box = DesignFactor(X), Box.cube(p)
+    near = TrueParameter(p0=p0, rho0=(1.0,) * (p - p0))
+    far = TrueParameter(p0=p0, rho0=(-3.0,) * (p - p0))
+    for _ in range(4):
+        Y = X @ near.theta + rng.standard_normal(60)
+        fits = [minimize(Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=60), penalty=pen), box,
+                         None, factor) for truth in (near, far)]
+        assert _bits(fits[0]) == _bits(fits[1])
 
 
 def test_exact_zero_is_fixed_point():
@@ -379,11 +409,6 @@ def test_prox_memo_is_per_coordinate():
     again, _, _ = _descend(c, box, SolverOptions(), np.zeros(2), memo)
     assert_array_equal(again, theta)  # memo hits return the computed values
     assert_array_equal(minimize(c, box).theta_hat, theta)
-
-
-def _bits(res):
-    return (res.theta_hat.tobytes(), res.objective, res.converged, res.iterations,
-            res.restarts_used)
 
 
 def test_shared_factor_gives_bit_identical_fits():
