@@ -39,8 +39,6 @@ class LimitLaw:
     sigma2: float
     C0: np.ndarray | None = None
     theta0: np.ndarray | None = None
-    B0: np.ndarray | None = None
-    rho0: np.ndarray | None = None
     upsilon: np.ndarray | None = None
     bias: np.ndarray | None = None
     cov: np.ndarray | None = None
@@ -99,22 +97,22 @@ def regime_classify(gamma: float, schedule: TuningSchedule) -> Regime:
         "root-n asymptotics need e <= 1/2 and the sparse regimes need gamma < 1")
 
 
-def penalty_regime(penalty) -> tuple[float, Regime]:
-    """(gamma, regime) of a penalty spec: the bridge index, or gamma = 2 for the
-    unpenalized spec; the other families have no schedule-exponent regime."""
+def penalty_gamma(penalty) -> float:
+    """The index gamma that selects a penalty's regime: the bridge index, or
+    gamma = 2 for the unpenalized spec; the other families have no
+    schedule-exponent regime."""
     if penalty.family == "bridge":
-        gamma = penalty.gamma
-    elif penalty.family == "none":
-        gamma = 2.0
-    else:
-        raise UnsupportedRegimeError(
-            f"regime classification applies to the bridge family, not {penalty.family}")
-    return gamma, regime_classify(gamma, penalty.schedule)
+        return penalty.gamma
+    if penalty.family == "none":
+        return 2.0
+    raise UnsupportedRegimeError(
+        f"regime classification applies to the bridge family, not {penalty.family}")
 
 
 def _v0_penalty_terms(gamma: float, lambda0: float, theta0: np.ndarray):
     """Separable penalty of the limit field: linear coefficients t and power
-    terms s|u|^g per coordinate, selected by the gamma branch."""
+    terms s|u|^g per coordinate, selected by the gamma branch. Raises
+    InvalidInputError, without a numpy warning, when t is not finite."""
     p = theta0.size
     t = np.zeros(p)
     s = np.zeros(p)
@@ -122,7 +120,10 @@ def _v0_penalty_terms(gamma: float, lambda0: float, theta0: np.ndarray):
     if lambda0 > 0.0:
         nz = theta0 != 0.0
         if gamma > 1.0:
-            t = gamma * lambda0 * np.sign(theta0) * np.abs(theta0) ** (gamma - 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = gamma * lambda0 * np.sign(theta0) * np.abs(theta0) ** (gamma - 1.0)
+            if not np.all(np.isfinite(t)):
+                raise InvalidInputError(f"the limit field's linear tilt overflows: t = {t.tolist()}")
         elif gamma == 1.0:
             t[nz] = lambda0 * np.sign(theta0[nz])
             s[~nz] = lambda0
@@ -241,8 +242,6 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     sigma = math.sqrt(law.sigma2)
     lam0 = law.regime.lambda0 or 0.0
     t, s, g = _v0_penalty_terms(law.gamma, lam0, theta0)
-    if not np.all(np.isfinite(t)):
-        raise InvalidInputError(f"the limit field's linear tilt overflows: t = {t.tolist()}")
 
     W_all = sigma * _rows_times(spawned_normals(seed, R, p), np.linalg.cholesky(C0).T)
     # stationary point of the smooth part: C0 u = W - t/2
@@ -293,7 +292,9 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
 
     Returns (point, exact-zero flags); the flags define the pseudo-true split.
     Deterministic: multistart over zero-support patterns with the lexicographic
-    tie-break. Raises InvalidInputError when the best objective is not finite.
+    tie-break. Raises InvalidInputError when the best objective is not finite,
+    before the descent (and without a numpy warning) when the quadratic term
+    overflows at every point of the box.
     """
     C0 = np.asarray(C0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
@@ -308,6 +309,10 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     eig = np.linalg.eigvalsh(C0)
     if eig[0] <= 0.0:
         raise InvalidInputError("C0 must be positive definite")
+    # on the box, (theta-theta0)'C0(theta-theta0) >= eig_min |theta0 - clip(theta0)|^2
+    gap = math.sqrt(eig[0]) * math.hypot(*(theta0 - box.clip(theta0)))
+    if not math.isfinite(gap * gap):
+        raise InvalidInputError("the pseudo-true objective overflows: inf at every point of the box")
 
     starts = zeroed_starts(theta0[None, :], np.arange(min(p, PATTERN_COORDS)))
     th = box_descent(C0, C0 @ theta0, np.full(p, lambda0), np.full(p, gamma), starts,
@@ -340,11 +345,8 @@ def limit_law(gamma: float, schedule: TuningSchedule, sigma2: float, C0,
         return law
     if regime.tag in (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW):
         B0 = C0[p0:, p0:]
-        rho0 = theta0[p0:]
         lam0 = regime.lambda0 if regime.tag == REGIME_SPARSE_NORMAL else 0.0
-        upsilon, bias, cov = sparse_limit_params(gamma, lam0 or 0.0, B0, sigma2, rho0)
-        law.B0 = B0
-        law.rho0 = rho0
+        upsilon, bias, cov = sparse_limit_params(gamma, lam0 or 0.0, B0, sigma2, theta0[p0:])
         law.upsilon = upsilon
         law.cov = cov
         if regime.tag == REGIME_SPARSE_NORMAL:

@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import model as model_mod
 from . import penalty as penalty_mod
-from .asymptotics import REGIME_STANDARD, limit_law, penalty_regime, sample_limit_argmin
+from .asymptotics import (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW, REGIME_STANDARD, LimitLaw, limit_law,
+                          penalty_gamma, regime_classify, sample_limit_argmin)
 from .config import ExperimentConfig, parse_config
 from .contrast import Contrast
 from .errors import ConfigError, InvalidInputError, InvalidSpecError, UnsupportedRegimeError
@@ -56,12 +57,13 @@ def _regime_payload(ec: ExperimentConfig) -> dict:
     if pen.family not in ("bridge", "none"):
         return {"note": f"the schedule-exponent regimes classify the bridge family; "
                         f"{pen.family} is covered by the penalty-condition checkers"}
-    _, regime = penalty_regime(pen)
-    return {
-        "tag": regime.tag,
-        "lambda0": regime.lambda0,
-        "rate_limits": regime.rate_limits,
-    }
+    return asdict(regime_classify(penalty_gamma(pen), pen.schedule))
+
+
+def _config_law(mc, C0: np.ndarray) -> LimitLaw:
+    """The limit law of the config's penalty, noise and truth at C0."""
+    return limit_law(penalty_gamma(mc.penalty), mc.penalty.schedule, mc.noise.sigma ** 2,
+                     C0, mc.truth.theta, mc.truth.p0, box=mc.box)
 
 
 def cmd_estimate(ec: ExperimentConfig) -> int:
@@ -137,8 +139,8 @@ def _write_tail_csv(path: str, report) -> None:
 
 def _summary_payload(ec: ExperimentConfig, rs, tail_report) -> dict:
     mc = ec.mc
-    summary: dict = {"config": ec.raw, "c0_source": rs.c0_source,
-                     "warnings": list(rs.warnings)}
+    C0, c0_source = limit_c0(mc)
+    summary: dict = {"config": ec.raw, "c0_source": c0_source, "warnings": list(rs.warnings)}
 
     if mc.truth.p0 >= 1:
         sel = sparsity_curve(rs)
@@ -173,10 +175,7 @@ def _summary_payload(ec: ExperimentConfig, rs, tail_report) -> dict:
     }
 
     try:
-        gamma, _ = penalty_regime(mc.penalty)
-        law = limit_law(gamma, mc.penalty.schedule, mc.noise.sigma ** 2,
-                        rs.C0, mc.truth.theta, mc.truth.p0, box=mc.box)
-        summary["limit_distance"] = compare_to_limit(rs, law)
+        summary["limit_distance"] = compare_to_limit(rs, _config_law(mc, C0))
     except (UnsupportedRegimeError, InvalidInputError) as exc:
         summary["limit_distance"] = {"note": str(exc)}
     return summary
@@ -219,7 +218,7 @@ def cmd_check(ec: ExperimentConfig) -> int:
         grid = mc.n_grid if len(mc.n_grid) >= 3 else (50, 200, 800)
         designs = [(n, generate_design(mc.design, n, design_seed(mc.master_seed, n)))
                    for n in grid]
-        C0, c0_source = limit_c0(mc, designs[-1][1])
+        C0, c0_source = limit_c0(mc)
         q_n = penalty_mod.default_divergence_scale(pen)
         report = model_mod.check_design_conditions(
             designs, C0, cs.delta, q_n, (mc.truth.p0, mc.truth.p1))
@@ -240,14 +239,12 @@ def cmd_check(ec: ExperimentConfig) -> int:
 
 def cmd_limit(ec: ExperimentConfig) -> int:
     mc = ec.mc
-    gamma, _ = penalty_regime(mc.penalty)
     C0, c0_source = limit_c0(mc)
-    law = limit_law(gamma, mc.penalty.schedule, mc.noise.sigma ** 2,
-                    C0, mc.truth.theta, mc.truth.p0, box=mc.box)
+    law = _config_law(mc, C0)
     payload: dict = {
-        "regime": _regime_payload(ec),
-        "gamma": gamma,
-        "sigma2": mc.noise.sigma ** 2,
+        "regime": asdict(law.regime),
+        "gamma": law.gamma,
+        "sigma2": law.sigma2,
         "c0_source": c0_source,
         "rate_descriptors": law.rate_descriptors,
     }
@@ -261,11 +258,11 @@ def cmd_limit(ec: ExperimentConfig) -> int:
             "abs_moment_2": float(np.mean(np.sum(samples ** 2, axis=1))),
             "abs_moment_4": float(np.mean(np.sum(samples ** 2, axis=1) ** 2)),
         }
-    elif law.regime.tag == "sparse-normal":
+    elif law.regime.tag == REGIME_SPARSE_NORMAL:
         payload["upsilon"] = law.upsilon
         payload["bias"] = law.bias
         payload["cov"] = law.cov
-    elif law.regime.tag == "sparse-slow":
+    elif law.regime.tag == REGIME_SPARSE_SLOW:
         payload["upsilon"] = law.upsilon
         payload["drift"] = law.drift
         payload["rate"] = "n over lambda_n"

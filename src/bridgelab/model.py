@@ -93,7 +93,7 @@ class DesignSpec:
             raise InvalidSpecError("design needs p >= 1")
         if not (self.bound > 0.0):
             raise InvalidSpecError("row bound must be positive")
-        require_finite(bound=self.bound)
+        require_finite(bound=self.bound, **{"bound^2": self.bound * self.bound})  # C0 scales as bound^2
         if self.kind == "explicit-matrix":
             if self.matrix is None:
                 raise InvalidSpecError("explicit-matrix design requires the matrix")
@@ -151,9 +151,6 @@ class GramReport:
     D_n: np.ndarray          # p0 x p0 upper-left block
     B_n: np.ndarray          # p1 x p1 bottom-right block
     cross: np.ndarray        # n^-1/2 sum_i outer(X_i^(z), X_i^(rho)), p0 x p1
-    min_eig_C: float
-    min_eig_D: float
-    min_eig_B: float
 
 
 def generate_design(spec: DesignSpec, n: int, seed: int) -> np.ndarray:
@@ -232,14 +229,7 @@ def gram(X: np.ndarray, split: tuple[int, int]) -> GramReport:
     D = C[:p0, :p0].copy()
     B = C[p0:, p0:].copy()
     cross = X[:, :p0].T @ X[:, p0:] / math.sqrt(n)
-
-    def _min_eig(M: np.ndarray) -> float:
-        if M.shape[0] == 0:
-            return math.inf
-        return float(np.linalg.eigvalsh(M)[0])
-
-    return GramReport(C_n=C, D_n=D, B_n=B, cross=cross,
-                      min_eig_C=_min_eig(C), min_eig_D=_min_eig(D), min_eig_B=_min_eig(B))
+    return GramReport(C_n=C, D_n=D, B_n=B, cross=cross)
 
 
 def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSchedule,

@@ -21,7 +21,8 @@ from .asymptotics import (
     REGIME_SPARSE_SLOW,
     REGIME_STANDARD,
     LimitLaw,
-    penalty_regime,
+    penalty_gamma,
+    regime_classify,
     sample_limit_argmin,
 )
 from .contrast import Contrast
@@ -87,8 +88,6 @@ class ReplicationSet:
     theta_hat: dict[int, np.ndarray]  # (R, p) estimates
     objective: dict[int, np.ndarray]  # (R,)
     converged: dict[int, np.ndarray]  # (R,) bool
-    C0: np.ndarray
-    c0_source: str
     warnings: list[str] = field(default_factory=list)
 
     def zero_flags(self, n: int) -> np.ndarray:
@@ -119,16 +118,19 @@ def replication_seed(master_seed: int, n: int, rep: int) -> int:
     return derive_seed(master_seed, n, rep)
 
 
-def limit_c0(cfg: MCConfig, X_largest: np.ndarray | None = None) -> tuple[np.ndarray, str]:
-    """C0 of the limit laws and its source: the identity for
-    standardized-orthonormal designs, else the Gram matrix of the design at
-    the largest n (built from the config unless given)."""
-    if cfg.design.kind == "standardized-orthonormal":
-        return np.eye(cfg.truth.p), "standardized-identity"
-    if X_largest is None:
-        n_max = cfg.n_grid[-1]
-        X_largest = generate_design(cfg.design, n_max, design_seed(cfg.master_seed, n_max))
-    return gram(X_largest, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
+def limit_c0(cfg: MCConfig) -> tuple[np.ndarray, str]:
+    """C0 = lim X'X/n of the limit laws, from the design spec alone, and its
+    source label: the identity for standardized-orthonormal designs, E[xx'] =
+    (bound^2 / 3p) I for bounded-random-frozen ones (iid U(+-bound/sqrt(p))
+    entries), and the Gram matrix of an explicit matrix, whose one n is the
+    largest."""
+    spec, p = cfg.design, cfg.truth.p
+    if spec.kind == "standardized-orthonormal":
+        return np.eye(p), "standardized-identity"
+    if spec.kind == "bounded-random-frozen":
+        return np.eye(p) * (spec.bound * spec.bound / (3 * p)), "uniform-second-moment"
+    X = np.asarray(spec.matrix, dtype=float)
+    return gram(X, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
 
 
 def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor, seed: int,
@@ -176,9 +178,7 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
     if len(solved) != len(cfg.n_grid) * R:
         raise RuntimeError("replication results are incomplete")
 
-    C0, c0_source = limit_c0(cfg, designs[cfg.n_grid[-1]])
-    rs = ReplicationSet(config=cfg, seeds={}, theta_hat={}, objective={}, converged={},
-                        C0=C0, c0_source=c0_source)
+    rs = ReplicationSet(config=cfg, seeds={}, theta_hat={}, objective={}, converged={})
     for i, n in enumerate(cfg.n_grid):
         seeds, fits = zip(*solved[i * R:(i + 1) * R])
         rs.seeds[n] = np.array(seeds, dtype=np.uint64)
@@ -379,7 +379,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
     Refuses a law whose regime does not match the campaign's.
     """
     cfg = rs.config
-    _, regime = penalty_regime(cfg.penalty)
+    regime = regime_classify(penalty_gamma(cfg.penalty), cfg.penalty.schedule)
     if regime.tag != law.regime.tag:
         raise InvalidInputError(
             f"campaign regime {regime.tag} does not match law regime {law.regime.tag}")

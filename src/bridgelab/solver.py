@@ -19,7 +19,6 @@ from .errors import InvalidInputError, InvalidSpecError
 from .penalty import scalar_prox_interval
 from .util import require_finite
 
-MAX_STARTS = 63
 PATTERN_COORDS = 6  # zero-support patterns of multistart sets cover this many leading coordinates
 
 
@@ -159,10 +158,11 @@ def _multistart_points(Y: np.ndarray, box: Box, factor: DesignFactor) -> np.ndar
     set to 0 (`zeroed_starts`), clipped to the box.
 
     Support patterns target the support-indexed basins of the nonconvex
-    penalties; capped at MAX_STARTS starts, byte-duplicate rows dropped in order.
+    penalties; at most 2**PATTERN_COORDS + 1 starts, byte-duplicate rows
+    dropped in order.
     """
     ols = factor.pinv @ Y
-    starts = box.clip(zeroed_starts(ols[None], np.arange(min(ols.size, PATTERN_COORDS)))[:MAX_STARTS])
+    starts = box.clip(zeroed_starts(ols[None], np.arange(min(ols.size, PATTERN_COORDS))))
     first = {row.tobytes(): i for i, row in reversed(list(enumerate(starts)))}  # earliest row wins
     return starts[sorted(first.values())]
 

@@ -145,16 +145,28 @@ def test_non_finite_spec_values_are_config_errors(tmp_path, capsys, command, sec
 @pytest.mark.parametrize("edit, message", [
     (("sigma = 1.0", "sigma = 1e300"), "[model] sigma^2 must be finite, got inf"),
     (("design = standardized-orthonormal", "design = bounded-random-frozen\nbound = 1e300"),
-     "bound = 1e+300 overflows X'X at n = "),
+     "[model] bound^2 must be finite, got inf"),
 ])
 def test_overflowing_spec_values_are_config_errors(tmp_path, capsys, command, edit, message):
-    # finite values whose square overflows: sigma^2 in the limit law, X'X in every fit
+    # finite values whose square overflows: sigma^2 in the limit law, bound^2 in C0 and X'X
     path = tmp_path / "big.cfg"
     path.write_text(BASE.replace(*edit))
     code, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
                                    "--threads", "1"] if command == "mc" else [command, "--config", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc", "check"])
+def test_design_whose_gram_overflows_at_n_is_a_config_error(tmp_path, capsys, command):
+    # bound^2 = 1e308 is finite, and so is C0, but n bound^2 / p overflows X'X at the first n
+    path = tmp_path / "big.cfg"
+    path.write_text(BASE.replace("design = standardized-orthonormal",
+                                 "design = bounded-random-frozen\nbound = 1e154"))
+    code, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
+                                   "--threads", "1"] if command == "mc" else [command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "bound = 1e+154 overflows X'X at n = " in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -608,7 +620,21 @@ def test_limit_standard_sampler_moments(tmp_path, capsys):
     assert payload["argmin_samples"]["cov"][0][0] == pytest.approx(1.0, rel=0.1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_check_tests_the_gram_against_the_c0_of_limit(tmp_path, capsys):
+    # C0 comes from the design spec, so the largest grid n's own Gram matrix is not C0
+    path = tmp_path / "brf.cfg"
+    path.write_text(BASE.replace("design = standardized-orthonormal", "design = bounded-random-frozen\nbound = 10")
+                    .replace("n_grid = 50, 100", "n_grid = 50, 200, 800"))
+    code, out, _ = _run(capsys, ["check", "--config", str(path)])
+    assert code == 0
+    design = json.loads(out)["design_conditions"]
+    code, out, _ = _run(capsys, ["limit", "--config", str(path)])
+    assert code == 0
+    assert design["c0_source"] == json.loads(out)["c0_source"] == "uniform-second-moment"
+    for cond in ("gram-convergence-rate", "zero-block-gram-limit", "nonzero-block-gram-rate"):
+        assert design[cond]["values"][-1] > 1e-10  # above the floor that boundedness_verdict reads as 0
+
+
 @pytest.mark.parametrize("edits, message", [
     # pseudo-true regime: every start's objective overflows, though (0, 10) is the box argmin
     ((("e = 0.6", "e = 1.0"),), "the pseudo-true objective overflows: inf"),
@@ -623,7 +649,7 @@ def test_limit_with_overflowing_truth_exits_2(tmp_path, capsys, edits, message):
     path.write_text(text)
     code, out, err = _run(capsys, ["limit", "--config", str(path)])
     assert (code, out) == (2, "")
-    assert err.startswith("config error: " + message)
+    assert err.startswith("config error: " + message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, edit", [

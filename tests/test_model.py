@@ -51,7 +51,7 @@ def test_explicit_matrix_design_and_gram():
     X = generate_design(spec, 6, seed=0)
     rep = gram(X, (1, 1))
     assert_allclose(rep.C_n, [[1.0, 0.0], [0.0, 0.0]], atol=0)
-    assert rep.min_eig_C == 0.0
+    assert (rep.D_n.tolist(), rep.B_n.tolist()) == ([[1.0]], [[0.0]])
 
 
 def test_bounded_random_frozen_rows_and_determinism():

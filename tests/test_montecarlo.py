@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bridgelab.asymptotics import limit_law
 from bridgelab.errors import InvalidInputError, InvalidSpecError
-from bridgelab.model import NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter, simulate_responses
+from bridgelab import montecarlo
+from bridgelab.model import (NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram,
+                             simulate_responses)
 from bridgelab.montecarlo import (
     MCConfig,
     ReplicationSet,
     compare_to_limit,
     fit_tail_slope,
+    limit_c0,
     moment_trajectory,
     pldi_probe,
     replication_seed,
@@ -177,8 +181,7 @@ def _synthetic_set(u_values, v_values, n_grid=(100,), R=None):
              for n in n_grid}
     return ReplicationSet(config=cfg, seeds={n: np.arange(R, dtype=np.uint64) for n in n_grid},
                           theta_hat=theta, objective={n: np.zeros(R) for n in n_grid},
-                          converged={n: np.ones(R, dtype=bool) for n in n_grid},
-                          C0=np.eye(2), c0_source="test")
+                          converged={n: np.ones(R, dtype=bool) for n in n_grid})
 
 
 def test_survival_curve_and_pareto_slope():
@@ -281,10 +284,39 @@ def test_moment_trajectory_rejects_nonpositive_orders():
             moment_trajectory(rs, orders=orders)
 
 
+@pytest.mark.parametrize("kind, source", [
+    ("standardized-orthonormal", "standardized-identity"),
+    ("bounded-random-frozen", "uniform-second-moment"),
+    ("explicit-matrix", "empirical-largest-n"),
+])
+def test_limit_c0_reads_the_design_spec_alone(monkeypatch, kind, source):
+    matrix = tuple((float(i % 3), float(i % 2) - 0.5) for i in range(50))
+    cfg = replace(_cfg(n_grid=(50,)), design=DesignSpec(kind=kind, p=2, bound=3.0, matrix=matrix))
+    monkeypatch.setattr(montecarlo, "generate_design", None)  # building a design would raise TypeError
+    C0, c0_source = limit_c0(cfg)
+    assert c0_source == source
+    expected = {"standardized-orthonormal": np.eye(2), "bounded-random-frozen": 1.5 * np.eye(2),
+                "explicit-matrix": np.asarray(matrix).T @ np.asarray(matrix) / 50}[kind]
+    assert_allclose(C0, expected, rtol=1e-15, atol=0)
+
+
+def test_limit_c0_of_bounded_random_design_is_the_row_second_moment():
+    # entries iid U(-h, h) with h^2 = bound^2 / p: E x_j^2 = h^2/3, Var x_j^2 = 4h^4/45 and
+    # Var x_j x_k = h^4/9 for j != k, so one seeded n = 10^5 Gram matrix lies within 5 SE per entry
+    p, bound, n = 3, 2.0, 100_000
+    cfg = replace(_cfg(rho0=(1.0, -1.0), n_grid=(50, 200)),
+                  design=DesignSpec(kind="bounded-random-frozen", p=p, bound=bound))
+    C0, _ = limit_c0(cfg)
+    C_n = gram(generate_design(cfg.design, n, seed=2025), (1, 2)).C_n
+    h4 = (bound * bound / p) ** 2
+    se = np.sqrt(np.where(np.eye(p, dtype=bool), 4.0 * h4 / 45.0, h4 / 9.0) / n)
+    assert np.all(np.abs(C_n - C0) <= 5.0 * se)
+
+
 def test_compare_to_limit_sparse_normal_unit_case():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.5, n_grid=(1600,), R=200)
     rs = run_replications(cfg)
-    law = limit_law(0.5, cfg.penalty.schedule, 1.0, rs.C0, cfg.truth.theta, 1)
+    law = limit_law(0.5, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
     rep = compare_to_limit(rs, law)
     entry = rep["per_n"][1600]
     assert entry["limit_mean"][0] == pytest.approx(-0.25)
@@ -295,7 +327,7 @@ def test_compare_to_limit_sparse_normal_unit_case():
 def test_compare_to_limit_sparse_normal_unbiased_when_lambda0_zero():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.3, n_grid=(6400,), R=400, seed=2)
     rs = run_replications(cfg)
-    law = limit_law(0.5, cfg.penalty.schedule, 1.0, rs.C0, cfg.truth.theta, 1)
+    law = limit_law(0.5, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
     assert law.regime.lambda0 == 0.0
     entry = compare_to_limit(rs, law)["per_n"][6400]
     assert entry["limit_mean"][0] == 0.0
@@ -316,7 +348,7 @@ def test_run_replications_reports_generation_failure_with_config():
 def test_compare_to_limit_standard_self_comparison():
     cfg = _cfg(family="none", p0=0, rho0=(1.0,), n_grid=(100,), R=100)
     rs = run_replications(cfg)
-    law = limit_law(2.0, cfg.penalty.schedule, 1.0, rs.C0, cfg.truth.theta, 0)
+    law = limit_law(2.0, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 0)
     scaled = np.hstack([rs.u_hat(100), rs.v_hat(100)])
     rep = compare_to_limit(rs, law, limit_samples=scaled)
     assert rep["per_n"][100]["ks_per_margin"][0] == 0.0
@@ -325,7 +357,7 @@ def test_compare_to_limit_standard_self_comparison():
 def test_compare_to_limit_sparse_slow_drift():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.6, n_grid=(800,), R=200)
     rs = run_replications(cfg)
-    law = limit_law(0.5, cfg.penalty.schedule, 1.0, rs.C0, cfg.truth.theta, 1)
+    law = limit_law(0.5, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
     rep = compare_to_limit(rs, law)
     entry = rep["per_n"][800]
     assert entry["limit_drift"][0] == pytest.approx(-0.25)
@@ -335,7 +367,7 @@ def test_compare_to_limit_sparse_slow_drift():
 def test_compare_to_limit_pseudo_true():
     cfg = _cfg(gamma=0.5, c=0.5, e=1.0, n_grid=(800,), R=100)
     rs = run_replications(cfg)
-    law = limit_law(0.5, cfg.penalty.schedule, 1.0, rs.C0, cfg.truth.theta, 1, box=cfg.box)
+    law = limit_law(0.5, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1, box=cfg.box)
     rep = compare_to_limit(rs, law)
     entry = rep["per_n"][800]
     assert entry["pseudo_zero_frequency"] >= 0.9
@@ -345,7 +377,7 @@ def test_compare_to_limit_pseudo_true():
 def test_compare_to_limit_regime_mismatch_refused():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.6, n_grid=(100,), R=100)  # sparse-slow campaign
     rs = run_replications(cfg)
-    law = limit_law(0.5, TuningSchedule(1.0, 0.5), 1.0, rs.C0, cfg.truth.theta, 1)
+    law = limit_law(0.5, TuningSchedule(1.0, 0.5), 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
     with pytest.raises(InvalidInputError):
         compare_to_limit(rs, law)
 

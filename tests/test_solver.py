@@ -18,7 +18,6 @@ from bridgelab.model import (
 from bridgelab.montecarlo import design_seed, replication_seed
 from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval, zero_penalty
 from bridgelab.solver import (
-    MAX_STARTS,
     PATTERN_COORDS,
     Box,
     DesignFactor,
@@ -131,12 +130,12 @@ def test_minimize_never_above_multistart_objectives():
 
 @pytest.mark.parametrize("p0, box, count", [
     (1, Box.cube(2), 4),
-    (4, Box(lo=(-2.0,) * 7 + (0.5,), hi=(2.0,) * 8), MAX_STARTS),
+    (4, Box(lo=(-2.0,) * 7 + (0.5,), hi=(2.0,) * 8), 2 ** PATTERN_COORDS + 1),
 ])
 def test_multistart_points_follow_their_definition(p0, box, count):
     # OLS, origin, then OLS under each nonempty zero pattern of its first
-    # PATTERN_COORDS coordinates in product order: the first MAX_STARTS rows,
-    # clipped to the box, byte duplicates dropped with the first one kept
+    # PATTERN_COORDS coordinates in product order, clipped to the box, byte
+    # duplicates dropped with the first one kept
     c = _contrast(_bridge(1.0, 0.5, 0.5), n=40, seed=8, p0=p0,
                   rho0=(1.0, -1.5, 0.8, 1.2)[:box.p - p0])
     ols = DesignFactor(c.dataset.X).pinv @ c.dataset.Y
@@ -145,7 +144,7 @@ def test_multistart_points_follow_their_definition(p0, box, count):
     rows += [np.where(np.array(mask + (False,) * (c.p - k)), 0.0, ols)
              for mask in itertools.product((False, True), repeat=k) if any(mask)]
     expected = []
-    for row in box.clip(rows[:MAX_STARTS]):
+    for row in box.clip(rows):
         if not any(row.tobytes() == kept.tobytes() for kept in expected):
             expected.append(row)
     assert len(expected) == count
