@@ -174,7 +174,8 @@ def _coordinate_min(c: float, b: np.ndarray, s: float, g: float, lo: float, hi: 
     fixed = [x for x in (0.0, lo, hi) if lo <= x <= hi and math.isfinite(x)]
     for x in fixed + [power_prox_candidates(c, b, s, g)]:
         d = x - b
-        v = c * d * d + s * np.abs(x) ** g
+        with np.errstate(over="ignore"):  # an end of a huge box may overflow: inf never wins
+            v = c * d * d + s * np.abs(x) ** g
         ax, a_best = np.abs(x), np.abs(best)
         take = (v < best_v) | ((v == best_v) & ((ax < a_best) | ((ax == a_best) & (x < best))))
         take &= (lo <= x) & (x <= hi)

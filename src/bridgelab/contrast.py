@@ -65,8 +65,9 @@ def contrast_value(c: Contrast, theta):
     if theta.ndim not in (1, 2) or theta.shape[-1] != c.p:
         raise InvalidInputError(f"theta has shape {theta.shape}, expected ({c.p},) or (m, {c.p})")
     rows = np.ascontiguousarray(np.atleast_2d(theta))  # strided rows change the bits on F-ordered X
-    resid = c.dataset.Y - np.matmul(c.dataset.X, rows[:, :, None])[:, :, 0]
-    values = row_squares(resid) + np.sum(penalty_value(c.penalty, c.n, rows), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf (or nan), which minimize refuses
+        resid = c.dataset.Y - np.matmul(c.dataset.X, rows[:, :, None])[:, :, 0]
+        values = row_squares(resid) + np.sum(penalty_value(c.penalty, c.n, rows), axis=1)
     return float(values[0]) if theta.ndim == 1 else values
 
 

@@ -203,7 +203,8 @@ def simulate_responses(X: np.ndarray, truth: TrueParameter, noise: NoiseSpec,
         eps = rng.uniform(-half, half, size=n)
     else:
         eps = noise.sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
-    return X @ theta + eps
+    with np.errstate(over="ignore"):  # an overflowing truth gives inf, which minimize refuses
+        return X @ theta + eps
 
 
 def make_dataset(design: DesignSpec, truth: TrueParameter, noise: NoiseSpec,

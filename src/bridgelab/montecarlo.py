@@ -243,16 +243,15 @@ def fit_tail_slope(r, p_hat, cutoff: float) -> tuple[float | None, str]:
     return fit[0], ""
 
 
-def tail_curve(rs: ReplicationSet, r_grid=None, tail_orders=None) -> TailReport:
-    """Per-n empirical survival of |u_hat| = |sqrt(n) z_hat| with r^L overlays.
+def tail_curve(rs: ReplicationSet) -> TailReport:
+    """Per-n survival of |u_hat| = |sqrt(n) z_hat| on cfg.r_grid, with r^L overlays for cfg.tail_orders.
 
     p_hat values below INFORMATIVE_COUNT/R are still reported but censored for
     slope fitting; an all-zero sample is the strongest possible tail verdict
     and leaves the slope undefined.
     """
     cfg = rs.config
-    r = np.asarray(r_grid if r_grid is not None else cfg.r_grid, dtype=float)
-    orders = tuple(tail_orders if tail_orders is not None else cfg.tail_orders)
+    r, orders = np.asarray(cfg.r_grid, dtype=float), cfg.tail_orders
     cutoff = INFORMATIVE_COUNT / cfg.replications
     curves = []
     for n in cfg.n_grid:

@@ -59,7 +59,7 @@ class PenaltySpec:
             blend, then constant n*(a+1)*lambda_n^2/2)
     selo:   (2*n*lambda_n / log 2) * log(|t|/(|t|+tau_n) + 1), bounded by
             2*n*lambda_n, with its own tau schedule
-    none:   p_n identically 0 (unpenalized least squares)
+    none:   p_n identically 0 (unpenalized least squares): lambda_n = 0 whatever schedule is given
     """
 
     family: str
@@ -80,6 +80,8 @@ class PenaltySpec:
         elif self.family == "selo":
             if self.tau is None or self.tau.c <= 0.0:
                 raise InvalidSpecError("selo penalty requires a positive tau schedule")
+        else:  # none; frozen, so set as Box sets its floats
+            object.__setattr__(self, "schedule", TuningSchedule(c=0.0, e=0.0))
         require_finite(gamma=self.gamma, a=self.a)
 
 
@@ -91,8 +93,6 @@ def zero_penalty() -> PenaltySpec:
 def _value_scalar(pen: PenaltySpec, n: int, t: float) -> float:
     """Scalar penalty evaluation on the hot path (pure python float math)."""
     at = abs(t)
-    if pen.family == "none":
-        return 0.0
     lam = pen.schedule.value(n)
     if lam == 0.0:
         return 0.0
@@ -120,8 +120,6 @@ def penalty_value(pen: PenaltySpec, n: int, t):
     scalar = at.ndim == 0
     if scalar:
         return _value_scalar(pen, n, float(at))
-    if pen.family == "none":
-        return np.zeros_like(at)
     lam = pen.schedule.value(n)
     if lam == 0.0:
         return np.zeros_like(at)
@@ -341,7 +339,7 @@ def _prox_candidates(pen: PenaltySpec, n: int, c: float, b: float) -> list[float
     """Candidates for c(x-b)^2 + p_n(x); in every family b = +-0 gives +0.0, then p_n = 0 gives b."""
     if b == 0.0:
         return [0.0]
-    lam = 0.0 if pen.family == "none" else pen.schedule.value(n)
+    lam = pen.schedule.value(n)
     if lam == 0.0:
         return [b]
     if pen.family == "bridge":

@@ -20,6 +20,7 @@ from .penalty import scalar_prox_interval
 from .util import require_finite
 
 PATTERN_COORDS = 6  # zero-support patterns of multistart sets cover this many leading coordinates
+FACE_TOL = 1e-9  # Box.on_boundary: a coordinate this close to a face touches it
 
 
 def tiebreak_argmin(groups: np.ndarray, objectives: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -75,10 +76,10 @@ class Box:
     def clip(self, theta) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lo_array(), self.hi_array())
 
-    def on_boundary(self, theta, tol: float = 1e-9):
-        """Whether theta is within tol of a face; per row for a stacked (R, p) array."""
+    def on_boundary(self, theta):
+        """Whether theta is within FACE_TOL of a face; per row for a stacked (R, p) array."""
         theta = np.asarray(theta, dtype=float)
-        near = np.any((theta - self.lo_array() <= tol) | (self.hi_array() - theta <= tol), axis=-1)
+        near = np.any((theta - self.lo_array() <= FACE_TOL) | (self.hi_array() - theta <= FACE_TOL), axis=-1)
         return near if theta.ndim > 1 else bool(near)
 
 
@@ -227,9 +228,13 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
         factor = DesignFactor(c.dataset.X)
     if not np.all(np.isfinite(c.dataset.Y)):
         raise InvalidInputError("responses contain non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a sum is nan
+        q = c.dataset.X.T @ c.dataset.Y
+    if not np.all(np.isfinite(q)):
+        raise InvalidInputError(f"X'Y overflows: {q.tolist()}")
 
     starts = _multistart_points(c.dataset.Y, box, factor)
-    gram, memo = (factor.Q, (c.dataset.X.T @ c.dataset.Y).tolist()), {}
+    gram, memo = (factor.Q, q.tolist()), {}
     runs = (_coordinate_descent(c, box, opts, start, gram, memo) for start in starts)
     ends, conv, sweeps = map(np.array, zip(*runs))
     k = len(starts)

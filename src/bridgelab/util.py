@@ -15,6 +15,8 @@ from .errors import InvalidInputError, InvalidSpecError
 
 PLAUSIBLY_BOUNDED = "plausibly-bounded"
 GROWING = "growing"
+GROWTH_RATIO = 2.0  # boundedness_verdict: least last-to-first ratio of a growing sequence
+ZERO_FLOOR = 1e-10  # boundedness_verdict: values at or below it count as 0
 
 
 def derive_seed(*parts: int) -> int:
@@ -133,11 +135,11 @@ def row_squares(A: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ A[:, :, None]).ravel()
 
 
-def boundedness_verdict(values, ratio: float = 2.0, floor: float = 1e-10) -> str:
+def boundedness_verdict(values) -> str:
     """Classify a finite-n sequence as plausibly bounded or growing.
 
-    "growing" requires both a last-to-first ratio above `ratio` and monotone
-    increase on the top half of the grid. Values at or below `floor` count as
+    "growing" requires both a last-to-first ratio above GROWTH_RATIO and monotone
+    increase on the top half of the grid. Values at or below ZERO_FLOOR count as
     zero, so float-roundoff sequences (e.g. n^delta times a 1e-16 residual)
     stay bounded. Asymptotic boundedness is not decidable from finite data;
     this is a diagnostic, not a proof.
@@ -146,9 +148,9 @@ def boundedness_verdict(values, ratio: float = 2.0, floor: float = 1e-10) -> str
     if v.size < 2:
         return PLAUSIBLY_BOUNDED
     first, last = v[0], v[-1]
-    if last <= floor:
+    if last <= ZERO_FLOOR:
         return PLAUSIBLY_BOUNDED
-    ratio_exceeded = (first <= floor) or (last / first > ratio)
+    ratio_exceeded = (first <= ZERO_FLOOR) or (last / first > GROWTH_RATIO)
     top = v[v.size // 2:]
     monotone_top = bool(np.all(np.diff(top) > 0.0))
     return GROWING if (ratio_exceeded and monotone_top) else PLAUSIBLY_BOUNDED

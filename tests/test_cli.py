@@ -169,16 +169,21 @@ def test_design_whose_gram_overflows_at_n_is_a_config_error(tmp_path, capsys, co
     assert err.startswith("config error: ") and "bound = 1e+154 overflows X'X at n = " in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["estimate", "mc"])
-def test_overflowing_objective_is_a_config_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("rho0, messages", [
     # a huge finite truth overflows the residual sum of squares at every start
+    ("1e300", ("the objective overflows: inf",)),
+    # X theta0 overflows the responses, or X'Y overflows on finite responses
+    ("1e308", ("responses contain non-finite values", "X'Y overflows")),
+], ids=["1e300", "1e308"])
+def test_overflowing_objective_is_a_config_error(tmp_path, capsys, command, rho0, messages):
+    # one config error line on stderr, and no numpy warning (pytest makes one an error)
     path = tmp_path / "big.cfg"
-    path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 1e300"))
+    path.write_text(BASE.replace("rho0 = 1.0", f"rho0 = {rho0}"))
     code, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
                                    "--threads", "1"] if command == "mc" else [command, "--config", str(path)])
     assert (code, out) == (2, "")
-    assert err.startswith("config error: the objective overflows: inf")
+    assert err.count("\n") == 1 and any(err.startswith("config error: " + m) for m in messages)
 
 
 def test_cli_import_leaves_out_the_process_pool():
@@ -666,6 +671,51 @@ def test_seed_flag_overrides_the_config_seed(tmp_path, capsys, command, edit):
     _, unseeded, _ = _run(capsys, [command, "--config", str(default)])
     assert flag == from_config
     assert flag != unseeded
+
+
+UNPENALIZED = (BASE.replace("family = bridge", "family = none").replace("gamma = 0.5", "")
+               .replace("[schedule]\nc = 1.0\ne = 0.6\n", ""))
+
+
+@pytest.mark.parametrize("command", ["estimate", "check", "limit"])
+@pytest.mark.parametrize("schedule", ["", "\n[schedule]\ne = 0.75\n", "\n[schedule]\ne = 1.5\n"],
+                         ids=["default", "e=0.75", "e=1.5"])
+def test_unpenalized_regime_is_standard_with_lambda0_zero(tmp_path, capsys, command, schedule):
+    # lambda_n = 0 whatever [schedule] says: read as a penalty's, the default (c = 1, e = 0.5)
+    # gives lambda0 = 1, e = 0.75 is uncovered for gamma = 2 and e = 1.5 is rejected
+    path = tmp_path / "none.cfg"
+    path.write_text(UNPENALIZED + schedule)
+    code, out, _ = _run(capsys, [command, "--config", str(path)])
+    assert code == 0
+    regime = json.loads(out)["regime"]
+    assert (regime["tag"], regime["lambda0"]) == ("standard", 0.0)
+    assert set(regime["rate_limits"].values()) == {0.0}
+
+
+def test_unpenalized_limit_law_is_centred_normal(tmp_path, capsys):
+    # sqrt(n)(theta_hat - theta0) => N(0, sigma^2 C0^-1) = N(0, I_2): mean 0 and E|u|^2 = 2;
+    # 0.04 is 4 standard errors of a mean of 10,000 draws, 0.1 is 5 of the second moment
+    path = tmp_path / "none.cfg"
+    path.write_text(UNPENALIZED)
+    code, out, _ = _run(capsys, ["limit", "--config", str(path)])
+    assert code == 0
+    draws = json.loads(out)["argmin_samples"]
+    assert all(abs(m) <= 0.04 for m in draws["mean"])
+    assert abs(draws["abs_moment_2"] - 2.0) <= 0.1
+
+
+def test_limit_on_a_huge_box_is_quiet_and_box_blind(tmp_path, capsys):
+    # c (x - b)^2 overflows at the ends of a 1e200 box; those candidates lose without a
+    # numpy warning (pytest makes one an error), and the pseudo-true point is that of box 10
+    outs = []
+    for half in ("10", "1e200"):
+        path = tmp_path / "box.cfg"
+        path.write_text(BASE.replace("e = 0.6", "e = 1.0") + f"\n[solver]\nbox_half = {half}\n")
+        code, out, err = _run(capsys, ["limit", "--config", str(path)])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert json.loads(outs[0])["regime"]["tag"] == "pseudo-true"
+    assert outs[0] == outs[1]
 
 
 def test_limit_unsupported_regime_exit4(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bridgelab.asymptotics import limit_law
+from bridgelab.asymptotics import limit_law, penalty_gamma
 from bridgelab.errors import InvalidInputError, InvalidSpecError
 from bridgelab import montecarlo
 from bridgelab.model import (NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram,
@@ -25,7 +25,7 @@ from bridgelab.montecarlo import (
     survival_curve,
     tail_curve,
 )
-from bridgelab.penalty import PenaltySpec, TuningSchedule, zero_penalty
+from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval, zero_penalty
 from bridgelab.solver import Box
 from bridgelab.util import derive_seed, derived_seeds, seeded_generators
 
@@ -352,6 +352,46 @@ def test_compare_to_limit_standard_self_comparison():
     scaled = np.hstack([rs.u_hat(100), rs.v_hat(100)])
     rep = compare_to_limit(rs, law, limit_samples=scaled)
     assert rep["per_n"][100]["ks_per_margin"][0] == 0.0
+
+
+def test_unpenalized_campaign_meets_the_law_of_its_config():
+    # a none spec built with the config default schedule still has lambda_n = 0, so its law
+    # is N(0, sigma^2 C0^-1) = N(0, I_2), E|u|^2 = 2; 0.4 is 4 standard errors at R = 400
+    pen = PenaltySpec(family="none", schedule=TuningSchedule(1.0, 0.5))
+    cfg = replace(_cfg(family="none", n_grid=(200,), R=400), penalty=pen)
+    law = limit_law(penalty_gamma(pen), pen.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
+    entry = compare_to_limit(run_replications(cfg), law)["per_n"][200]
+    assert abs(entry["limit_moment2"] - 2.0) <= 0.4
+
+
+def _binomial_central_interval(N: int, q: float, alpha: float) -> tuple[int, int]:
+    """[lo, hi] with P(X < lo) <= alpha/2 and P(X > hi) <= alpha/2 for X ~ Binomial(N, q)."""
+    logs = [math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
+            + k * math.log(q) + (N - k) * math.log1p(-q) for k in range(N + 1)]
+    cdf = np.cumsum(np.exp(logs))
+    return int(np.searchsorted(cdf, alpha / 2, side="right")), int(np.searchsorted(cdf, 1 - alpha / 2))
+
+
+def test_selection_rate_matches_the_exact_orthonormal_rate():
+    # On an orthonormal Gaussian design X'X = nI, so z_hat is the prox (c = n) of b ~ N(0, 1/n)
+    # and P(z_hat = 0) = P(|b| <= tau_n) = erf(tau_n sqrt(n/2)) exactly, tau_n the prox threshold.
+    # Pooled over 8 seeds at R = 400, each miss count lies in its central 1 - 1e-6 interval.
+    n_grid, R, seeds = (50, 200, 800), 400, range(1, 9)
+    pen = _cfg().penalty  # the acceptance sparse config: bridge gamma = 0.5, lambda_n = n^0.6
+    misses = dict.fromkeys(n_grid, 0)
+    for seed in seeds:
+        rs = run_replications(_cfg(n_grid=n_grid, R=R, seed=seed))
+        for n in n_grid:
+            misses[n] += int(np.count_nonzero(~rs.zero_flags(n)))
+    for n, hit_rate in zip(n_grid, (0.981434, 0.998859, 0.999993)):
+        lo, hi = 0.0, 10.0  # tau_n by bisection
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if scalar_prox_interval(pen, n, n, mid, -10.0, 10.0) == 0.0 else (lo, mid)
+        miss_rate = math.erfc(lo * math.sqrt(n / 2.0))
+        assert 1.0 - miss_rate == pytest.approx(hit_rate, abs=1e-6)
+        low, high = _binomial_central_interval(R * len(seeds), miss_rate, 1e-6)
+        assert low <= misses[n] <= high, (n, misses[n], (low, high), R * len(seeds) * miss_rate)
 
 
 def test_compare_to_limit_sparse_slow_drift():

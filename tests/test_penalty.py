@@ -136,6 +136,11 @@ def test_prox_scad_flat_region_identity():
     assert scalar_prox(pen, 10, 2.0, 5.0) == 5.0
 
 
+def test_unpenalized_spec_holds_lambda_zero_whatever_its_schedule():
+    # the spec holds lambda_n = 0, so the value, the prox and the regime read one schedule
+    assert PenaltySpec(family="none", schedule=TuningSchedule(1.0, 0.5)) == zero_penalty()
+
+
 def test_prox_zero_penalty_identity():
     assert scalar_prox(zero_penalty(), 7, 3.0, -1.234) == -1.234
 
