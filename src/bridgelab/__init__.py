@@ -1,98 +1,2 @@
 """bridgelab: bridge/SCAD/SELO penalized least squares with a Monte Carlo
 harness for tail-probability, sparse-consistency, and limit-law checks."""
-
-from .asymptotics import (
-    LimitLaw,
-    Regime,
-    limit_field_v0,
-    limit_law,
-    pseudo_true,
-    regime_classify,
-    sample_limit_argmin,
-    sparse_limit_params,
-)
-from .contrast import Contrast, PlaqParts, contrast_value, local_field, plaq_decompose, profile_field, yn_field
-from .model import (
-    Dataset,
-    DesignSpec,
-    GramReport,
-    NoiseSpec,
-    TrueParameter,
-    check_design_conditions,
-    generate_design,
-    gram,
-    make_dataset,
-    simulate_responses,
-)
-from .montecarlo import (
-    MCConfig,
-    ReplicationSet,
-    compare_to_limit,
-    moment_trajectory,
-    pldi_probe,
-    run_replications,
-    sparsity_curve,
-    tail_curve,
-)
-from .penalty import (
-    PenaltySpec,
-    TuningSchedule,
-    check_divergence_condition,
-    check_smooth_conditions,
-    penalty_total,
-    penalty_value,
-    scalar_prox,
-    zero_penalty,
-)
-from .solver import Box, EstimateResult, SolverOptions, grid_oracle, minimize
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Box",
-    "Contrast",
-    "Dataset",
-    "DesignSpec",
-    "EstimateResult",
-    "GramReport",
-    "LimitLaw",
-    "MCConfig",
-    "NoiseSpec",
-    "PenaltySpec",
-    "PlaqParts",
-    "Regime",
-    "ReplicationSet",
-    "SolverOptions",
-    "TrueParameter",
-    "TuningSchedule",
-    "check_design_conditions",
-    "check_divergence_condition",
-    "check_smooth_conditions",
-    "compare_to_limit",
-    "contrast_value",
-    "generate_design",
-    "gram",
-    "grid_oracle",
-    "limit_field_v0",
-    "limit_law",
-    "local_field",
-    "make_dataset",
-    "minimize",
-    "moment_trajectory",
-    "penalty_total",
-    "penalty_value",
-    "plaq_decompose",
-    "pldi_probe",
-    "profile_field",
-    "pseudo_true",
-    "regime_classify",
-    "run_replications",
-    "sample_limit_argmin",
-    "scalar_prox",
-    "simulate_responses",
-    "sparse_limit_params",
-    "sparsity_curve",
-    "tail_curve",
-    "yn_field",
-    "zero_penalty",
-]

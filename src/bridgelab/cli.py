@@ -200,8 +200,7 @@ def cmd_check(ec: ExperimentConfig) -> int:
     cs = ec.check
     p0 = max(mc.truth.p0, 1)
 
-    div = penalty_mod.check_divergence_condition(
-        pen, cs.n_grid, cs.r_grid, q_n=None, p0=p0)
+    div = penalty_mod.check_divergence_condition(pen, cs.n_grid, cs.r_grid, p0=p0)
     growth, shift = penalty_mod.check_smooth_conditions(
         pen, cs.n_grid, cs.a_probes, cs.b_probes, cs.beta)
     penalty_block = {}

@@ -33,7 +33,6 @@ from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize
 from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, require_finite, row_squares,
                    seeded_generators)
 
-BOOTSTRAP_RESAMPLES = 200
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
 
 
@@ -68,15 +67,10 @@ class MCConfig:
             raise InvalidSpecError("design and truth dimensions differ")
         if self.box.p != self.truth.p:
             raise InvalidSpecError("box and truth dimensions differ")
-        _check_moment_orders(self.moment_orders)
-
-
-def _check_moment_orders(orders) -> tuple[float, ...]:
-    """Orders in (0, 8]: |u|^q at an exact zero is 1 for q = 0, inf for q < 0; q > 8 is unreliable."""
-    orders = tuple(orders)
-    if not all(0.0 < q <= 8.0 for q in orders):
-        raise InvalidInputError(f"moment_orders: every order must lie in (0, 8], got {orders}")
-    return orders
+        # |u|^q at an exact zero is 1 for q = 0 and inf for q < 0; q > 8 is unreliable
+        if not all(0.0 < q <= 8.0 for q in self.moment_orders):
+            raise InvalidInputError(
+                f"moment_orders: every order must lie in (0, 8], got {self.moment_orders}")
 
 
 @dataclass
@@ -327,32 +321,25 @@ class MomentTrajectory:
     v_verdict: str
 
 
-def _bootstrap_se(values: np.ndarray, rng: np.random.Generator) -> float:
-    R = values.size
-    idx = rng.integers(0, R, size=(BOOTSTRAP_RESAMPLES, R))
-    means = values[idx].mean(axis=1)
-    return float(np.std(means, ddof=1))
-
-
-def moment_trajectory(rs: ReplicationSet, orders=None) -> list[MomentTrajectory]:
-    """E|u|^q and E|v|^q along the n-grid with bootstrap standard errors.
+def moment_trajectory(rs: ReplicationSet) -> list[MomentTrajectory]:
+    """E|u|^q and E|v|^q along the n-grid for q in cfg.moment_orders, with
+    plug-in standard errors s/sqrt(R) of the means.
 
     The boundedness verdict flags a trajectory only when it grows monotonically
     by more than x2 across the grid; shrinking trajectories are bounded.
     """
     cfg = rs.config
-    orders = _check_moment_orders(cfg.moment_orders if orders is None else orders)
+    root_r = math.sqrt(cfg.replications)
     out = []
-    for qi, q in enumerate(orders):
+    for q in cfg.moment_orders:
         u_m, u_s, v_m, v_s = [], [], [], []
         for n in cfg.n_grid:
-            rng = np.random.default_rng(derive_seed(cfg.master_seed, 946, n, qi))
             u = rs.u_norms(n) ** q
             v = rs.v_norms(n) ** q
             u_m.append(float(np.mean(u)))
             v_m.append(float(np.mean(v)))
-            u_s.append(_bootstrap_se(u, rng))
-            v_s.append(_bootstrap_se(v, rng))
+            u_s.append(float(np.std(u, ddof=1)) / root_r)
+            v_s.append(float(np.std(v, ddof=1)) / root_r)
         out.append(MomentTrajectory(
             order=q, n_grid=cfg.n_grid,
             u_moment=np.asarray(u_m), u_se=np.asarray(u_s),

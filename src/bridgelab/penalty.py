@@ -47,7 +47,13 @@ class TuningSchedule:
     def value(self, n: int) -> float:
         if n < 1:
             raise InvalidInputError(f"schedule evaluated at n={n} < 1")
-        return self.c * float(n) ** self.e
+        try:
+            value = self.c * float(n) ** self.e
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise InvalidInputError(f"schedule c * n**e overflows at n={n} (c={self.c}, e={self.e})")
+        return value
 
 
 @dataclass(frozen=True)
@@ -413,10 +419,9 @@ def _sphere_infimum(pen: PenaltySpec, n: int, r: float, p0: int) -> float:
     return min(k * _value_scalar(pen, n, rn / math.sqrt(k)) for k in range(1, p0 + 1))
 
 
-def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid,
-                               q_n: TuningSchedule | None = None,
-                               p0: int = 1) -> ConditionReport:
-    """Check the scaled sphere infimum inf_{|u|=r} sum_k p_n(u_k/sqrt(n)) / q_n.
+def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) -> ConditionReport:
+    """Check the scaled sphere infimum inf_{|u|=r} sum_k p_n(u_k/sqrt(n)) / q_n,
+    with q_n = default_divergence_scale(pen).
 
     Satisfied when, for every n on the grid, the curve in r is nondecreasing,
     grows by more than x2 from the smallest to largest r, and keeps growing by
@@ -432,7 +437,7 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid,
         raise InvalidInputError("r-grid must be positive and strictly increasing")
     if p0 < 1:
         raise InvalidInputError("p0 must be >= 1")
-    q = q_n if q_n is not None else default_divergence_scale(pen)
+    q = default_divergence_scale(pen)
 
     vals = np.empty((len(n_grid), len(r_grid)))
     for i, n in enumerate(n_grid):

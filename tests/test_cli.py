@@ -157,6 +157,23 @@ def test_overflowing_spec_values_are_config_errors(tmp_path, capsys, command, ed
     assert err.startswith("config error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "check", "mc"])
+@pytest.mark.parametrize("edit", [
+    ("e = 0.6", "e = 300"),
+    ("c = 1.0", "c = 1e308"),
+    ("family = bridge\ngamma = 0.5", "family = selo\ntau_e = 300"),
+], ids=["e300", "c1e308", "selo-tau_e300"])
+def test_overflowing_schedule_is_a_config_error(tmp_path, capsys, command, edit):
+    # a finite c and e whose lambda_n = c n^e (or SELO's tau_n) overflows at some n on the grid:
+    # one config error line, from the worker processes too, in place of a traceback or a nan objective
+    path = tmp_path / "big.cfg"
+    path.write_text(BASE.replace(*edit))
+    code, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
+                                   "--threads", "2"] if command == "mc" else [command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("config error: schedule c * n**e overflows at n=")
+
+
 @pytest.mark.parametrize("command", ["estimate", "mc", "check"])
 def test_design_whose_gram_overflows_at_n_is_a_config_error(tmp_path, capsys, command):
     # bound^2 = 1e308 is finite, and so is C0, but n bound^2 / p overflows X'X at the first n
@@ -263,9 +280,10 @@ def test_n_grid_below_p_names_the_field(tmp_path, capsys):
     assert err.startswith("config error: [mc] n_grid: ")
 
 
-@pytest.mark.parametrize("orders", ["2, 10", "-1, 2"])
+@pytest.mark.parametrize("orders", ["2, 10", "-1, 2", "0"])
 def test_bad_moment_orders_rejected_before_any_fit(tmp_path, capsys, monkeypatch, orders):
-    # orders must lie in (0, 8]; the config check runs before the campaign
+    # orders must lie in (0, 8]: |u|^q at an exact zero is inf for q < 0 and 1 for q = 0;
+    # the config check runs before the campaign
     def no_campaign(*args, **kwargs):
         raise AssertionError("the campaign ran")
 
