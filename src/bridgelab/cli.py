@@ -27,6 +27,7 @@ from .montecarlo import (
     design_seed,
     limit_c0,
     moment_trajectory,
+    order_label,
     pldi_probe,
     replication_seed,
     run_replications,
@@ -102,10 +103,6 @@ def cmd_estimate(ec: ExperimentConfig) -> int:
     return 0
 
 
-def _tail_order_label(L: float) -> str:
-    return f"{L:g}"
-
-
 def _write_replications_csv(path: str, rs) -> None:
     p = rs.config.truth.p
     p0 = rs.config.truth.p0
@@ -125,7 +122,7 @@ def _write_replications_csv(path: str, rs) -> None:
 
 def _write_tail_csv(path: str, report) -> None:
     header = ["n", "r", "p_hat", "se"]
-    header += [f"rL_phat_L{_tail_order_label(L)}" for L in report.orders]
+    header += [f"rL_phat_L{order_label(L)}" for L in report.orders]
     lines = [",".join(header)]
     for curve in report.curves:
         for i in range(curve.r.size):
@@ -143,36 +140,12 @@ def _summary_payload(ec: ExperimentConfig, rs, tail_report) -> dict:
     summary: dict = {"config": ec.raw, "c0_source": c0_source, "warnings": list(rs.warnings)}
 
     if mc.truth.p0 >= 1:
-        sel = sparsity_curve(rs)
-        summary["selection_frequency"] = {
-            str(n): {
-                "frequency": sel.frequency[i],
-                "se": sel.se[i],
-                "per_coordinate": sel.per_coordinate[i],
-            }
-            for i, n in enumerate(sel.n_grid)
-        }
+        summary["selection_frequency"] = sparsity_curve(rs)
     else:
         summary["selection_frequency"] = {
             "note": "no zero block in the truth; selection frequencies undefined"}
-
-    moments = moment_trajectory(rs)
-    summary["moments"] = {
-        _tail_order_label(tr.order): {
-            "n_grid": list(tr.n_grid),
-            "u_moment": tr.u_moment,
-            "u_se": tr.u_se,
-            "u_verdict": tr.u_verdict,
-            "v_moment": tr.v_moment,
-            "v_se": tr.v_se,
-            "v_verdict": tr.v_verdict,
-        }
-        for tr in moments
-    }
-
-    summary["pldi_probe"] = {
-        _tail_order_label(L): info for L, info in pldi_probe(tail_report).items()
-    }
+    summary["moments"] = moment_trajectory(rs)
+    summary["pldi_probe"] = pldi_probe(tail_report)
 
     try:
         summary["limit_distance"] = compare_to_limit(rs, _config_law(mc, C0))
@@ -250,13 +223,15 @@ def cmd_limit(ec: ExperimentConfig) -> int:
     if law.regime.tag == REGIME_STANDARD:
         samples = sample_limit_argmin(
             law, _LIMIT_SAMPLE_COUNT, seed=derive_seed(mc.master_seed, 777))
-        payload["argmin_samples"] = {
-            "count": _LIMIT_SAMPLE_COUNT,
-            "mean": samples.mean(axis=0),
-            "cov": np.atleast_2d(np.cov(samples.T)),
-            "abs_moment_2": float(np.mean(np.sum(samples ** 2, axis=1))),
-            "abs_moment_4": float(np.mean(np.sum(samples ** 2, axis=1) ** 2)),
-        }
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = np.sum(samples ** 2, axis=1)
+            stats = {"mean": samples.mean(axis=0), "cov": np.atleast_2d(np.cov(samples.T)),
+                     "abs_moment_2": float(np.mean(squares)), "abs_moment_4": float(np.mean(squares ** 2))}
+        overflowing = [key for key, value in stats.items() if not np.all(np.isfinite(value))]
+        if overflowing:
+            raise InvalidInputError(f"the limit argmin samples overflow their {', '.join(overflowing)} "
+                                    f"(mean {stats['mean'].tolist()})")
+        payload["argmin_samples"] = {"count": _LIMIT_SAMPLE_COUNT, **stats}
     elif law.regime.tag == REGIME_SPARSE_NORMAL:
         payload["upsilon"] = law.upsilon
         payload["bias"] = law.bias

@@ -17,7 +17,7 @@ from types import GenericAlias
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSpecError
+from .errors import ConfigError, InvalidInputError, InvalidSpecError
 from .model import DESIGN_KINDS, NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter
 from .montecarlo import MCConfig
 from .penalty import FAMILIES, PenaltySpec, TuningSchedule
@@ -111,6 +111,15 @@ def _given(values: dict, *keys: str, **renamed: str) -> dict:
     return {arg: values[key] for arg, key in names.items() if key in values}
 
 
+def _require_finite_schedule(sch: TuningSchedule, ns, section: str, c: str, e: str) -> None:
+    """A config error naming the keys c and e of [section] unless c * n**e is finite at every n in ns."""
+    for n in ns:
+        try:
+            sch.value(n)
+        except InvalidInputError:
+            raise ConfigError(f"[{section}] {c} * n**{e} overflows at n={n} ({c}={sch.c}, {e}={sch.e})") from None
+
+
 def _load_csv(key: str, path: str, ndmin: int) -> np.ndarray:
     try:
         return np.loadtxt(path, delimiter=",", ndmin=ndmin)
@@ -190,6 +199,12 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     n_single = mcv.get("n", n_grid[0])
     if n_single < p:
         _fail("mc", "n", f"n={n_single} < p={p}: a fit needs at least p rows")
+    # the n at which the command evaluates lambda_n; limit reads only lambda0 = c
+    used = {"estimate": (n_single,), "mc": n_grid, "check": (*check.n_grid, *n_grid),
+            "limit": ()}.get(command, (n_single, *n_grid))
+    _require_finite_schedule(penalty.schedule, used, "schedule", "c", "e")
+    if tau is not None:
+        _require_finite_schedule(tau, (n_single, *n_grid, *used), "penalty", "tau_c", "tau_e")
     underflow = [n for n in (n_single, *n_grid) if tau is not None and tau.value(n) == 0.0]
     if underflow:
         _fail("penalty", "tau_c", f"tau_n = tau_c * n^tau_e underflows to 0 at n={underflow[0]}")

@@ -260,9 +260,15 @@ def tail_curve(rs: ReplicationSet) -> TailReport:
     return TailReport(curves=curves, orders=orders, cutoff=cutoff)
 
 
+def order_label(q: float) -> str:
+    """The text of a moment or tail order: its key in summary.json and its tail.csv column suffix."""
+    return f"{q:g}"
+
+
 def pldi_probe(report: TailReport) -> dict:
     """Uniform-in-n surrogate: per order L, the max of r^L p_hat over the
-    informative range must not grow monotonically by more than x2 along n."""
+    informative range must not grow monotonically by more than x2 along n.
+    Keyed by order_label(L), as summary.json's pldi_probe block."""
     out = {}
     for L in report.orders:
         per_n = []
@@ -271,7 +277,7 @@ def pldi_probe(report: TailReport) -> dict:
             vals = curve.rl[L][informative]
             per_n.append(float(np.max(vals)) if vals.size else 0.0)
         seq = np.asarray(per_n)
-        out[L] = {
+        out[order_label(L)] = {
             "per_n": per_n,
             "max": float(np.max(seq)) if seq.size else 0.0,
             "verdict": boundedness_verdict(seq),
@@ -284,69 +290,51 @@ def pldi_probe(report: TailReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SelectionCurve:
-    n_grid: tuple[int, ...]
-    frequency: np.ndarray
-    se: np.ndarray
-    per_coordinate: np.ndarray  # len(n_grid) x p0
+def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of R rows and their plug-in standard errors s/sqrt(R)."""
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(len(values))
 
 
-def sparsity_curve(rs: ReplicationSet) -> SelectionCurve:
-    """Frequency of the exact event {every zero-block coordinate == 0} per n."""
+def _gap_in_se(values: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of R rows and their distance to target in plug-in SEs
+    (in raw units for a column whose SE is 0)."""
+    mean, se = _mean_se(values)
+    return mean, np.abs(mean - target) / np.where(se > 0.0, se, 1.0)
+
+
+def sparsity_curve(rs: ReplicationSet) -> dict:
+    """Frequency of the exact event {every zero-block coordinate == 0} per n,
+    its binomial SE and each coordinate's own zero frequency, keyed by str(n)
+    as summary.json's selection_frequency block."""
     cfg = rs.config
     if cfg.truth.p0 < 1:
         raise InvalidInputError("selection frequencies need a nonempty zero block")
-    freqs, ses, per_coord = [], [], []
-    R = cfg.replications
+    out = {}
     for n in cfg.n_grid:
         flags = rs.zero_flags(n)
         p = float(np.mean(np.all(flags, axis=1)))
-        freqs.append(p)
-        ses.append(math.sqrt(p * (1.0 - p) / R))
-        per_coord.append(np.mean(flags, axis=0))
-    return SelectionCurve(n_grid=cfg.n_grid, frequency=np.asarray(freqs),
-                          se=np.asarray(ses), per_coordinate=np.stack(per_coord))
+        out[str(n)] = {"frequency": p, "se": math.sqrt(p * (1.0 - p) / cfg.replications),
+                       "per_coordinate": np.mean(flags, axis=0).tolist()}
+    return out
 
 
-@dataclass
-class MomentTrajectory:
-    order: float
-    n_grid: tuple[int, ...]
-    u_moment: np.ndarray
-    u_se: np.ndarray
-    v_moment: np.ndarray
-    v_se: np.ndarray
-    u_verdict: str
-    v_verdict: str
-
-
-def moment_trajectory(rs: ReplicationSet) -> list[MomentTrajectory]:
+def moment_trajectory(rs: ReplicationSet) -> dict:
     """E|u|^q and E|v|^q along the n-grid for q in cfg.moment_orders, with
-    plug-in standard errors s/sqrt(R) of the means.
+    plug-in standard errors s/sqrt(R) of the means, keyed by order_label(q)
+    as summary.json's moments block.
 
     The boundedness verdict flags a trajectory only when it grows monotonically
     by more than x2 across the grid; shrinking trajectories are bounded.
     """
     cfg = rs.config
-    root_r = math.sqrt(cfg.replications)
-    out = []
+    out = {}
     for q in cfg.moment_orders:
-        u_m, u_s, v_m, v_s = [], [], [], []
-        for n in cfg.n_grid:
-            u = rs.u_norms(n) ** q
-            v = rs.v_norms(n) ** q
-            u_m.append(float(np.mean(u)))
-            v_m.append(float(np.mean(v)))
-            u_s.append(float(np.std(u, ddof=1)) / root_r)
-            v_s.append(float(np.std(v, ddof=1)) / root_r)
-        out.append(MomentTrajectory(
-            order=q, n_grid=cfg.n_grid,
-            u_moment=np.asarray(u_m), u_se=np.asarray(u_s),
-            v_moment=np.asarray(v_m), v_se=np.asarray(v_s),
-            u_verdict=boundedness_verdict(u_m),
-            v_verdict=boundedness_verdict(v_m),
-        ))
+        entry = {"n_grid": list(cfg.n_grid)}
+        for side, norms in (("u", rs.u_norms), ("v", rs.v_norms)):
+            moment, se = np.array([_mean_se(norms(n) ** q) for n in cfg.n_grid]).T
+            entry.update({f"{side}_moment": moment.tolist(), f"{side}_se": se.tolist(),
+                          f"{side}_verdict": boundedness_verdict(moment)})
+        out[order_label(q)] = entry
     return out
 
 
@@ -370,16 +358,13 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
         raise InvalidInputError(
             f"campaign regime {regime.tag} does not match law regime {law.regime.tag}")
     report = {"regime": law.regime.tag, "per_n": {}}
-    R = cfg.replications
 
     if law.regime.tag == REGIME_SPARSE_NORMAL:
         bias = np.asarray(law.bias, dtype=float)
         cov = np.asarray(law.cov, dtype=float)
         for n in cfg.n_grid:
             V = rs.v_hat(n)
-            mean = V.mean(axis=0)
-            se = V.std(axis=0, ddof=1) / math.sqrt(R)
-            gap = np.where(se > 0.0, np.abs(mean - bias) / np.where(se > 0, se, 1.0), np.abs(mean - bias))
+            mean, gap = _gap_in_se(V, bias)
             emp_cov = np.atleast_2d(np.cov(V.T))
             denom = float(np.linalg.norm(cov))
             if denom > 0.0:
@@ -419,9 +404,7 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
         for n in cfg.n_grid:
             lam_n = sch.value(n)
             Vn = (n / lam_n) * (rs.theta_hat[n][:, cfg.truth.p0:] - cfg.truth.rho0_array)
-            mean = Vn.mean(axis=0)
-            se = Vn.std(axis=0, ddof=1) / math.sqrt(R)
-            gap = np.abs(mean - drift) / np.where(se > 0, se, 1.0)
+            mean, gap = _gap_in_se(Vn, drift)
             report["per_n"][n] = {
                 "mean": mean.tolist(),
                 "limit_drift": drift.tolist(),

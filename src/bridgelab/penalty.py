@@ -97,13 +97,21 @@ def zero_penalty() -> PenaltySpec:
 
 
 def _value_scalar(pen: PenaltySpec, n: int, t: float) -> float:
-    """Scalar penalty evaluation on the hot path (pure python float math)."""
+    """Scalar penalty evaluation on the hot path (pure python float math); a
+    bridge value that overflows raises InvalidInputError."""
     at = abs(t)
     lam = pen.schedule.value(n)
     if lam == 0.0:
         return 0.0
     if pen.family == "bridge":
-        return lam * at ** pen.gamma
+        try:
+            value = lam * at ** pen.gamma
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise InvalidInputError(f"bridge penalty lambda_n * |t|**gamma overflows at n={n}, |t|={at} "
+                                    f"(lambda_n={lam}, gamma={pen.gamma})")
+        return value
     if pen.family == "scad":
         a = pen.a
         if at <= lam:
@@ -243,7 +251,11 @@ def power_prox_candidates(c: float, b: float, lam: float, gamma: float) -> list[
         h = lambda x: 2.0 * c * (x - beta) + lam * gamma * x ** (gamma - 1.0)
         hp = lambda x: 2.0 * c + lam * gamma * (gamma - 1.0) * x ** (gamma - 2.0)
         hi = beta
-        if lam * gamma * beta ** (gamma - 1.0) > 2.0 * c * beta:
+        try:
+            above = lam * gamma * beta ** (gamma - 1.0) > 2.0 * c * beta
+        except OverflowError:  # h(bound) = 2c bound > 0, so the bound brackets the root all the same
+            above = True
+        if above:
             hi = (2.0 * c * beta / (lam * gamma)) ** (1.0 / (gamma - 1.0))
         return [s * (hi if hi < _TINY else _bracketed_newton(h, hp, 0.0, hi, hi))]
     # 0 < gamma < 1: nonconvex; at most one interior local minimum beyond the

@@ -148,8 +148,9 @@ def test_criterion_03_plaq_identity():
 
 def test_criterion_04_sparse_consistency(sparse_campaign):
     cfg, rs, elapsed = sparse_campaign
-    sel = sparsity_curve(rs)
-    freq, se = sel.frequency, sel.se
+    sel = sparsity_curve(rs).values()
+    freq = np.array([entry["frequency"] for entry in sel])
+    se = np.array([entry["se"] for entry in sel])
     monotone_ok = all(
         freq[i + 1] - freq[i] >= -2.0 * math.sqrt(se[i] ** 2 + se[i + 1] ** 2)
         for i in range(len(freq) - 1))
@@ -189,10 +190,10 @@ def test_criterion_06_pldi_probe(sparse_campaign):
     cfg, rs, _ = sparse_campaign
     report = tail_curve(rs)
     probe = pldi_probe(report)
-    growth_ok = all(probe[L]["verdict"] == "plausibly-bounded" for L in (2.0, 4.0))
+    growth_ok = all(probe[L]["verdict"] == "plausibly-bounded" for L in ("2", "4"))
     slope_800 = next(c for c in report.curves if c.n == 800).slope
     slope_ok = slope_800 is None or slope_800 <= -4.0
-    detail = {f"L{int(L)}": [round(v, 4) for v in probe[L]["per_n"]] for L in (2.0, 4.0)}
+    detail = {f"L{L}": [round(v, 4) for v in probe[L]["per_n"]] for L in ("2", "4")}
     _report(6, growth_ok and slope_ok,
             f"max r^L p_hat per n {detail}; slope at n=800: "
             f"{'uninformative' if slope_800 is None else round(slope_800, 2)}")
@@ -200,10 +201,10 @@ def test_criterion_06_pldi_probe(sparse_campaign):
 
 def test_criterion_07_moment_boundedness(sparse_campaign):
     cfg, rs, _ = sparse_campaign
-    traj = next(t for t in moment_trajectory(rs) if t.order == 4.0)
-    ok = traj.u_verdict == "plausibly-bounded"
-    _report(7, ok, f"E|sqrt(n) z|^4 trajectory {np.round(traj.u_moment, 4).tolist()} "
-                   f"-> {traj.u_verdict}")
+    traj = moment_trajectory(rs)["4"]
+    ok = traj["u_verdict"] == "plausibly-bounded"
+    _report(7, ok, f"E|sqrt(n) z|^4 trajectory {np.round(traj['u_moment'], 4).tolist()} "
+                   f"-> {traj['u_verdict']}")
 
 
 def test_criterion_08_standard_moment_convergence():

@@ -158,20 +158,54 @@ def test_overflowing_spec_values_are_config_errors(tmp_path, capsys, command, ed
 
 
 @pytest.mark.parametrize("command", ["estimate", "check", "mc"])
-@pytest.mark.parametrize("edit", [
-    ("e = 0.6", "e = 300"),
-    ("c = 1.0", "c = 1e308"),
-    ("family = bridge\ngamma = 0.5", "family = selo\ntau_e = 300"),
+@pytest.mark.parametrize("edit, prefix, values", [
+    (("e = 0.6", "e = 300"), "[schedule] c * n**e", "(c=1.0, e=300.0)"),
+    (("c = 1.0", "c = 1e308"), "[schedule] c * n**e", "(c=1e+308, e=0.6)"),
+    (("family = bridge\ngamma = 0.5", "family = selo\ntau_e = 300"), "[penalty] tau_c * n**tau_e",
+     "(tau_c=1.0, tau_e=300.0)"),
 ], ids=["e300", "c1e308", "selo-tau_e300"])
-def test_overflowing_schedule_is_a_config_error(tmp_path, capsys, command, edit):
+def test_overflowing_schedule_is_a_config_error(tmp_path, capsys, command, edit, prefix, values):
     # a finite c and e whose lambda_n = c n^e (or SELO's tau_n) overflows at some n on the grid:
-    # one config error line, from the worker processes too, in place of a traceback or a nan objective
+    # one config error line naming the config's own keys and values (for check too, whose
+    # divergence scale q_n is derived from them), in place of a traceback or a nan objective
     path = tmp_path / "big.cfg"
     path.write_text(BASE.replace(*edit))
     code, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
                                    "--threads", "2"] if command == "mc" else [command, "--config", str(path)])
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and err.startswith("config error: schedule c * n**e overflows at n=")
+    assert err.count("\n") == 1 and err.startswith(f"config error: {prefix} overflows at n=")
+    assert err.endswith(f" {values}\n")
+
+
+@pytest.mark.parametrize("command, gamma, box_half, code", [
+    ("estimate", "1e300", "10.0", 2),
+    ("mc", "1e300", "10.0", 2),
+    ("check", "200", "10.0", 2),  # the sphere infimum evaluates p_n at |t| up to 1024 / sqrt(16)
+    ("estimate", "1e300", "1.0", 0),
+    ("mc", "1e300", "1.0", 0),
+])
+def test_huge_bridge_gamma_exits_2_or_fits_finite_values(tmp_path, capsys, command, gamma, box_half, code):
+    # lambda_n |t|^gamma overflows at |t| = 10; on the box [-1, 1] it is finite, but the prox
+    # compares lambda_n gamma |b|^(gamma - 1) for the unconstrained |b| > 1, which overflows
+    path = tmp_path / "big.cfg"
+    path.write_text(BASE.replace("gamma = 0.5", f"gamma = {gamma}")
+                    .replace("[mc]", f"[solver]\nbox_half = {box_half}\n\n[mc]"))
+    out_dir = tmp_path / "o"
+    got, out, err = _run(capsys, [command, "--config", str(path), "--out", str(out_dir),
+                                  "--threads", "2"] if command == "mc" else [command, "--config", str(path)])
+    if code == 2:
+        assert (got, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("config error: bridge penalty lambda_n * |t|**gamma overflows at n=")
+        return
+    assert (got, err) == (0, "")
+    if command == "estimate":
+        payload = json.loads(out)
+        assert all(math.isfinite(v) for v in payload["theta_hat"] + [payload["objective"]])
+    else:
+        cells = (out_dir / "replications.csv").read_text().split()[1:]
+        assert all(math.isfinite(float(v)) for row in cells for v in row.split(","))
+        assert not any(word in (out_dir / "summary.json").read_text() for word in ('"inf"', '"nan"'))
 
 
 @pytest.mark.parametrize("command", ["estimate", "mc", "check"])
@@ -498,6 +532,14 @@ def test_mc_emits_three_files(cfg_path, tmp_path, capsys):
     ec = parse_config(cfg_path)
     assert config_from_echo(summary["config"]).mc == ec.mc
 
+    # fractional orders keep their text: "1.5" in the moments, "0.5" in the probe and tail.csv
+    path = tmp_path / "orders.cfg"
+    path.write_text(BASE.replace("seed = 424242", "seed = 424242\nmoment_orders = 1.5\ntail_orders = 0.5"))
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(tmp_path / "orders")])[0] == 0
+    summary = json.loads((tmp_path / "orders" / "summary.json").read_text())
+    assert (list(summary["moments"]), list(summary["pldi_probe"])) == (["1.5"], ["0.5"])
+    assert (tmp_path / "orders" / "tail.csv").read_text().split()[0] == "n,r,p_hat,se,rL_phat_L0.5"
+
 
 def test_mc_byte_identical_across_runs(cfg_path, tmp_path, capsys):
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -663,7 +705,11 @@ def test_check_tests_the_gram_against_the_c0_of_limit(tmp_path, capsys):
     ((("e = 0.6", "e = 1.0"),), "the pseudo-true objective overflows: inf"),
     # standard regime with gamma = 4: the tilt 4 lambda0 |rho0|^3 overflows
     ((("e = 0.6", "e = 0.5"), ("gamma = 0.5", "gamma = 4.0")), "the limit field's linear tilt overflows"),
-], ids=["pseudo-true", "standard-tilt"])
+    # standard regime with gamma = 100: the tilt 100 * 1000^99 is finite, but the squares of
+    # the argmin draws near -tilt / 2 overflow the moments the summary reports
+    ((("e = 0.6", "e = 0.5"), ("gamma = 0.5", "gamma = 100"), ("rho0 = 1e300", "rho0 = 1000")),
+     "the limit argmin samples overflow their cov, abs_moment_2, abs_moment_4"),
+], ids=["pseudo-true", "standard-tilt", "standard-argmin"])
 def test_limit_with_overflowing_truth_exits_2(tmp_path, capsys, edits, message):
     text = BASE.replace("rho0 = 1.0", "rho0 = 1e300")
     for edit in edits:

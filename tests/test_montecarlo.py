@@ -18,6 +18,7 @@ from bridgelab.montecarlo import (
     fit_tail_slope,
     limit_c0,
     moment_trajectory,
+    order_label,
     pldi_probe,
     replication_seed,
     run_replications,
@@ -205,9 +206,10 @@ def test_tail_curve_all_mass_at_zero():
     assert curve.slope is None
     assert curve.note == "all mass at 0"
     probe = pldi_probe(rep)
-    for L in rep.orders:
-        assert probe[L]["verdict"] == "plausibly-bounded"
-        assert probe[L]["max"] == 0.0
+    assert list(probe) == [order_label(L) for L in rep.orders]
+    for entry in probe.values():
+        assert entry["verdict"] == "plausibly-bounded"
+        assert entry["max"] == 0.0
 
 
 def test_tail_curve_real_run_monotone():
@@ -224,23 +226,25 @@ def test_tail_curve_real_run_monotone():
 def test_sparsity_curve_unpenalized_near_zero():
     cfg = _cfg(family="none", n_grid=(50,), R=100)
     rs = run_replications(cfg)
-    sel = sparsity_curve(rs)
-    assert sel.frequency[0] == 0.0  # continuous noise: exact zeros have measure zero
-    assert sel.se[0] == 0.0
+    sel = sparsity_curve(rs)["50"]
+    assert sel["frequency"] == 0.0  # continuous noise: exact zeros have measure zero
+    assert sel["se"] == 0.0
 
 
 def test_sparsity_curve_noiseless_sparse_regime():
     cfg = _cfg(sigma=0.0, n_grid=(50,), R=100)
     rs = run_replications(cfg)
-    sel = sparsity_curve(rs)
-    assert sel.frequency[0] == 1.0
+    sel = sparsity_curve(rs)["50"]
+    assert sel["frequency"] == 1.0
 
 
 def test_sparsity_curve_se_formula():
     cfg = _cfg(n_grid=(50, 100), R=100)
     rs = run_replications(cfg)
     sel = sparsity_curve(rs)
-    for f, s in zip(sel.frequency, sel.se):
+    assert list(sel) == ["50", "100"]
+    for entry in sel.values():
+        f, s = entry["frequency"], entry["se"]
         assert 0.0 <= f <= 1.0
         assert s == pytest.approx(math.sqrt(f * (1.0 - f) / 100), abs=1e-15)
 
@@ -254,19 +258,20 @@ def test_sparsity_curve_needs_zero_block():
 
 def test_moment_trajectory_zero_samples():
     rs = _synthetic_set(np.zeros(100), np.zeros(100), moment_orders=(2.0,))
-    trajs = moment_trajectory(rs)
-    assert_array_equal(trajs[0].u_moment, [0.0])
-    assert trajs[0].u_verdict == "plausibly-bounded"
+    traj = moment_trajectory(rs)["2"]
+    assert list(traj) == ["n_grid", "u_moment", "u_se", "u_verdict", "v_moment", "v_se", "v_verdict"]
+    assert_array_equal(traj["u_moment"], [0.0])
+    assert traj["u_verdict"] == "plausibly-bounded"
 
 
 def test_moment_trajectory_plug_in_se():
     # the SE of a mean of R values is s / sqrt(R), the rule compare_to_limit uses
     rng = np.random.default_rng(11)
     rs = _synthetic_set(rng.normal(size=400), rng.standard_t(5, size=400), moment_orders=(2.0,))
-    traj = moment_trajectory(rs)[0]
+    traj = moment_trajectory(rs)["2"]
     u, v = rs.u_norms(100) ** 2, rs.v_norms(100) ** 2
-    assert traj.u_se[0] == np.std(u, ddof=1) / 20.0
-    assert traj.v_se[0] == np.std(v, ddof=1) / 20.0
+    assert traj["u_se"][0] == np.std(u, ddof=1) / 20.0
+    assert traj["v_se"][0] == np.std(v, ddof=1) / 20.0
 
 
 @pytest.mark.parametrize("kind, source", [
@@ -425,11 +430,11 @@ def test_moments_match_the_exact_orthonormal_moments():
             for side, moments in zip("uv", exact[n]):
                 mean, second = moments[qi], moments[qi + 1]  # E|.|^q and E|.|^(2q)
                 sd = math.sqrt(second - mean * mean)
-                pooled = np.mean([getattr(t[qi], side + "_moment")[j] for t in trajs])
+                pooled = np.mean([t[order_label(q)][side + "_moment"][j] for t in trajs])
                 z = (pooled - mean) / (sd / math.sqrt(R * len(seeds)))
                 assert abs(z) <= 4.5, (q, n, side, pooled, mean, z)
                 if side == "v":
-                    ratios = [t[qi].v_se[j] / (sd / math.sqrt(R)) for t in trajs]
+                    ratios = [t[order_label(q)]["v_se"][j] / (sd / math.sqrt(R)) for t in trajs]
                     assert 1.0 / factor <= min(ratios) and max(ratios) <= factor, (q, n, ratios)
 
 def test_compare_to_limit_sparse_slow_drift():
