@@ -17,7 +17,7 @@ from . import model as model_mod
 from . import penalty as penalty_mod
 from .asymptotics import (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW, REGIME_STANDARD, LimitLaw, limit_law,
                           penalty_gamma, regime_classify, sample_limit_argmin)
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, check_design_grid, parse_config
 from .contrast import Contrast
 from .errors import ConfigError, InvalidInputError, InvalidSpecError, UnsupportedRegimeError
 from .model import Dataset, generate_design, simulate_responses
@@ -85,13 +85,14 @@ def cmd_estimate(ec: ExperimentConfig) -> int:
         regime = _regime_payload(ec)
     except UnsupportedRegimeError as exc:
         regime = {"note": str(exc)}
+    theta, p0 = res.theta_hat, mc.truth.p0
     payload = {
         "n": n,
         "seed": seed,
-        "theta_hat": res.theta_hat,
-        "z_hat": res.z_hat,
-        "rho_hat": res.rho_hat,
-        "exact_zero_flags": res.exact_zero_flags,
+        "theta_hat": theta,
+        "z_hat": theta[:p0],
+        "rho_hat": theta[p0:],
+        "exact_zero_flags": theta[:p0] == 0.0,
         "objective": res.objective,
         "converged": res.converged,
         "iterations": res.iterations,
@@ -171,38 +172,26 @@ def cmd_check(ec: ExperimentConfig) -> int:
     mc = ec.mc
     pen = mc.penalty
     cs = ec.check
-    p0 = max(mc.truth.p0, 1)
+    penalty_block = {block["condition"]: block for block in (
+        penalty_mod.check_divergence_condition(pen, cs.n_grid, cs.r_grid, p0=max(mc.truth.p0, 1)),
+        *penalty_mod.check_smooth_conditions(pen, cs.n_grid, cs.a_probes, cs.b_probes, cs.beta))}
 
-    div = penalty_mod.check_divergence_condition(pen, cs.n_grid, cs.r_grid, p0=p0)
-    growth, shift = penalty_mod.check_smooth_conditions(
-        pen, cs.n_grid, cs.a_probes, cs.b_probes, cs.beta)
-    penalty_block = {}
-    for rep in (div, growth, shift):
-        entry = rep.to_jsonable()
-        entry["required_by"] = _REQUIRED_BY[rep.condition]
-        penalty_block[rep.condition] = entry
-
-    design_block: dict = {}
+    design_block, design_conditions = {}, {}
     if mc.design.kind == "explicit-matrix":
         design_block["note"] = ("explicit-matrix designs are a single fixed n; "
                                 "design-condition sequences need an n-grid")
     else:
-        grid = mc.n_grid if len(mc.n_grid) >= 3 else (50, 200, 800)
         designs = [(n, generate_design(mc.design, n, design_seed(mc.master_seed, n)))
-                   for n in grid]
-        C0, c0_source = limit_c0(mc)
-        q_n = penalty_mod.default_divergence_scale(pen)
-        report = model_mod.check_design_conditions(
-            designs, C0, cs.delta, q_n, (mc.truth.p0, mc.truth.p1))
-        design_block["c0_source"] = c0_source
-        for cond, seq in report.items():
-            entry = seq.to_jsonable()
-            entry["required_by"] = _REQUIRED_BY[cond]
-            design_block[cond] = entry
+                   for n in check_design_grid(mc.n_grid)]
+        C0, design_block["c0_source"] = limit_c0(mc)
+        design_conditions = model_mod.check_design_conditions(
+            designs, C0, cs.delta, penalty_mod.default_divergence_scale(pen), (mc.truth.p0, mc.truth.p1))
+    for block in (*penalty_block.values(), *design_conditions.values()):
+        block["required_by"] = _REQUIRED_BY[block["condition"]]
 
     payload = {
         "penalty_conditions": penalty_block,
-        "design_conditions": design_block,
+        "design_conditions": {**design_block, **design_conditions},
         "regime": _regime_payload(ec),
     }
     sys.stdout.write(canonical_json(payload))

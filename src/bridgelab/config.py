@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError, InvalidSpecError
 from .model import DESIGN_KINDS, NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter
 from .montecarlo import MCConfig
-from .penalty import FAMILIES, PenaltySpec, TuningSchedule
+from .penalty import FAMILIES, LOG2, PenaltySpec, TuningSchedule, default_divergence_scale
 from .solver import Box, SolverOptions
 from .util import require_finite
 
@@ -75,6 +75,11 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
+def check_design_grid(n_grid: tuple[int, ...]) -> tuple[int, ...]:
+    """The n at which `check` draws its designs: [mc] n_grid, or 50, 200, 800 when it has fewer than 3."""
+    return n_grid if len(n_grid) >= 3 else (50, 200, 800)
+
+
 def _fail(section: str, key: str, msg: str):
     raise ConfigError(f"[{section}] {key}: {msg}")
 
@@ -118,6 +123,23 @@ def _require_finite_schedule(sch: TuningSchedule, ns, section: str, c: str, e: s
             sch.value(n)
         except InvalidInputError:
             raise ConfigError(f"[{section}] {c} * n**{e} overflows at n={n} ({c}={sch.c}, {e}={sch.e})") from None
+
+
+def _require_divergence_scale(pen: PenaltySpec, ns) -> None:
+    """A config error naming the keys q_n derives from unless `check`'s divergence
+    scale q_n (`default_divergence_scale`) is finite and positive at every n in ns."""
+    sch = pen.schedule
+    for n in ns:
+        try:
+            qn = default_divergence_scale(pen).value(n)
+        except (InvalidSpecError, InvalidInputError):  # a coefficient c^2 or a q_n that overflows
+            qn = math.inf
+        if not 0.0 < qn < math.inf:
+            keys, values = "[schedule] c, e", f"c={sch.c}, e={sch.e}"
+            if pen.family == "bridge":
+                keys, values = keys + " and [penalty] gamma", values + f", gamma={pen.gamma}"
+            raise ConfigError(f"{keys} give the divergence scale q_n = {qn} at n={n}, "
+                              f"not finite and positive ({values})")
 
 
 def _load_csv(key: str, path: str, ndmin: int) -> np.ndarray:
@@ -205,9 +227,16 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     _require_finite_schedule(penalty.schedule, used, "schedule", "c", "e")
     if tau is not None:
         _require_finite_schedule(tau, (n_single, *n_grid, *used), "penalty", "tau_c", "tau_e")
+        over = [n for n in used if not math.isfinite(2.0 * n * penalty.schedule.value(n) / LOG2)]
+        if over:  # the SELO value would be inf * log1p(0) = nan at t = 0
+            raise ConfigError(f"[schedule] SELO bound 2n * c * n**e / log 2 overflows at n={over[0]} "
+                              f"(c={schedule.c}, e={schedule.e})")
     underflow = [n for n in (n_single, *n_grid) if tau is not None and tau.value(n) == 0.0]
     if underflow:
         _fail("penalty", "tau_c", f"tau_n = tau_c * n^tau_e underflows to 0 at n={underflow[0]}")
+    if command == "check":  # q_n divides the divergence values and scales the cross-block sequence
+        design_grid = () if kind == "explicit-matrix" else check_design_grid(n_grid)
+        _require_divergence_scale(penalty, (*check.n_grid, *design_grid))
     responses = None
     if "response_file" in model:
         responses = _load_csv("response_file", model["response_file"], 1)

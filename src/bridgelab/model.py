@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
 from .penalty import TuningSchedule
-from .util import ConditionReport, boundedness_verdict, require_finite
+from .util import boundedness_verdict, require_finite
 
 DESIGN_KINDS = ("standardized-orthonormal", "explicit-matrix", "bounded-random-frozen")
 NOISE_FAMILIES = ("gaussian", "scaled-uniform", "scaled-rademacher")
@@ -140,7 +140,7 @@ class Dataset:
 
     @property
     def p(self) -> int:
-        return self.truth.p
+        return self.X.shape[1]
 
 
 @dataclass
@@ -234,8 +234,9 @@ def gram(X: np.ndarray, split: tuple[int, int]) -> GramReport:
 
 
 def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSchedule,
-                            split: tuple[int, int]) -> dict[str, ConditionReport]:
-    """Finite-n diagnostics for the design-side conditions over an n-grid.
+                            split: tuple[int, int]) -> dict[str, dict]:
+    """Finite-n diagnostics for the design-side conditions over an n-grid,
+    each condition's block of `check`'s JSON keyed by its id.
 
     `designs` is a list of (n, X) pairs with strictly increasing n (>= 3
     points). Verdicts use the shared boundedness heuristic; these are
@@ -271,18 +272,10 @@ def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSc
         zero_gram.append(float(np.linalg.norm(rep.D_n - D0)))
         nonzero_rate.append(float(n) ** delta * float(np.linalg.norm(rep.B_n - B0)))
 
-    ngrid = tuple(ns)
-
-    def seq(cond: str, values, note: str = "") -> ConditionReport:
-        vals = tuple(float(v) for v in values)
-        return ConditionReport(condition=cond, n_grid=ngrid, values=vals,
-                               verdict=boundedness_verdict(vals), note=note)
-
-    return {
-        COND_GRAM_RATE: seq(COND_GRAM_RATE, gram_rate, note=f"delta={delta}"),
-        COND_ROW_BOUND: seq(COND_ROW_BOUND, row_bound),
-        COND_CROSS_SCALED: seq(COND_CROSS_SCALED, cross_scaled),
-        COND_CROSS_ROOT_N: seq(COND_CROSS_ROOT_N, cross_rootn),
-        COND_ZERO_GRAM: seq(COND_ZERO_GRAM, zero_gram),
-        COND_NONZERO_GRAM_RATE: seq(COND_NONZERO_GRAM_RATE, nonzero_rate, note=f"delta={delta}"),
-    }
+    report = {cond: {"condition": cond, "n_grid": ns, "values": vals, "verdict": boundedness_verdict(vals)}
+              for cond, vals in ((COND_GRAM_RATE, gram_rate), (COND_ROW_BOUND, row_bound),
+                                 (COND_CROSS_SCALED, cross_scaled), (COND_CROSS_ROOT_N, cross_rootn),
+                                 (COND_ZERO_GRAM, zero_gram), (COND_NONZERO_GRAM_RATE, nonzero_rate))}
+    for cond in (COND_GRAM_RATE, COND_NONZERO_GRAM_RATE):
+        report[cond]["note"] = f"delta={delta}"
+    return report

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .util import PLAUSIBLY_BOUNDED, ConditionReport, boundedness_verdict, fit_line, require_finite
+from .util import PLAUSIBLY_BOUNDED, boundedness_verdict, fit_line, require_finite
 
 FAMILIES = ("bridge", "scad", "selo", "none")
 
@@ -404,15 +404,16 @@ def scalar_prox_interval(pen: PenaltySpec, n: int, c: float, b: float,
 
 
 def default_divergence_scale(pen: PenaltySpec) -> TuningSchedule:
-    """Family-natural q_n: lambda_n/n^(gamma/2) for bridge, the bound scale otherwise."""
+    """Family-natural q_n: lambda_n/n^(gamma/2) for bridge, the bound scale n lambda_n^2 (SCAD)
+    or n lambda_n (SELO) otherwise, and 1 when lambda_n = 0 (every `none` spec)."""
     sch = pen.schedule
+    if sch.c == 0.0:
+        return TuningSchedule(c=1.0, e=0.0)
     if pen.family == "bridge":
-        return TuningSchedule(c=max(sch.c, 0.0), e=sch.e - pen.gamma / 2.0)
+        return TuningSchedule(c=sch.c, e=sch.e - pen.gamma / 2.0)
     if pen.family == "scad":
-        return TuningSchedule(c=max(sch.c * sch.c, 0.0), e=1.0 + 2.0 * sch.e)
-    if pen.family == "selo":
-        return TuningSchedule(c=sch.c, e=1.0 + sch.e)
-    return TuningSchedule(c=1.0, e=0.0)
+        return TuningSchedule(c=sch.c * sch.c, e=1.0 + 2.0 * sch.e)
+    return TuningSchedule(c=sch.c, e=1.0 + sch.e)
 
 
 def _sphere_infimum(pen: PenaltySpec, n: int, r: float, p0: int) -> float:
@@ -431,7 +432,7 @@ def _sphere_infimum(pen: PenaltySpec, n: int, r: float, p0: int) -> float:
     return min(k * _value_scalar(pen, n, rn / math.sqrt(k)) for k in range(1, p0 + 1))
 
 
-def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) -> ConditionReport:
+def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) -> dict:
     """Check the scaled sphere infimum inf_{|u|=r} sum_k p_n(u_k/sqrt(n)) / q_n,
     with q_n = default_divergence_scale(pen).
 
@@ -439,7 +440,7 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) ->
     grows by more than x2 from the smallest to largest r, and keeps growing by
     more than x2 over the top half of the r-grid (the saturation check that
     separates bounded penalties from divergent ones). Also fits a power r^s to
-    the scaled curve.
+    the scaled curve. Returns the condition's block of `check`'s JSON.
     """
     n_grid = tuple(int(n) for n in n_grid)
     r_grid = tuple(float(r) for r in r_grid)
@@ -470,29 +471,25 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) ->
             ok = False
             break
 
+    report = {"condition": COND_DIVERGENCE, "n_grid": list(n_grid), "probes": list(r_grid),
+              "values": vals.tolist(), "verdict": "satisfied" if ok else "not-satisfied"}
     pos = vals > 0.0
     logr = np.broadcast_to(np.log(np.asarray(r_grid)), vals.shape)
-    fitted, fit_err = fit_line(logr[pos], np.log(vals[pos])) or (None, None)
-
-    return ConditionReport(
-        condition=COND_DIVERGENCE,
-        n_grid=n_grid,
-        probes=r_grid,
-        values=vals,
-        verdict="satisfied" if ok else "not-satisfied",
-        fitted_exponent=fitted,
-        fit_error=fit_err,
-        detail={"q_n": {"c": q.c, "e": q.e}, "p0": p0},
-    )
+    fit = fit_line(logr[pos], np.log(vals[pos]))
+    if fit is not None:
+        report["fitted_exponent"], report["fit_error"] = fit
+    report["detail"] = {"q_n": {"c": q.c, "e": q.e}, "p0": p0}
+    return report
 
 
 def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
-                            beta: float) -> tuple[ConditionReport, ConditionReport]:
+                            beta: float) -> tuple[dict, dict]:
     """Finite-n surrogates for the growth cap sup_n p_n(a)/n^(1/2+beta) < inf
     and the root-n shift bound |p_n(a + b/sqrt(n)) - p_n(a)| <= c_{a,b} |b|^kappa.
 
-    Returns (growth_report, shift_report). The shift condition is a limsup at
-    fixed probes; the probe sets are a documented knob, not a claim.
+    Returns the growth and the shift blocks of `check`'s JSON. The shift
+    condition is a limsup at fixed probes; the probe sets are a documented
+    knob, not a claim.
     """
     n_grid = tuple(int(n) for n in n_grid)
     a_probes = tuple(float(a) for a in a_probes)
@@ -510,14 +507,9 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
             growth[i, j] = _value_scalar(pen, n, a) / float(n) ** (0.5 + beta)
     growth_ok = all(boundedness_verdict(growth[i]) == PLAUSIBLY_BOUNDED
                     for i in range(len(a_probes)))
-    growth_report = ConditionReport(
-        condition=COND_GROWTH_CAP,
-        n_grid=n_grid,
-        probes=a_probes,
-        values=growth,
-        verdict="satisfied" if growth_ok else "not-satisfied",
-        detail={"beta": beta},
-    )
+    growth_report = {"condition": COND_GROWTH_CAP, "n_grid": list(n_grid), "probes": list(a_probes),
+                     "values": growth.tolist(), "verdict": "satisfied" if growth_ok else "not-satisfied",
+                     "detail": {"beta": beta}}
 
     diffs = np.empty((len(a_probes), len(b_probes), len(n_grid)))
     for i, a in enumerate(a_probes):
@@ -530,26 +522,18 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
         for i in range(len(a_probes)) for j in range(len(b_probes))
     )
     # Level of each (a, b) sequence over the top half of the grid = the
-    # finite-n limsup surrogate; kappa is the smallest power keeping the
-    # levels bounded across |b|.
+    # finite-n limsup surrogate; kappa, when one is found, is the smallest
+    # power keeping the levels bounded across |b|.
     half = len(n_grid) // 2
     levels = diffs[:, :, half:].max(axis=2)
     order = np.argsort(np.abs(np.asarray(b_probes)))
-    kappa = None
+    shift_report = {"condition": COND_SHIFT, "n_grid": list(n_grid),
+                    "probes": [[a, b] for a in a_probes for b in b_probes],
+                    "values": diffs.tolist(), "verdict": "satisfied" if shift_ok else "not-satisfied"}
     for cand in (1, 2):
         ratios = levels / np.abs(np.asarray(b_probes))[None, :] ** cand
-        ok = all(boundedness_verdict(ratios[i, order]) == PLAUSIBLY_BOUNDED
-                 for i in range(len(a_probes)))
-        if ok:
-            kappa = cand
+        if all(boundedness_verdict(ratios[i, order]) == PLAUSIBLY_BOUNDED for i in range(len(a_probes))):
+            shift_report["kappa"] = cand
             break
-    shift_report = ConditionReport(
-        condition=COND_SHIFT,
-        n_grid=n_grid,
-        probes=tuple((a, b) for a in a_probes for b in b_probes),
-        values=diffs,
-        verdict="satisfied" if shift_ok else "not-satisfied",
-        kappa=kappa,
-        detail={"levels": levels.tolist()},
-    )
+    shift_report["detail"] = {"levels": levels.tolist()}
     return growth_report, shift_report

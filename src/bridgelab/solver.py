@@ -98,25 +98,13 @@ class SolverOptions:
 
 @dataclass
 class EstimateResult:
-    """Minimizer of the contrast over the box, with exact-zero bookkeeping."""
+    """Minimizer of the contrast over the box and how the search reached it."""
 
     theta_hat: np.ndarray
-    z_hat: np.ndarray
-    rho_hat: np.ndarray
     objective: float
-    exact_zero_flags: np.ndarray
     restarts_used: int
     converged: bool
     iterations: int
-
-    @classmethod
-    def at(cls, c: Contrast, theta: np.ndarray, objective: float, restarts_used: int,
-           converged: bool, iterations: int) -> "EstimateResult":
-        """The result at theta, split into its zero and nonzero blocks."""
-        p0 = c.dataset.p0
-        return cls(theta_hat=theta, z_hat=theta[:p0].copy(), rho_hat=theta[p0:].copy(),
-                   objective=objective, exact_zero_flags=(theta[:p0] == 0.0),
-                   restarts_used=restarts_used, converged=converged, iterations=iterations)
 
 
 class DesignFactor:
@@ -250,7 +238,7 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
         j = reached[0] if reached.size else i
     if not np.isfinite(obj[i]):
         raise InvalidInputError(f"the objective overflows: {obj[i]} at the best of {k} starts")
-    return EstimateResult.at(c, ends[i], float(obj[i]), k, bool(conv[j]), int(sweeps[j]))
+    return EstimateResult(ends[i], float(obj[i]), k, bool(conv[j]), int(sweeps[j]))
 
 
 def _lattice_points(center: np.ndarray, span: np.ndarray, box: Box,
@@ -304,4 +292,4 @@ def grid_oracle(c: Contrast, box: Box | None = None, stages: int = 4,
         center = best_pt.copy()
         span = span * (4.0 / points_per_axis)
 
-    return EstimateResult.at(c, best_pt, best_obj, stages, True, stages)
+    return EstimateResult(best_pt, best_obj, stages, True, stages)

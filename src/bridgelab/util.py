@@ -1,13 +1,12 @@
 """Seed derivation and bulk SeedSequence seeding (derived seeds, per-seed generators,
 spawned normals), the spec finiteness check, per-row dots, boundedness heuristics,
-condition reports, line fits, and byte-stable serialization helpers."""
+line fits, and byte-stable serialization helpers."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,38 +153,6 @@ def boundedness_verdict(values) -> str:
     top = v[v.size // 2:]
     monotone_top = bool(np.all(np.diff(top) > 0.0))
     return GROWING if (ratio_exceeded and monotone_top) else PLAUSIBLY_BOUNDED
-
-
-@dataclass
-class ConditionReport:
-    """Finite-n diagnostic for one design- or penalty-side condition: its
-    values over the n-grid (and probes, when it has them) and a verdict."""
-
-    condition: str
-    n_grid: tuple[int, ...]
-    values: np.ndarray | tuple[float, ...]
-    verdict: str
-    probes: tuple | None = None
-    fitted_exponent: float | None = None
-    fit_error: float | None = None
-    kappa: int | None = None
-    detail: dict = field(default_factory=dict)
-    note: str = ""
-
-    def to_jsonable(self) -> dict:
-        out = {"condition": self.condition, "n_grid": list(self.n_grid)}
-        if self.probes is not None:
-            out["probes"] = [list(p) if isinstance(p, tuple) else p for p in self.probes]
-        out["values"] = np.asarray(self.values).tolist()
-        out["verdict"] = self.verdict
-        for key in ("fitted_exponent", "fit_error", "kappa"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        if self.detail:
-            out["detail"] = self.detail
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 def fit_line(x, y) -> tuple[float, float] | None:

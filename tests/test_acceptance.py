@@ -249,9 +249,9 @@ def test_criterion_10_penalty_condition_classifications():
     ok = True
     for gamma in (0.25, 0.5, 0.75):
         rep = check_divergence_condition(_bridge(1.0, 0.35, gamma), n_grid, r_grid, p0=1)
-        fit_err = abs(rep.fitted_exponent - gamma)
-        ok &= rep.verdict == "satisfied" and fit_err <= 1e-3
-        msgs.append(f"bridge({gamma}): {rep.verdict}, fit err {fit_err:.1e}")
+        fit_err = abs(rep["fitted_exponent"] - gamma)
+        ok &= rep["verdict"] == "satisfied" and fit_err <= 1e-3
+        msgs.append(f"bridge({gamma}): {rep['verdict']}, fit err {fit_err:.1e}")
     scad = PenaltySpec(family="scad", schedule=TuningSchedule(1.0, -0.25), a=3.7)
     selo = PenaltySpec(family="selo", schedule=TuningSchedule(1.0, -0.25),
                        tau=TuningSchedule(1.0, -1.5))
@@ -259,10 +259,10 @@ def test_criterion_10_penalty_condition_classifications():
         div = check_divergence_condition(pen, n_grid, r_grid, p0=1)
         growth, shift = check_smooth_conditions(pen, n_grid, (0.5, 1.0, 2.0),
                                                 (0.5, 1.0, 2.0, 4.0), beta=0.25)
-        ok &= (div.verdict == "not-satisfied" and growth.verdict == "satisfied"
-               and shift.verdict == "satisfied")
-        msgs.append(f"{name}: divergence {div.verdict}, growth {growth.verdict}, "
-                    f"shift {shift.verdict}")
+        ok &= (div["verdict"] == "not-satisfied" and growth["verdict"] == "satisfied"
+               and shift["verdict"] == "satisfied")
+        msgs.append(f"{name}: divergence {div['verdict']}, growth {growth['verdict']}, "
+                    f"shift {shift['verdict']}")
     _report(10, ok, "; ".join(msgs))
 
 

@@ -163,7 +163,12 @@ def test_overflowing_spec_values_are_config_errors(tmp_path, capsys, command, ed
     (("c = 1.0", "c = 1e308"), "[schedule] c * n**e", "(c=1e+308, e=0.6)"),
     (("family = bridge\ngamma = 0.5", "family = selo\ntau_e = 300"), "[penalty] tau_c * n**tau_e",
      "(tau_c=1.0, tau_e=300.0)"),
-], ids=["e300", "c1e308", "selo-tau_e300"])
+    # a finite lambda_n = 1e306 whose SELO bound 2n lambda_n / log 2 overflows: the value
+    # at 0 would be inf * log1p(0) = nan, and the fit would fail on a nan objective
+    (("family = bridge\ngamma = 0.5\n\n[schedule]\nc = 1.0\ne = 0.6",
+      "family = selo\n\n[schedule]\nc = 1e306\ne = 0"),
+     "[schedule] SELO bound 2n * c * n**e / log 2", "(c=1e+306, e=0.0)"),
+], ids=["e300", "c1e308", "selo-tau_e300", "selo-bound"])
 def test_overflowing_schedule_is_a_config_error(tmp_path, capsys, command, edit, prefix, values):
     # a finite c and e whose lambda_n = c n^e (or SELO's tau_n) overflows at some n on the grid:
     # one config error line naming the config's own keys and values (for check too, whose
@@ -177,10 +182,32 @@ def test_overflowing_schedule_is_a_config_error(tmp_path, capsys, command, edit,
     assert err.endswith(f" {values}\n")
 
 
+SCAD = BASE.replace("family = bridge\ngamma = 0.5", "family = scad\na = 3.7").replace("e = 0.6", "e = -0.25")
+SELO = BASE.replace("family = bridge\ngamma = 0.5", "family = selo").replace("e = 0.6", "e = -0.25")
+
+
+@pytest.mark.parametrize("base, edit, message", [
+    (SCAD, ("c = 1.0\ne = -0.25", "c = 1e200\ne = 0"),
+     "[schedule] c, e give the divergence scale q_n = inf at n=16, not finite and positive (c=1e+200, e=0.0)"),
+    (BASE, ("gamma = 0.5", "gamma = 1e300"), "[schedule] c, e and [penalty] gamma give the divergence scale "
+     "q_n = 0.0 at n=16, not finite and positive (c=1.0, e=0.6, gamma=1e+300)"),
+    (BASE, ("gamma = 0.5", "gamma = 200"), "[schedule] c, e and [penalty] gamma give the divergence scale "
+     "q_n = 0.0 at n=4096, not finite and positive (c=1.0, e=0.6, gamma=200.0)"),
+], ids=["scad-c2-overflows", "bridge-gamma1e300", "bridge-gamma200"])
+def test_check_divergence_scale_not_finite_positive_is_a_config_error(tmp_path, capsys, base, edit, message):
+    # check divides by q_n (c^2 n^(1 + 2e) for SCAD, c n^(e - gamma/2) for bridge): one config
+    # error line naming the config's own keys and values, not one about a derived schedule
+    path = tmp_path / "q.cfg"
+    path.write_text(base.replace(*edit))
+    assert _run(capsys, ["check", "--config", str(path)]) == (2, "", f"config error: {message}\n")
+
+
 @pytest.mark.parametrize("command, gamma, box_half, code", [
     ("estimate", "1e300", "10.0", 2),
     ("mc", "1e300", "10.0", 2),
-    ("check", "200", "10.0", 2),  # the sphere infimum evaluates p_n at |t| up to 1024 / sqrt(16)
+    # the sphere infimum evaluates p_n at |t| up to 1024 / sqrt(16); q_n = n^(0.6 - gamma/2) stays
+    # positive to n = 4096 (at gamma = 200 it underflows to 0, see test_check_divergence_scale_...)
+    ("check", "150", "10.0", 2),
     ("estimate", "1e300", "1.0", 0),
     ("mc", "1e300", "1.0", 0),
 ])
@@ -624,6 +651,20 @@ def test_check_scad_classification(tmp_path, capsys):
     assert pc["polynomial-growth-cap"]["verdict"] == "satisfied"
     assert pc["root-n-shift-continuity"]["verdict"] == "satisfied"
     assert pc["root-n-shift-continuity"]["kappa"] == 1
+
+
+@pytest.mark.parametrize("base", [BASE, SCAD, SELO], ids=["bridge", "scad", "selo"])
+def test_check_with_zero_schedule_coefficient(tmp_path, capsys, base):
+    # c = 0 is lambda_n = 0, as for family = none: q_n = 1, so the divergence curve is 0
+    # (not divergent) and check exits 0 as estimate and limit do
+    path = tmp_path / "zero.cfg"
+    path.write_text(base.replace("c = 1.0", "c = 0"))
+    code, out, err = _run(capsys, ["check", "--config", str(path)])
+    assert (code, err) == (0, "")
+    div = json.loads(out)["penalty_conditions"]["divergence-lower-bound"]
+    assert div["verdict"] == "not-satisfied"
+    assert div["detail"]["q_n"] == {"c": 1.0, "e": 0.0}
+    assert "fitted_exponent" not in div
 
 
 def test_check_unsupported_regime_structured_error(tmp_path, capsys):

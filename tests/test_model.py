@@ -157,8 +157,8 @@ def test_design_conditions_standardized_all_bounded():
                                   TuningSchedule(1.0, 0.1), (1, 1))
     for cond in (COND_GRAM_RATE, COND_CROSS_SCALED, COND_CROSS_ROOT_N,
                  COND_ZERO_GRAM, COND_NONZERO_GRAM_RATE):
-        assert rep[cond].verdict == "plausibly-bounded"
-        assert max(rep[cond].values) <= 1e-9
+        assert rep[cond]["verdict"] == "plausibly-bounded"
+        assert max(rep[cond]["values"]) <= 1e-9
 
 
 def test_design_conditions_drifting_scale_flagged():
@@ -171,7 +171,7 @@ def test_design_conditions_drifting_scale_flagged():
         designs.append((n, (1.0 + n ** (-delta / 2.0)) * X))
     rep = check_design_conditions(designs, np.eye(2), delta,
                                   TuningSchedule(1.0, 0.1), (1, 1))
-    assert rep[COND_GRAM_RATE].verdict == "growing"
+    assert rep[COND_GRAM_RATE]["verdict"] == "growing"
 
 
 def test_design_conditions_require_pd_c0():

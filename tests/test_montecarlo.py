@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 from dataclasses import replace
@@ -362,13 +363,20 @@ def _binomial_central_interval(N: int, q: float, alpha: float) -> tuple[int, int
     return int(np.searchsorted(cdf, alpha / 2, side="right")), int(np.searchsorted(cdf, 1 - alpha / 2))
 
 
-def _prox_threshold(pen, n: int) -> tuple[float, float]:
-    """(lo, hi) within 1e-13 with prox(lo) = 0 != prox(hi) for the curvature-n prox over the box +-10."""
+def _prox_threshold(pen, n: int, size: float = 0.0) -> tuple[float, float]:
+    """(lo, hi) within 1e-13 with |prox(lo)| <= size < |prox(hi)| for the curvature-n prox over
+    the box +-10 (size 0: prox(lo) = 0 != prox(hi)). |prox(b)| does not decrease in b >= 0."""
     lo, hi = 0.0, 10.0
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if scalar_prox_interval(pen, n, n, mid, -10.0, 10.0) == 0.0 else (lo, mid)
+        lo, hi = (mid, hi) if abs(scalar_prox_interval(pen, n, n, mid, -10.0, 10.0)) <= size else (lo, mid)
     return lo, hi
+
+
+@functools.cache
+def _pooled_campaigns(n_grid: tuple[int, ...], R: int, seeds: range) -> list[ReplicationSet]:
+    """The acceptance sparse campaign (bridge gamma = 0.5, lambda_n = n^0.6) at each seed."""
+    return [run_replications(_cfg(n_grid=n_grid, R=R, seed=seed)) for seed in seeds]
 
 
 def test_selection_rate_matches_the_exact_orthonormal_rate():
@@ -424,7 +432,7 @@ def test_moments_match_the_exact_orthonormal_moments():
                     [[0.075621, 0.359017], [0.0072703, 0.049587]], rtol=1e-4)
     assert_allclose([exact[n][1][:2] for n in n_grid],
                     [[1.209913, 4.406006], [1.219373, 4.402311]], rtol=1e-6)
-    trajs = [moment_trajectory(run_replications(_cfg(n_grid=n_grid, R=R, seed=seed))) for seed in seeds]
+    trajs = [moment_trajectory(rs) for rs in _pooled_campaigns(n_grid, R, seeds)]
     for qi, (q, factor) in enumerate(((2.0, 1.5), (4.0, 3.0))):
         for j, n in enumerate(n_grid):
             for side, moments in zip("uv", exact[n]):
@@ -436,6 +444,27 @@ def test_moments_match_the_exact_orthonormal_moments():
                 if side == "v":
                     ratios = [t[order_label(q)]["v_se"][j] / (sd / math.sqrt(R)) for t in trajs]
                     assert 1.0 / factor <= min(ratios) and max(ratios) <= factor, (q, n, ratios)
+
+
+
+def test_tail_curve_matches_the_exact_orthonormal_survival():
+    # As in the selection-rate test, z_hat = prox(b) with b ~ N(0, 1/n). |prox(b)| does not
+    # decrease in |b|, so P(|sqrt(n) z_hat| >= r) = P(|b| >= b_r) = erfc(b_r sqrt(n/2)) exactly,
+    # b_r the least b >= 0 with |prox(b)| >= r / sqrt(n). Pooled over seeds 1-8 at R = 400, each
+    # tail_curve count lies in its central 1 - 1e-6 binomial interval.
+    n_grid, R, seeds = (50, 200), 400, range(1, 9)
+    cfg = _cfg()
+    counts = dict.fromkeys(n_grid, 0)
+    for rs in _pooled_campaigns(n_grid, R, seeds):
+        for curve in tail_curve(rs).curves:
+            counts[curve.n] = counts[curve.n] + np.rint(curve.p_hat * R).astype(int)
+    for n in n_grid:
+        for r, count in zip(cfg.r_grid, counts[n].tolist()):
+            b_r = _prox_threshold(cfg.penalty, n, r / math.sqrt(n))[1]
+            survival = math.erfc(b_r * math.sqrt(n / 2.0))
+            low, high = _binomial_central_interval(R * len(seeds), survival, 1e-6)
+            assert low <= count <= high, (n, r, count, (low, high), R * len(seeds) * survival)
+
 
 def test_compare_to_limit_sparse_slow_drift():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.6, n_grid=(800,), R=200)

@@ -341,10 +341,10 @@ def test_divergence_bridge_exact_power():
     for gamma in (0.25, 0.5, 0.75):
         pen = bridge(1.0, 0.35, gamma)
         rep = check_divergence_condition(pen, N_GRID, R_GRID, p0=1)
-        assert rep.verdict == "satisfied"
+        assert rep["verdict"] == "satisfied"
         # scaled infimum is exactly r^gamma, so the fitted power is exact
-        assert abs(rep.fitted_exponent - gamma) <= 1e-3
-        assert_allclose(rep.values[0], np.asarray(R_GRID) ** gamma, rtol=1e-12)
+        assert abs(rep["fitted_exponent"] - gamma) <= 1e-3
+        assert_allclose(rep["values"][0], np.asarray(R_GRID) ** gamma, rtol=1e-12)
 
 
 def test_divergence_bridge_two_dim_sphere_matches_dense_search():
@@ -356,9 +356,9 @@ def test_divergence_bridge_two_dim_sphere_matches_dense_search():
     dense = np.min(penalty_value(pen, n, rn * np.cos(ang))
                    + penalty_value(pen, n, rn * np.sin(ang)))
     q = pen.schedule.value(n) / n ** 0.25
-    assert rep.values[0][1] == pytest.approx(dense / q, abs=1e-8)
+    assert rep["values"][0][1] == pytest.approx(dense / q, abs=1e-8)
     # concavity: the infimum sits on a coordinate axis
-    assert rep.values[0][1] == pytest.approx(r ** 0.5, rel=1e-12)
+    assert rep["values"][0][1] == pytest.approx(r ** 0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("p0", [3, 5])
@@ -382,7 +382,7 @@ def test_divergence_sphere_infimum_matches_random_search(pen, p0):
     for i, n in enumerate(n_grid):
         for j, r in enumerate(r_grid):
             sums = np.sum(penalty_value(pen, n, r * dirs / math.sqrt(n)), axis=1)
-            assert rep.values[i, j] * q.value(n) == pytest.approx(np.min(sums), rel=1e-12)
+            assert rep["values"][i][j] * q.value(n) == pytest.approx(np.min(sums), rel=1e-12)
             if pen.family == "bridge" and pen.gamma > 2.0:
                 # convex case: equal mass on all p0 axes beats one axis
                 assert sums[-1] < sums[-2]
@@ -390,9 +390,9 @@ def test_divergence_sphere_infimum_matches_random_search(pen, p0):
 
 def test_divergence_rejects_bounded_penalties():
     rep = check_divergence_condition(scad(1.0, -0.25), N_GRID, R_GRID, p0=1)
-    assert rep.verdict == "not-satisfied"
+    assert rep["verdict"] == "not-satisfied"
     rep = check_divergence_condition(selo(1.0, -0.25), N_GRID, R_GRID, p0=1)
-    assert rep.verdict == "not-satisfied"
+    assert rep["verdict"] == "not-satisfied"
 
 
 def test_divergence_input_validation():
@@ -407,26 +407,26 @@ def test_smooth_conditions_scad_schedule():
     pen = scad(1.0, -0.25)
     growth, shift = check_smooth_conditions(pen, N_GRID, (0.5, 1.0, 2.0),
                                             (0.5, 1.0, 2.0, 4.0), beta=0.25)
-    assert growth.verdict == "satisfied"
-    assert shift.verdict == "satisfied"
-    assert shift.kappa == 1
+    assert growth["verdict"] == "satisfied"
+    assert shift["verdict"] == "satisfied"
+    assert shift["kappa"] == 1
 
 
 def test_smooth_conditions_smooth_bridge():
     pen = bridge(1.0, 0.5, 2.0)
     growth, shift = check_smooth_conditions(pen, N_GRID, (0.5, 1.0, 2.0),
                                             (0.5, 1.0, 2.0, 4.0), beta=0.25)
-    assert shift.verdict == "satisfied"
-    assert shift.kappa == 1
+    assert shift["verdict"] == "satisfied"
+    assert shift["kappa"] == 1
 
 
 def test_smooth_conditions_degenerate_zero_penalty():
     growth, shift = check_smooth_conditions(zero_penalty(), N_GRID, (0.5, 1.0),
                                             (1.0, 2.0), beta=0.25)
-    assert growth.verdict == "satisfied"
-    assert shift.verdict == "satisfied"
-    assert np.all(growth.values == 0.0)
-    assert np.all(shift.values == 0.0)
+    assert growth["verdict"] == "satisfied"
+    assert shift["verdict"] == "satisfied"
+    assert np.all(np.array(growth["values"]) == 0.0)
+    assert np.all(np.array(shift["values"]) == 0.0)
 
 
 def test_smooth_conditions_flags_sparse_slow_bridge():
@@ -435,7 +435,7 @@ def test_smooth_conditions_flags_sparse_slow_bridge():
     pen = bridge(1.0, 0.6, 0.5)
     wide = (16, 256, 4096, 65536, 1048576)
     _, shift = check_smooth_conditions(pen, wide, (1.0,), (1.0,), beta=0.25)
-    assert shift.verdict == "not-satisfied"
+    assert shift["verdict"] == "not-satisfied"
 
 
 def test_smooth_conditions_rejects_zero_probe():

@@ -163,26 +163,26 @@ def test_multistart_points_follow_their_definition(p0, box, count):
     ("bounded-random-frozen", 4, 8),
 ])
 def test_fit_never_reads_the_generating_truth(pen, kind, p0, p):
-    # the estimator is a function of (X, Y, penalty, box): two truths with the
-    # same zero block but other nonzero entries give the same bits on one data set
+    # the estimator is a function of (X, Y, penalty, box): truths with other nonzero
+    # entries, or with a zero block of another size, give the same bits on one data set
     rng = np.random.default_rng(31)
     X = generate_design(DesignSpec(kind=kind, p=p), 60, 17)
     factor, box = DesignFactor(X), Box.cube(p)
     near = TrueParameter(p0=p0, rho0=(1.0,) * (p - p0))
     far = TrueParameter(p0=p0, rho0=(-3.0,) * (p - p0))
+    resized = TrueParameter(p0=p0 - 1, rho0=(2.0,) * (p - p0 + 1))
     for _ in range(4):
         Y = X @ near.theta + rng.standard_normal(60)
         fits = [minimize(Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=60), penalty=pen), box,
-                         None, factor) for truth in (near, far)]
-        assert _bits(fits[0]) == _bits(fits[1])
+                         None, factor) for truth in (near, far, resized)]
+        assert _bits(fits[0]) == _bits(fits[1]) == _bits(fits[2])
 
 
 def test_exact_zero_is_fixed_point():
     c = _contrast(_bridge(1.0, 0.6, 0.5), n=100, seed=6)
     box = Box.cube(2)
     res = minimize(c, box)
-    assert res.exact_zero_flags[0]
-    assert res.z_hat[0] == 0.0
+    assert res.theta_hat[0] == 0.0
     rerun, _, _ = _descend(c, box, SolverOptions(), res.theta_hat.copy())
     assert rerun[0] == 0.0
 
@@ -263,8 +263,7 @@ def test_grid_oracle_monotone_in_stages():
 def test_grid_oracle_represents_exact_zero():
     c = _contrast(_bridge(2.0, 0.6, 0.5), n=100, seed=6)
     res = grid_oracle(c, Box.cube(2), stages=2, points_per_axis=21)
-    assert res.z_hat[0] == 0.0
-    assert res.exact_zero_flags[0]
+    assert res.theta_hat[0] == 0.0
 
 
 def test_grid_oracle_objective_is_the_exact_objective():
@@ -338,7 +337,7 @@ def test_minimize_matches_separable_oracle_beyond_p3(pen):
         res = minimize(c, Box.cube(p))
         ols = np.linalg.lstsq(c.dataset.X, c.dataset.Y, rcond=None)[0]
         expect = np.array([scalar_prox_interval(pen, n, float(n), b, -10.0, 10.0) for b in ols])
-        assert_array_equal(res.exact_zero_flags, expect[:p0] == 0.0)
+        assert_array_equal(res.theta_hat[:p0] == 0.0, expect[:p0] == 0.0)
         assert np.all(np.abs(res.theta_hat - expect) <= 1e-8 * (1.0 + np.abs(expect)))
         zeros += int(np.count_nonzero(expect[:p0] == 0.0))
     if pen.family != "bridge" or pen.gamma < 1.0:
@@ -390,7 +389,7 @@ def test_gram_form_matches_residual_form():
         box = Box.cube(p)
         res = minimize(c, box)
         theta, obj = _residual_form_minimize(c, box)
-        assert_array_equal(res.exact_zero_flags, theta[:p0] == 0.0), trial
+        assert_array_equal(res.theta_hat[:p0] == 0.0, theta[:p0] == 0.0), trial
         assert np.max(np.abs(res.theta_hat - theta)) <= 1e-9, trial
         assert res.objective <= obj + 1e-12 * abs(obj), trial
 
