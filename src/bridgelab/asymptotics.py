@@ -268,7 +268,9 @@ def sparse_limit_params(gamma: float, lambda0: float, B0, sigma2: float, rho0):
     """(Upsilon, bias, covariance) of the nonzero-block limit law.
 
     Upsilon_l = (gamma/2) sgn(rho0_l) |rho0_l|^(gamma-1); bias = -lambda0 B0^-1
-    Upsilon; covariance = sigma^2 B0^-1.
+    Upsilon (the sparse-slow drift at lambda0 = 1); covariance = sigma^2 B0^-1.
+    Raises InvalidInputError, without a numpy warning, when one of them is not
+    finite (a B0 near the subnormal range overflows B0^-1).
     """
     if not (0.0 < gamma < 1.0):
         raise InvalidInputError(f"sparse limit requires gamma in (0,1), got {gamma}")
@@ -281,10 +283,16 @@ def sparse_limit_params(gamma: float, lambda0: float, B0, sigma2: float, rho0):
     eig = np.linalg.eigvalsh(B0)
     if eig[0] <= 0.0:
         raise InvalidInputError("B0 must be positive definite")
-    upsilon = 0.5 * gamma * np.sign(rho0) * np.abs(rho0) ** (gamma - 1.0)
-    B0_inv = np.linalg.inv(B0)
-    bias = -lambda0 * B0_inv @ upsilon
-    cov = sigma2 * B0_inv
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        upsilon = 0.5 * gamma * np.sign(rho0) * np.abs(rho0) ** (gamma - 1.0)
+        B0_inv = np.linalg.inv(B0)
+        bias = -lambda0 * B0_inv @ upsilon
+        cov = sigma2 * B0_inv
+    overflowing = [name for name, value in (("Upsilon", upsilon), ("B0^-1 Upsilon", bias),
+                                           ("sigma^2 B0^-1", cov)) if not np.all(np.isfinite(value))]
+    if overflowing:
+        raise InvalidInputError(f"the sparse limit law is not finite: {' and '.join(overflowing)} overflow "
+                                f"(B0 has smallest eigenvalue {eig[0]}, rho0 = {rho0.tolist()})")
     return upsilon, bias, cov
 
 
@@ -345,15 +353,13 @@ def limit_law(gamma: float, schedule: TuningSchedule, sigma2: float, C0,
         law.theta0 = theta0
         return law
     if regime.tag in (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW):
-        B0 = C0[p0:, p0:]
-        lam0 = regime.lambda0 if regime.tag == REGIME_SPARSE_NORMAL else 0.0
-        upsilon, bias, cov = sparse_limit_params(gamma, lam0 or 0.0, B0, sigma2, theta0[p0:])
-        law.upsilon = upsilon
-        law.cov = cov
+        # the sparse-slow drift -B0^-1 Upsilon is the bias at lambda0 = 1
+        lam0 = regime.lambda0 if regime.tag == REGIME_SPARSE_NORMAL else 1.0
+        law.upsilon, bias, law.cov = sparse_limit_params(gamma, lam0, C0[p0:, p0:], sigma2, theta0[p0:])
         if regime.tag == REGIME_SPARSE_NORMAL:
             law.bias = bias
         else:
-            law.drift = -np.linalg.inv(B0) @ upsilon
+            law.drift = bias
         return law
     point, flags = pseudo_true(C0, regime.lambda0, gamma, theta0, box=box)
     law.C0 = C0

@@ -15,8 +15,9 @@ import numpy as np
 
 from . import model as model_mod
 from . import penalty as penalty_mod
-from .asymptotics import (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW, REGIME_STANDARD, LimitLaw, limit_law,
-                          penalty_gamma, regime_classify, sample_limit_argmin)
+from .asymptotics import (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW, REGIME_STANDARD, penalty_gamma,
+                          regime_classify, sample_limit_argmin)
+from .asymptotics import limit_law  # noqa: F401  (perfbench/tracer.py wraps cli.limit_law)
 from .config import ExperimentConfig, check_design_grid, parse_config
 from .contrast import Contrast
 from .errors import ConfigError, InvalidInputError, InvalidSpecError, UnsupportedRegimeError
@@ -24,6 +25,7 @@ from .model import Dataset, generate_design, simulate_responses
 from .model import gram  # noqa: F401  (perfbench/tracer.py wraps cli.gram)
 from .montecarlo import (
     compare_to_limit,
+    config_law,
     design_seed,
     limit_c0,
     moment_trajectory,
@@ -59,12 +61,6 @@ def _regime_payload(ec: ExperimentConfig) -> dict:
         return {"note": f"the schedule-exponent regimes classify the bridge family; "
                         f"{pen.family} is covered by the penalty-condition checkers"}
     return asdict(regime_classify(penalty_gamma(pen), pen.schedule))
-
-
-def _config_law(mc, C0: np.ndarray) -> LimitLaw:
-    """The limit law of the config's penalty, noise and truth at C0."""
-    return limit_law(penalty_gamma(mc.penalty), mc.penalty.schedule, mc.noise.sigma ** 2,
-                     C0, mc.truth.theta, mc.truth.p0, box=mc.box)
 
 
 def cmd_estimate(ec: ExperimentConfig) -> int:
@@ -121,24 +117,22 @@ def _write_replications_csv(path: str, rs) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_tail_csv(path: str, report) -> None:
-    header = ["n", "r", "p_hat", "se"]
-    header += [f"rL_phat_L{order_label(L)}" for L in report.orders]
-    lines = [",".join(header)]
-    for curve in report.curves:
-        for i in range(curve.r.size):
-            cells = [str(curve.n), format_float(curve.r[i]),
-                     format_float(curve.p_hat[i]), format_float(curve.se[i])]
-            cells += [format_float(curve.rl[L][i]) for L in report.orders]
-            lines.append(",".join(cells))
+def _write_tail_csv(path: str, cfg, p_hat: np.ndarray) -> None:
+    """One row per (n, r): p_hat, its binomial SE and the overlay r^L p_hat per tail order L."""
+    r = np.asarray(cfg.r_grid, dtype=float)
+    se = np.sqrt(p_hat * (1.0 - p_hat) / cfg.replications)
+    columns = [p_hat, se, *(r ** L * p_hat for L in cfg.tail_orders)]
+    lines = [",".join(["n", "r", "p_hat", "se", *(f"rL_phat_L{order_label(L)}" for L in cfg.tail_orders)])]
+    for i, n in enumerate(cfg.n_grid):
+        for k, r_k in enumerate(r):
+            lines.append(",".join([str(n), format_float(r_k), *(format_float(col[i, k]) for col in columns)]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _summary_payload(ec: ExperimentConfig, rs, tail_report) -> dict:
+def _summary_payload(ec: ExperimentConfig, rs, p_hat: np.ndarray) -> dict:
     mc = ec.mc
-    C0, c0_source = limit_c0(mc)
-    summary: dict = {"config": ec.raw, "c0_source": c0_source, "warnings": list(rs.warnings)}
+    summary: dict = {"config": ec.raw, "c0_source": limit_c0(mc)[1], "warnings": list(rs.warnings)}
 
     if mc.truth.p0 >= 1:
         summary["selection_frequency"] = sparsity_curve(rs)
@@ -146,10 +140,10 @@ def _summary_payload(ec: ExperimentConfig, rs, tail_report) -> dict:
         summary["selection_frequency"] = {
             "note": "no zero block in the truth; selection frequencies undefined"}
     summary["moments"] = moment_trajectory(rs)
-    summary["pldi_probe"] = pldi_probe(tail_report)
+    summary["pldi_probe"] = pldi_probe(mc, p_hat)
 
     try:
-        summary["limit_distance"] = compare_to_limit(rs, _config_law(mc, C0))
+        summary["limit_distance"] = compare_to_limit(rs)
     except (UnsupportedRegimeError, InvalidInputError) as exc:
         summary["limit_distance"] = {"note": str(exc)}
     return summary
@@ -157,12 +151,12 @@ def _summary_payload(ec: ExperimentConfig, rs, tail_report) -> dict:
 
 def cmd_mc(ec: ExperimentConfig, out_dir: str, threads: int) -> int:
     rs = run_replications(ec.mc, threads=threads)
-    tail_report = tail_curve(rs)
-    summary = _summary_payload(ec, rs, tail_report)
+    p_hat = tail_curve(rs)
+    summary = _summary_payload(ec, rs, p_hat)
 
     os.makedirs(out_dir, exist_ok=True)
     _write_replications_csv(os.path.join(out_dir, "replications.csv"), rs)
-    _write_tail_csv(os.path.join(out_dir, "tail.csv"), tail_report)
+    _write_tail_csv(os.path.join(out_dir, "tail.csv"), ec.mc, p_hat)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="") as fh:
         fh.write(canonical_json(summary))
     return 0
@@ -200,8 +194,7 @@ def cmd_check(ec: ExperimentConfig) -> int:
 
 def cmd_limit(ec: ExperimentConfig) -> int:
     mc = ec.mc
-    C0, c0_source = limit_c0(mc)
-    law = _config_law(mc, C0)
+    law, c0_source = config_law(mc)
     payload: dict = {
         "regime": asdict(law.regime),
         "gamma": law.gamma,

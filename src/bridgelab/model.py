@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
 from .penalty import TuningSchedule
-from .util import boundedness_verdict, require_finite
+from .util import boundedness_verdict, frobenius_norm, require_finite
 
 DESIGN_KINDS = ("standardized-orthonormal", "explicit-matrix", "bounded-random-frozen")
 NOISE_FAMILIES = ("gaussian", "scaled-uniform", "scaled-rademacher")
@@ -261,16 +261,16 @@ def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSc
     B0 = C0[p0:, p0:]
     for n, X in designs:
         rep = gram(X, split)
-        gram_rate.append(float(n) ** delta * float(np.linalg.norm(rep.C_n - C0)))
+        gram_rate.append(float(n) ** delta * frobenius_norm(rep.C_n - C0))
         row_bound.append(float(np.max(np.linalg.norm(X, axis=1))))
         qn = q_n.value(n)
         if qn <= 0.0:
             raise InvalidInputError(f"q_n must be positive, got {qn} at n={n}")
-        cross_norm = float(np.linalg.norm(rep.cross))
+        cross_norm = frobenius_norm(rep.cross)
         cross_scaled.append(cross_norm / math.sqrt(qn))
         cross_rootn.append(cross_norm)
-        zero_gram.append(float(np.linalg.norm(rep.D_n - D0)))
-        nonzero_rate.append(float(n) ** delta * float(np.linalg.norm(rep.B_n - B0)))
+        zero_gram.append(frobenius_norm(rep.D_n - D0))
+        nonzero_rate.append(float(n) ** delta * frobenius_norm(rep.B_n - B0))
 
     report = {cond: {"condition": cond, "n_grid": ns, "values": vals, "verdict": boundedness_verdict(vals)}
               for cond, vals in ((COND_GRAM_RATE, gram_rate), (COND_ROW_BOUND, row_bound),

@@ -21,8 +21,8 @@ from .asymptotics import (
     REGIME_SPARSE_SLOW,
     REGIME_STANDARD,
     LimitLaw,
+    limit_law,
     penalty_gamma,
-    regime_classify,
     sample_limit_argmin,
 )
 from .contrast import Contrast
@@ -30,8 +30,8 @@ from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
 from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize
-from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, require_finite, row_squares,
-                   seeded_generators)
+from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, frobenius_norm, require_finite,
+                   row_squares, seeded_generators)
 
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
 
@@ -127,6 +127,14 @@ def limit_c0(cfg: MCConfig) -> tuple[np.ndarray, str]:
     return gram(X, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
 
 
+def config_law(cfg: MCConfig) -> tuple[LimitLaw, str]:
+    """The limit law of the config's penalty, noise and truth at C0 = limit_c0(cfg),
+    and C0's source label: the one builder of a config's law."""
+    C0, c0_source = limit_c0(cfg)
+    return limit_law(penalty_gamma(cfg.penalty), cfg.penalty.schedule, cfg.noise.sigma ** 2, C0,
+                     cfg.truth.theta, cfg.truth.p0, box=cfg.box), c0_source
+
+
 def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor, seed: int,
                rng: np.random.Generator) -> tuple[int, EstimateResult]:  # rng = default_rng(seed)
     Y = simulate_responses(X, cfg.truth, cfg.noise, rng)
@@ -195,33 +203,10 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TailCurve:
-    n: int
-    r: np.ndarray
-    p_hat: np.ndarray
-    se: np.ndarray
-    censored: np.ndarray
-    rl: dict[float, np.ndarray]
-    slope: float | None
-    note: str = ""
-
-
-@dataclass
-class TailReport:
-    curves: list[TailCurve]
-    orders: tuple[float, ...]
-    cutoff: float
-
-
-def survival_curve(values: np.ndarray, r_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical survival P(value >= r) with binomial standard errors."""
+def survival_curve(values: np.ndarray, r_grid) -> np.ndarray:
+    """Empirical survival P(value >= r) on r_grid."""
     values = np.asarray(values, dtype=float)
-    r = np.asarray(r_grid, dtype=float)
-    R = values.size
-    p_hat = np.mean(values[:, None] >= r[None, :], axis=0)
-    se = np.sqrt(p_hat * (1.0 - p_hat) / R)
-    return p_hat, se
+    return np.mean(values[:, None] >= np.asarray(r_grid, dtype=float)[None, :], axis=0)
 
 
 def fit_tail_slope(r, p_hat, cutoff: float) -> tuple[float | None, str]:
@@ -237,27 +222,15 @@ def fit_tail_slope(r, p_hat, cutoff: float) -> tuple[float | None, str]:
     return fit[0], ""
 
 
-def tail_curve(rs: ReplicationSet) -> TailReport:
-    """Per-n survival of |u_hat| = |sqrt(n) z_hat| on cfg.r_grid, with r^L overlays for cfg.tail_orders.
-
-    p_hat values below INFORMATIVE_COUNT/R are still reported but censored for
-    slope fitting; an all-zero sample is the strongest possible tail verdict
-    and leaves the slope undefined.
-    """
+def tail_curve(rs: ReplicationSet) -> np.ndarray:
+    """Survival p_hat = P(|u_hat| >= r) of |u_hat| = |sqrt(n) z_hat|, one row per n of
+    cfg.n_grid and one column per r of cfg.r_grid. Its binomial SEs and r^L overlays
+    are derived from it where they are used (tail.csv, pldi_probe)."""
     cfg = rs.config
-    r, orders = np.asarray(cfg.r_grid, dtype=float), cfg.tail_orders
-    cutoff = INFORMATIVE_COUNT / cfg.replications
-    curves = []
-    for n in cfg.n_grid:
-        norms = rs.u_norms(n)
-        p_hat, se = survival_curve(norms, r)
-        if np.any(np.diff(p_hat) > 0.0):
-            raise RuntimeError("survival function must be non-increasing")
-        rl = {L: r ** L * p_hat for L in orders}
-        slope, note = fit_tail_slope(r, p_hat, cutoff)
-        curves.append(TailCurve(n=n, r=r, p_hat=p_hat, se=se,
-                                censored=p_hat < cutoff, rl=rl, slope=slope, note=note))
-    return TailReport(curves=curves, orders=orders, cutoff=cutoff)
+    p_hat = np.array([survival_curve(rs.u_norms(n), cfg.r_grid) for n in cfg.n_grid])
+    if np.any(np.diff(p_hat, axis=1) > 0.0):
+        raise RuntimeError("survival function must be non-increasing")
+    return p_hat
 
 
 def order_label(q: float) -> str:
@@ -265,23 +238,18 @@ def order_label(q: float) -> str:
     return f"{q:g}"
 
 
-def pldi_probe(report: TailReport) -> dict:
-    """Uniform-in-n surrogate: per order L, the max of r^L p_hat over the
-    informative range must not grow monotonically by more than x2 along n.
-    Keyed by order_label(L), as summary.json's pldi_probe block."""
+def pldi_probe(cfg: MCConfig, p_hat: np.ndarray) -> dict:
+    """Uniform-in-n surrogate: per order L of cfg.tail_orders, the max of r^L p_hat
+    over the informative range p_hat >= INFORMATIVE_COUNT/R (0 where that range
+    is empty) must not grow monotonically by more than x2 along n. Keyed by
+    order_label(L), as summary.json's pldi_probe block."""
+    r = np.asarray(cfg.r_grid, dtype=float)
+    informative = p_hat >= INFORMATIVE_COUNT / cfg.replications
     out = {}
-    for L in report.orders:
-        per_n = []
-        for curve in report.curves:
-            informative = ~curve.censored
-            vals = curve.rl[L][informative]
-            per_n.append(float(np.max(vals)) if vals.size else 0.0)
-        seq = np.asarray(per_n)
-        out[order_label(L)] = {
-            "per_n": per_n,
-            "max": float(np.max(seq)) if seq.size else 0.0,
-            "verdict": boundedness_verdict(seq),
-        }
+    for L in cfg.tail_orders:
+        per_n = [float(np.max(row[mask])) if mask.any() else 0.0
+                 for row, mask in zip(r ** L * p_hat, informative)]
+        out[order_label(L)] = {"per_n": per_n, "max": max(per_n), "verdict": boundedness_verdict(per_n)}
     return out
 
 
@@ -331,7 +299,13 @@ def moment_trajectory(rs: ReplicationSet) -> dict:
     for q in cfg.moment_orders:
         entry = {"n_grid": list(cfg.n_grid)}
         for side, norms in (("u", rs.u_norms), ("v", rs.v_norms)):
-            moment, se = np.array([_mean_se(norms(n) ** q) for n in cfg.n_grid]).T
+            with np.errstate(over="ignore", invalid="ignore"):
+                moment, se = np.array([_mean_se(norms(n) ** q) for n in cfg.n_grid]).T
+            bad = ~(np.isfinite(moment) & np.isfinite(se))
+            if bad.any():
+                n = cfg.n_grid[int(np.argmax(bad))]
+                raise InvalidInputError(f"the campaign moment E|{side}|^{order_label(q)} or its SE overflows "
+                                        f"at n={n}: {moment[bad][0]} (SE {se[bad][0]})")
             entry.update({f"{side}_moment": moment.tolist(), f"{side}_se": se.tolist(),
                           f"{side}_verdict": boundedness_verdict(moment)})
         out[order_label(q)] = entry
@@ -343,20 +317,18 @@ def moment_trajectory(rs: ReplicationSet) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> dict:
-    """Distance report between the scaled estimates and the limit law.
+def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
+    """Distance report between the scaled estimates and the limit law of the
+    campaign's config (`config_law`).
 
     sparse-normal: mean gap in SE units and relative covariance gap;
-    standard: per-margin ECDF sup-distance against argmin samples of matched R;
+    standard: per-margin ECDF sup-distance against argmin samples of matched R
+    (or against `limit_samples`);
     sparse-slow: location-only check of (n/lambda_n)(rho_hat - rho0);
     pseudo-true: distance to the pseudo-true point plus exact-zero frequency.
-    Refuses a law whose regime does not match the campaign's.
     """
     cfg = rs.config
-    regime = regime_classify(penalty_gamma(cfg.penalty), cfg.penalty.schedule)
-    if regime.tag != law.regime.tag:
-        raise InvalidInputError(
-            f"campaign regime {regime.tag} does not match law regime {law.regime.tag}")
+    law = config_law(cfg)[0]
     report = {"regime": law.regime.tag, "per_n": {}}
 
     if law.regime.tag == REGIME_SPARSE_NORMAL:
@@ -366,11 +338,11 @@ def compare_to_limit(rs: ReplicationSet, law: LimitLaw, limit_samples=None) -> d
             V = rs.v_hat(n)
             mean, gap = _gap_in_se(V, bias)
             emp_cov = np.atleast_2d(np.cov(V.T))
-            denom = float(np.linalg.norm(cov))
+            denom = frobenius_norm(cov)
             if denom > 0.0:
-                cov_gap = float(np.linalg.norm(emp_cov - cov)) / denom
+                cov_gap = frobenius_norm(emp_cov - cov) / denom
             else:
-                cov_gap = 0.0 if float(np.linalg.norm(emp_cov)) == 0.0 else math.inf
+                cov_gap = 0.0 if frobenius_norm(emp_cov) == 0.0 else math.inf
             report["per_n"][n] = {
                 "mean": mean.tolist(),
                 "limit_mean": bias.tolist(),

@@ -15,7 +15,9 @@ from bridgelab.cli import main as cli_main
 from bridgelab.contrast import Contrast, local_field, plaq_decompose
 from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter, make_dataset
 from bridgelab.montecarlo import (
+    INFORMATIVE_COUNT,
     MCConfig,
+    fit_tail_slope,
     moment_trajectory,
     pldi_probe,
     run_replications,
@@ -188,10 +190,11 @@ def test_criterion_05_sparse_normal_limit():
 
 def test_criterion_06_pldi_probe(sparse_campaign):
     cfg, rs, _ = sparse_campaign
-    report = tail_curve(rs)
-    probe = pldi_probe(report)
+    p_hat = tail_curve(rs)
+    probe = pldi_probe(cfg, p_hat)
     growth_ok = all(probe[L]["verdict"] == "plausibly-bounded" for L in ("2", "4"))
-    slope_800 = next(c for c in report.curves if c.n == 800).slope
+    slope_800, _ = fit_tail_slope(cfg.r_grid, p_hat[cfg.n_grid.index(800)],
+                                  INFORMATIVE_COUNT / cfg.replications)
     slope_ok = slope_800 is None or slope_800 <= -4.0
     detail = {f"L{L}": [round(v, 4) for v in probe[L]["per_n"]] for L in ("2", "4")}
     _report(6, growth_ok and slope_ok,

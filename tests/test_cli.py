@@ -568,14 +568,53 @@ def test_mc_emits_three_files(cfg_path, tmp_path, capsys):
     assert (tmp_path / "orders" / "tail.csv").read_text().split()[0] == "n,r,p_hat,se,rL_phat_L0.5"
 
 
-def test_mc_byte_identical_across_runs(cfg_path, tmp_path, capsys):
+@pytest.mark.parametrize("e, regime", [
+    ("0.6", "sparse-slow"),
+    ("0.25", "standard"),  # the limit_distance block holds KS statistics against argmin draws
+    ("1.0", "pseudo-true"),
+])
+def test_mc_byte_identical_across_runs(tmp_path, capsys, e, regime):
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE.replace("e = 0.6", f"e = {e}"))
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert _run(capsys, ["mc", "--config", cfg_path, "--out", d1])[0] == 0
-    assert _run(capsys, ["mc", "--config", cfg_path, "--out", d2])[0] == 0
+    assert _run(capsys, ["mc", "--config", str(path), "--out", d1, "--threads", "1"])[0] == 0
+    assert _run(capsys, ["mc", "--config", str(path), "--out", d2, "--threads", "2"])[0] == 0
     for name in ("replications.csv", "tail.csv", "summary.json"):
         a = open(os.path.join(d1, name), "rb").read()
         b = open(os.path.join(d2, name), "rb").read()
         assert a == b
+    assert json.loads(a)["limit_distance"]["regime"] == regime
+
+
+def test_overflowing_campaign_moment_is_a_config_error(tmp_path, capsys):
+    # on the box [-10, 10], |v| = sqrt(n) |rho_hat - 1e80| is about 1e81: E|v|^2 = 1e162 is finite,
+    # but |v|^4 overflows, and its SE would be nan; no file is written and no numpy warning shows
+    path = tmp_path / "big.cfg"
+    path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 1e80").replace("gamma = 0.5", "gamma = 1.5")
+                    .replace("e = 0.6", "e = 0.25"))
+    out_dir = tmp_path / "o"
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir), "--threads", "1"]) == (
+        2, "", "config error: the campaign moment E|v|^4 or its SE overflows at n=50: inf (SE nan)\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bound, e", [("1e-154", "0.4"), ("1e-160", "0.5"), ("1e-160", "0.6")],
+                         ids=["sparse-normal-lambda0-0", "sparse-normal-lambda0-1", "sparse-slow"])
+def test_sparse_limit_law_that_is_not_finite_is_a_config_error(tmp_path, capsys, bound, e):
+    # C0 = bound^2 / 3p is subnormal, so B0^-1 overflows: limit exits 2 with one line (it printed
+    # nan/inf bias, drift and cov), and mc, whose fits are fine, writes the text as its limit_distance note
+    path = tmp_path / "tiny.cfg"
+    path.write_text(BASE.replace("design = standardized-orthonormal",
+                                 f"design = bounded-random-frozen\nbound = {bound}").replace("e = 0.6", f"e = {e}"))
+    code, out, err = _run(capsys, ["limit", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("config error: the sparse limit law is not finite: B0^-1 Upsilon and sigma^2 B0^-1 "
+                          "overflow (B0 has smallest eigenvalue ")
+    out_dir = tmp_path / "o"
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir), "--threads", "1"]) == (0, "", "")
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["limit_distance"] == {"note": err[len("config error: "):-1]}
 
 
 def test_mc_rows_equal_direct_fits(tmp_path, capsys):
@@ -635,6 +674,26 @@ def test_check_bridge_sparse_slow(cfg_path, capsys):
     assert abs(div["fitted_exponent"] - 0.5) <= 1e-3
     assert "zero-block-tail-bound" in div["required_by"]
     assert payload["design_conditions"]["cross-block-root-n"]["verdict"] == "plausibly-bounded"
+
+
+def test_check_design_norms_of_a_huge_bound_are_finite(tmp_path, capsys):
+    # bound = 1e100 scales X by 1e100 and the Gram blocks by 1e200, whose squared entries overflow;
+    # the norms are finite, quiet, and those of bound = 1 times the scale
+    blocks = {}
+    for bound in ("1", "1e100"):
+        path = tmp_path / f"b{bound}.cfg"
+        path.write_text(BASE.replace("design = standardized-orthonormal",
+                                     f"design = bounded-random-frozen\nbound = {bound}"))
+        code, out, err = _run(capsys, ["check", "--config", str(path)])
+        assert (code, err) == (0, "")
+        blocks[bound] = {cond: block for cond, block in json.loads(out)["design_conditions"].items()
+                         if isinstance(block, dict)}
+    assert len(blocks["1e100"]) == 6
+    for cond, block in blocks["1e100"].items():
+        scale = 1e100 if cond == "row-norm-bound" else 1e200
+        for got, want in zip(block["values"], blocks["1"][cond]["values"]):
+            assert got == pytest.approx(want * scale, rel=1e-9), cond
+        assert block["verdict"] == blocks["1"][cond]["verdict"]
 
 
 def test_check_scad_classification(tmp_path, capsys):

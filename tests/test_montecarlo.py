@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bridgelab.asymptotics import limit_law, penalty_gamma
 from bridgelab.errors import InvalidInputError, InvalidSpecError
 from bridgelab import montecarlo
 from bridgelab.model import (NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram,
                              simulate_responses)
 from bridgelab.montecarlo import (
+    INFORMATIVE_COUNT,
     MCConfig,
     ReplicationSet,
     compare_to_limit,
+    config_law,
     fit_tail_slope,
     limit_c0,
     moment_trajectory,
@@ -191,7 +192,7 @@ def test_survival_curve_and_pareto_slope():
     R = 100_000
     values = (1.0 - rng.uniform(size=R)) ** (-1.0 / 3.0)  # P(V >= r) = r^-3
     r_grid = np.geomspace(1.0, 8.0, 12)
-    p_hat, se = survival_curve(values, r_grid)
+    p_hat = survival_curve(values, r_grid)
     assert np.all(np.diff(p_hat) <= 0.0)
     assert np.all((p_hat >= 0.0) & (p_hat <= 1.0))
     slope, note = fit_tail_slope(r_grid, p_hat, cutoff=10.0 / R)
@@ -201,13 +202,14 @@ def test_survival_curve_and_pareto_slope():
 
 def test_tail_curve_all_mass_at_zero():
     rs = _synthetic_set(np.zeros(100), np.zeros(100))
-    rep = tail_curve(rs)
-    curve = rep.curves[0]
-    assert np.all(curve.p_hat == 0.0)
-    assert curve.slope is None
-    assert curve.note == "all mass at 0"
-    probe = pldi_probe(rep)
-    assert list(probe) == [order_label(L) for L in rep.orders]
+    cfg = rs.config
+    p_hat = tail_curve(rs)
+    assert p_hat.shape == (len(cfg.n_grid), len(cfg.r_grid))
+    assert np.all(p_hat == 0.0)
+    cutoff = INFORMATIVE_COUNT / cfg.replications
+    assert fit_tail_slope(cfg.r_grid, p_hat[0], cutoff) == (None, "all mass at 0")
+    probe = pldi_probe(cfg, p_hat)
+    assert list(probe) == [order_label(L) for L in cfg.tail_orders]
     for entry in probe.values():
         assert entry["verdict"] == "plausibly-bounded"
         assert entry["max"] == 0.0
@@ -216,12 +218,11 @@ def test_tail_curve_all_mass_at_zero():
 def test_tail_curve_real_run_monotone():
     cfg = _cfg(n_grid=(50, 100), R=100)
     rs = run_replications(cfg)
-    rep = tail_curve(rs)
-    for curve in rep.curves:
-        assert np.all(np.diff(curve.p_hat) <= 0.0)
-        assert np.all((curve.p_hat >= 0.0) & (curve.p_hat <= 1.0))
-        for L in rep.orders:
-            assert_allclose(curve.rl[L], curve.r ** L * curve.p_hat)
+    p_hat = tail_curve(rs)
+    for n, row in zip(cfg.n_grid, p_hat):
+        assert np.all(np.diff(row) <= 0.0)
+        assert np.all((row >= 0.0) & (row <= 1.0))
+        assert_array_equal(row, np.mean(rs.u_norms(n)[:, None] >= np.asarray(cfg.r_grid), axis=0))
 
 
 def test_sparsity_curve_unpenalized_near_zero():
@@ -307,8 +308,7 @@ def test_limit_c0_of_bounded_random_design_is_the_row_second_moment():
 def test_compare_to_limit_sparse_normal_unit_case():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.5, n_grid=(1600,), R=200)
     rs = run_replications(cfg)
-    law = limit_law(0.5, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
-    rep = compare_to_limit(rs, law)
+    rep = compare_to_limit(rs)
     entry = rep["per_n"][1600]
     assert entry["limit_mean"][0] == pytest.approx(-0.25)
     assert entry["mean_gap_in_se"][0] <= 4.0
@@ -318,9 +318,8 @@ def test_compare_to_limit_sparse_normal_unit_case():
 def test_compare_to_limit_sparse_normal_unbiased_when_lambda0_zero():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.3, n_grid=(6400,), R=400, seed=2)
     rs = run_replications(cfg)
-    law = limit_law(0.5, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
-    assert law.regime.lambda0 == 0.0
-    entry = compare_to_limit(rs, law)["per_n"][6400]
+    assert config_law(cfg)[0].regime.lambda0 == 0.0
+    entry = compare_to_limit(rs)["per_n"][6400]
     assert entry["limit_mean"][0] == 0.0
     assert entry["mean_gap_in_se"][0] <= 3.0
 
@@ -339,9 +338,8 @@ def test_run_replications_reports_generation_failure_with_config():
 def test_compare_to_limit_standard_self_comparison():
     cfg = _cfg(family="none", p0=0, rho0=(1.0,), n_grid=(100,), R=100)
     rs = run_replications(cfg)
-    law = limit_law(2.0, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 0)
     scaled = np.hstack([rs.u_hat(100), rs.v_hat(100)])
-    rep = compare_to_limit(rs, law, limit_samples=scaled)
+    rep = compare_to_limit(rs, limit_samples=scaled)
     assert rep["per_n"][100]["ks_per_margin"][0] == 0.0
 
 
@@ -350,8 +348,7 @@ def test_unpenalized_campaign_meets_the_law_of_its_config():
     # is N(0, sigma^2 C0^-1) = N(0, I_2), E|u|^2 = 2; 0.4 is 4 standard errors at R = 400
     pen = PenaltySpec(family="none", schedule=TuningSchedule(1.0, 0.5))
     cfg = replace(_cfg(family="none", n_grid=(200,), R=400), penalty=pen)
-    law = limit_law(penalty_gamma(pen), pen.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
-    entry = compare_to_limit(run_replications(cfg), law)["per_n"][200]
+    entry = compare_to_limit(run_replications(cfg))["per_n"][200]
     assert abs(entry["limit_moment2"] - 2.0) <= 0.4
 
 
@@ -379,18 +376,26 @@ def _pooled_campaigns(n_grid: tuple[int, ...], R: int, seeds: range) -> list[Rep
     return [run_replications(_cfg(n_grid=n_grid, R=R, seed=seed)) for seed in seeds]
 
 
-def test_selection_rate_matches_the_exact_orthonormal_rate():
+@pytest.mark.parametrize("pen, hit_rates", [
+    # the acceptance sparse config: bridge gamma = 0.5, lambda_n = n^0.6
+    (_cfg().penalty, (0.981434, 0.998859, 0.999993)),
+    # SCAD's slope at 0 is lambda_n = n^-0.25, so tau_n = lambda_n / 2
+    (PenaltySpec(family="scad", schedule=TuningSchedule(1.0, -0.25), a=3.7), (0.816341, 0.939933, 0.992166)),
+    # SELO with lambda_n = 1/n and its tau = 0.01 n^-0.5: the prox threshold is a constant over sqrt(n)
+    (PenaltySpec(family="selo", schedule=TuningSchedule(1.0, -1.0), tau=TuningSchedule(0.01, -0.5)),
+     (0.84164,) * 3),
+], ids=["bridge", "scad", "selo"])
+def test_selection_rate_matches_the_exact_orthonormal_rate(pen, hit_rates):
     # On an orthonormal Gaussian design X'X = nI, so z_hat is the prox (c = n) of b ~ N(0, 1/n)
     # and P(z_hat = 0) = P(|b| <= tau_n) = erf(tau_n sqrt(n/2)) exactly, tau_n the prox threshold.
     # Pooled over 8 seeds at R = 400, each miss count lies in its central 1 - 1e-6 interval.
     n_grid, R, seeds = (50, 200, 800), 400, range(1, 9)
-    pen = _cfg().penalty  # the acceptance sparse config: bridge gamma = 0.5, lambda_n = n^0.6
     misses = dict.fromkeys(n_grid, 0)
     for seed in seeds:
-        rs = run_replications(_cfg(n_grid=n_grid, R=R, seed=seed))
+        rs = run_replications(replace(_cfg(n_grid=n_grid, R=R, seed=seed), penalty=pen))
         for n in n_grid:
             misses[n] += int(np.count_nonzero(~rs.zero_flags(n)))
-    for n, hit_rate in zip(n_grid, (0.981434, 0.998859, 0.999993)):
+    for n, hit_rate in zip(n_grid, hit_rates):
         miss_rate = math.erfc(_prox_threshold(pen, n)[0] * math.sqrt(n / 2.0))
         assert 1.0 - miss_rate == pytest.approx(hit_rate, abs=1e-6)
         low, high = _binomial_central_interval(R * len(seeds), miss_rate, 1e-6)
@@ -456,8 +461,8 @@ def test_tail_curve_matches_the_exact_orthonormal_survival():
     cfg = _cfg()
     counts = dict.fromkeys(n_grid, 0)
     for rs in _pooled_campaigns(n_grid, R, seeds):
-        for curve in tail_curve(rs).curves:
-            counts[curve.n] = counts[curve.n] + np.rint(curve.p_hat * R).astype(int)
+        for n, row in zip(n_grid, tail_curve(rs)):
+            counts[n] = counts[n] + np.rint(row * R).astype(int)
     for n in n_grid:
         for r, count in zip(cfg.r_grid, counts[n].tolist()):
             b_r = _prox_threshold(cfg.penalty, n, r / math.sqrt(n))[1]
@@ -469,8 +474,7 @@ def test_tail_curve_matches_the_exact_orthonormal_survival():
 def test_compare_to_limit_sparse_slow_drift():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.6, n_grid=(800,), R=200)
     rs = run_replications(cfg)
-    law = limit_law(0.5, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
-    rep = compare_to_limit(rs, law)
+    rep = compare_to_limit(rs)
     entry = rep["per_n"][800]
     assert entry["limit_drift"][0] == pytest.approx(-0.25)
     assert abs(entry["mean"][0] - entry["limit_drift"][0]) <= 0.05
@@ -479,19 +483,10 @@ def test_compare_to_limit_sparse_slow_drift():
 def test_compare_to_limit_pseudo_true():
     cfg = _cfg(gamma=0.5, c=0.5, e=1.0, n_grid=(800,), R=100)
     rs = run_replications(cfg)
-    law = limit_law(0.5, cfg.penalty.schedule, 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1, box=cfg.box)
-    rep = compare_to_limit(rs, law)
+    rep = compare_to_limit(rs)
     entry = rep["per_n"][800]
     assert entry["pseudo_zero_frequency"] >= 0.9
     assert entry["mean_distance"] <= 0.2
-
-
-def test_compare_to_limit_regime_mismatch_refused():
-    cfg = _cfg(gamma=0.5, c=1.0, e=0.6, n_grid=(100,), R=100)  # sparse-slow campaign
-    rs = run_replications(cfg)
-    law = limit_law(0.5, TuningSchedule(1.0, 0.5), 1.0, limit_c0(cfg)[0], cfg.truth.theta, 1)
-    with pytest.raises(InvalidInputError):
-        compare_to_limit(rs, law)
 
 
 def test_warning_on_boundary_contact():
