@@ -283,7 +283,7 @@ def sparse_limit_params(gamma: float, lambda0: float, B0, sigma2: float, rho0):
     eig = np.linalg.eigvalsh(B0)
     if eig[0] <= 0.0:
         raise InvalidInputError("B0 must be positive definite")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         upsilon = 0.5 * gamma * np.sign(rho0) * np.abs(rho0) ** (gamma - 1.0)
         B0_inv = np.linalg.inv(B0)
         bias = -lambda0 * B0_inv @ upsilon

@@ -24,6 +24,7 @@ from .errors import ConfigError, InvalidInputError, InvalidSpecError, Unsupporte
 from .model import Dataset, generate_design, simulate_responses
 from .model import gram  # noqa: F401  (perfbench/tracer.py wraps cli.gram)
 from .montecarlo import (
+    C0_SOURCES,
     compare_to_limit,
     config_law,
     design_seed,
@@ -132,7 +133,7 @@ def _write_tail_csv(path: str, cfg, p_hat: np.ndarray) -> None:
 
 def _summary_payload(ec: ExperimentConfig, rs, p_hat: np.ndarray) -> dict:
     mc = ec.mc
-    summary: dict = {"config": ec.raw, "c0_source": limit_c0(mc)[1], "warnings": list(rs.warnings)}
+    summary: dict = {"config": ec.raw, "c0_source": C0_SOURCES[mc.design.kind], "warnings": list(rs.warnings)}
 
     if mc.truth.p0 >= 1:
         summary["selection_frequency"] = sparsity_curve(rs)
@@ -177,9 +178,9 @@ def cmd_check(ec: ExperimentConfig) -> int:
     else:
         designs = [(n, generate_design(mc.design, n, design_seed(mc.master_seed, n)))
                    for n in check_design_grid(mc.n_grid)]
-        C0, design_block["c0_source"] = limit_c0(mc)
+        design_block["c0_source"] = C0_SOURCES[mc.design.kind]
         design_conditions = model_mod.check_design_conditions(
-            designs, C0, cs.delta, penalty_mod.default_divergence_scale(pen), (mc.truth.p0, mc.truth.p1))
+            designs, limit_c0(mc), cs.delta, penalty_mod.default_divergence_scale(pen), (mc.truth.p0, mc.truth.p1))
     for block in (*penalty_block.values(), *design_conditions.values()):
         block["required_by"] = _REQUIRED_BY[block["condition"]]
 
@@ -194,12 +195,12 @@ def cmd_check(ec: ExperimentConfig) -> int:
 
 def cmd_limit(ec: ExperimentConfig) -> int:
     mc = ec.mc
-    law, c0_source = config_law(mc)
+    law = config_law(mc)
     payload: dict = {
         "regime": asdict(law.regime),
         "gamma": law.gamma,
         "sigma2": law.sigma2,
-        "c0_source": c0_source,
+        "c0_source": C0_SOURCES[mc.design.kind],
         "rate_descriptors": law.rate_descriptors,
     }
     if law.regime.tag == REGIME_STANDARD:

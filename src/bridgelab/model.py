@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
 from .penalty import TuningSchedule
-from .util import boundedness_verdict, frobenius_norm, require_finite
+from .util import boundedness_verdict, require_finite
 
 DESIGN_KINDS = ("standardized-orthonormal", "explicit-matrix", "bounded-random-frozen")
 NOISE_FAMILIES = ("gaussian", "scaled-uniform", "scaled-rademacher")
@@ -93,7 +93,9 @@ class DesignSpec:
             raise InvalidSpecError("design needs p >= 1")
         if not (self.bound > 0.0):
             raise InvalidSpecError("row bound must be positive")
-        require_finite(bound=self.bound, **{"bound^2": self.bound * self.bound})  # C0 scales as bound^2
+        # C0 scales as bound^2, and the limit covariance sigma^2 C0^-1 as bound^-2, whose norm squares it
+        require_finite(bound=self.bound, **{"bound^2": self.bound * self.bound,
+                                            "bound^-4": 1.0 / self.bound / self.bound / self.bound / self.bound})
         if self.kind == "explicit-matrix":
             if self.matrix is None:
                 raise InvalidSpecError("explicit-matrix design requires the matrix")
@@ -261,16 +263,21 @@ def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSc
     B0 = C0[p0:, p0:]
     for n, X in designs:
         rep = gram(X, split)
-        gram_rate.append(float(n) ** delta * frobenius_norm(rep.C_n - C0))
+        with np.errstate(over="ignore"):  # refused below: a bound near 1e77 overflows the squared entries
+            gram_norm, cross_norm, zero_norm, nonzero_norm = (
+                float(np.linalg.norm(A)) for A in (rep.C_n - C0, rep.cross, rep.D_n - D0, rep.B_n - B0))
+        if math.isinf(max(gram_norm, cross_norm, zero_norm, nonzero_norm)):
+            raise InvalidInputError(f"the Frobenius norms of the Gram blocks overflow at n={n}: "
+                                    "[model] bound is too large for check")
+        gram_rate.append(float(n) ** delta * gram_norm)
         row_bound.append(float(np.max(np.linalg.norm(X, axis=1))))
         qn = q_n.value(n)
         if qn <= 0.0:
             raise InvalidInputError(f"q_n must be positive, got {qn} at n={n}")
-        cross_norm = frobenius_norm(rep.cross)
         cross_scaled.append(cross_norm / math.sqrt(qn))
         cross_rootn.append(cross_norm)
-        zero_gram.append(frobenius_norm(rep.D_n - D0))
-        nonzero_rate.append(float(n) ** delta * frobenius_norm(rep.B_n - B0))
+        zero_gram.append(zero_norm)
+        nonzero_rate.append(float(n) ** delta * nonzero_norm)
 
     report = {cond: {"condition": cond, "n_grid": ns, "values": vals, "verdict": boundedness_verdict(vals)}
               for cond, vals in ((COND_GRAM_RATE, gram_rate), (COND_ROW_BOUND, row_bound),

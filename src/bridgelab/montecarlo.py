@@ -30,7 +30,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
 from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize
-from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, frobenius_norm, require_finite,
+from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, require_finite,
                    row_squares, seeded_generators)
 
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
@@ -112,27 +112,31 @@ def replication_seed(master_seed: int, n: int, rep: int) -> int:
     return derive_seed(master_seed, n, rep)
 
 
-def limit_c0(cfg: MCConfig) -> tuple[np.ndarray, str]:
-    """C0 = lim X'X/n of the limit laws, from the design spec alone, and its
-    source label: the identity for standardized-orthonormal designs, E[xx'] =
-    (bound^2 / 3p) I for bounded-random-frozen ones (iid U(+-bound/sqrt(p))
-    entries), and the Gram matrix of an explicit matrix, whose one n is the
-    largest."""
+C0_SOURCES = {"standardized-orthonormal": "standardized-identity",
+              "bounded-random-frozen": "uniform-second-moment",
+              "explicit-matrix": "empirical-largest-n"}  # design kind -> how limit_c0 gets C0
+
+
+def limit_c0(cfg: MCConfig) -> np.ndarray:
+    """C0 = lim X'X/n of the limit laws, from the design spec alone: the identity
+    for standardized-orthonormal designs, E[xx'] = (bound^2 / 3p) I for
+    bounded-random-frozen ones (iid U(+-bound/sqrt(p)) entries), and the Gram
+    matrix of an explicit matrix, whose one n is the largest (C0_SOURCES labels
+    the three)."""
     spec, p = cfg.design, cfg.truth.p
     if spec.kind == "standardized-orthonormal":
-        return np.eye(p), "standardized-identity"
+        return np.eye(p)
     if spec.kind == "bounded-random-frozen":
-        return np.eye(p) * (spec.bound * spec.bound / (3 * p)), "uniform-second-moment"
+        return np.eye(p) * (spec.bound * spec.bound / (3 * p))
     X = np.asarray(spec.matrix, dtype=float)
-    return gram(X, (cfg.truth.p0, cfg.truth.p1)).C_n, "empirical-largest-n"
+    return gram(X, (cfg.truth.p0, cfg.truth.p1)).C_n
 
 
-def config_law(cfg: MCConfig) -> tuple[LimitLaw, str]:
-    """The limit law of the config's penalty, noise and truth at C0 = limit_c0(cfg),
-    and C0's source label: the one builder of a config's law."""
-    C0, c0_source = limit_c0(cfg)
-    return limit_law(penalty_gamma(cfg.penalty), cfg.penalty.schedule, cfg.noise.sigma ** 2, C0,
-                     cfg.truth.theta, cfg.truth.p0, box=cfg.box), c0_source
+def config_law(cfg: MCConfig) -> LimitLaw:
+    """The limit law of the config's penalty, noise and truth at C0 = limit_c0(cfg):
+    the one builder of a config's law."""
+    return limit_law(penalty_gamma(cfg.penalty), cfg.penalty.schedule, cfg.noise.sigma ** 2, limit_c0(cfg),
+                     cfg.truth.theta, cfg.truth.p0, box=cfg.box)
 
 
 def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor, seed: int,
@@ -328,7 +332,7 @@ def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
     pseudo-true: distance to the pseudo-true point plus exact-zero frequency.
     """
     cfg = rs.config
-    law = config_law(cfg)[0]
+    law = config_law(cfg)
     report = {"regime": law.regime.tag, "per_n": {}}
 
     if law.regime.tag == REGIME_SPARSE_NORMAL:
@@ -338,11 +342,11 @@ def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
             V = rs.v_hat(n)
             mean, gap = _gap_in_se(V, bias)
             emp_cov = np.atleast_2d(np.cov(V.T))
-            denom = frobenius_norm(cov)
+            denom = float(np.linalg.norm(cov))
             if denom > 0.0:
-                cov_gap = frobenius_norm(emp_cov - cov) / denom
+                cov_gap = float(np.linalg.norm(emp_cov - cov)) / denom
             else:
-                cov_gap = 0.0 if frobenius_norm(emp_cov) == 0.0 else math.inf
+                cov_gap = 0.0 if float(np.linalg.norm(emp_cov)) == 0.0 else math.inf
             report["per_n"][n] = {
                 "mean": mean.tolist(),
                 "limit_mean": bias.tolist(),

@@ -1,6 +1,6 @@
 """Seed derivation and bulk SeedSequence seeding (derived seeds, per-seed generators,
-spawned normals), the spec finiteness check, per-row dots, an overflow-safe norm,
-boundedness heuristics, line fits, and byte-stable serialization helpers."""
+spawned normals), the spec finiteness check, per-row dots, boundedness heuristics,
+line fits, and byte-stable serialization helpers."""
 
 from __future__ import annotations
 
@@ -132,18 +132,6 @@ def row_squares(A: np.ndarray) -> np.ndarray:
     """Sum of squares per row of a 2-D array: one dot per row, the bits of each
     row's own `r @ r` (np.einsum and np.sum(A**2, axis=1) add in other orders)."""
     return (A[:, None, :] @ A[:, :, None]).ravel()
-
-
-def frobenius_norm(A) -> float:
-    """np.linalg.norm(A); when its sum of squares overflows, the norm of A / max|A|
-    times max|A|, which is finite for finite entries up to about 1e308 / sqrt(A.size)."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(A))
-        if math.isinf(norm):
-            scale = float(np.max(np.abs(A)))
-            if math.isfinite(scale):
-                norm = scale * float(np.linalg.norm(np.asarray(A) / scale))
-    return norm
 
 
 def boundedness_verdict(values) -> str:

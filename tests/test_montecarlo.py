@@ -12,6 +12,7 @@ from bridgelab import montecarlo
 from bridgelab.model import (NOISE_FAMILIES, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram,
                              simulate_responses)
 from bridgelab.montecarlo import (
+    C0_SOURCES,
     INFORMATIVE_COUNT,
     MCConfig,
     ReplicationSet,
@@ -285,8 +286,8 @@ def test_limit_c0_reads_the_design_spec_alone(monkeypatch, kind, source):
     matrix = tuple((float(i % 3), float(i % 2) - 0.5) for i in range(50))
     cfg = replace(_cfg(n_grid=(50,)), design=DesignSpec(kind=kind, p=2, bound=3.0, matrix=matrix))
     monkeypatch.setattr(montecarlo, "generate_design", None)  # building a design would raise TypeError
-    C0, c0_source = limit_c0(cfg)
-    assert c0_source == source
+    C0 = limit_c0(cfg)
+    assert C0_SOURCES[kind] == source
     expected = {"standardized-orthonormal": np.eye(2), "bounded-random-frozen": 1.5 * np.eye(2),
                 "explicit-matrix": np.asarray(matrix).T @ np.asarray(matrix) / 50}[kind]
     assert_allclose(C0, expected, rtol=1e-15, atol=0)
@@ -298,7 +299,7 @@ def test_limit_c0_of_bounded_random_design_is_the_row_second_moment():
     p, bound, n = 3, 2.0, 100_000
     cfg = replace(_cfg(rho0=(1.0, -1.0), n_grid=(50, 200)),
                   design=DesignSpec(kind="bounded-random-frozen", p=p, bound=bound))
-    C0, _ = limit_c0(cfg)
+    C0 = limit_c0(cfg)
     C_n = gram(generate_design(cfg.design, n, seed=2025), (1, 2)).C_n
     h4 = (bound * bound / p) ** 2
     se = np.sqrt(np.where(np.eye(p, dtype=bool), 4.0 * h4 / 45.0, h4 / 9.0) / n)
@@ -318,7 +319,7 @@ def test_compare_to_limit_sparse_normal_unit_case():
 def test_compare_to_limit_sparse_normal_unbiased_when_lambda0_zero():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.3, n_grid=(6400,), R=400, seed=2)
     rs = run_replications(cfg)
-    assert config_law(cfg)[0].regime.lambda0 == 0.0
+    assert config_law(cfg).regime.lambda0 == 0.0
     entry = compare_to_limit(rs)["per_n"][6400]
     assert entry["limit_mean"][0] == 0.0
     assert entry["mean_gap_in_se"][0] <= 3.0
