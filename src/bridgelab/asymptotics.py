@@ -22,30 +22,18 @@ REGIME_PSEUDO_TRUE = "pseudo-true"
 
 
 @dataclass
-class Regime:
-    """Asymptotic regime selected by the schedule exponent and the bridge index."""
-
-    tag: str
-    lambda0: float | None
-    rate_limits: dict = field(default_factory=dict)
-
-
-@dataclass
 class LimitLaw:
-    """Regime tag plus the limit-distribution ingredients it implies."""
+    """A regime's limit law in the shape `limit` prints it: `params` holds the
+    regime's own parameters in print order. C0 and theta0 are set in the
+    standard regime only, whose argmin sampler reads them."""
 
-    regime: Regime
+    regime: dict
     gamma: float
     sigma2: float
+    rate_descriptors: dict
+    params: dict = field(default_factory=dict)
     C0: np.ndarray | None = None
     theta0: np.ndarray | None = None
-    upsilon: np.ndarray | None = None
-    bias: np.ndarray | None = None
-    cov: np.ndarray | None = None
-    drift: np.ndarray | None = None
-    pseudo_true_point: np.ndarray | None = None
-    pseudo_zero_flags: np.ndarray | None = None
-    rate_descriptors: dict = field(default_factory=dict)
 
 
 def _limit_of_ratio(c: float, e: float, x: float) -> float:
@@ -59,8 +47,9 @@ def _limit_of_ratio(c: float, e: float, x: float) -> float:
     return math.inf
 
 
-def regime_classify(gamma: float, schedule: TuningSchedule) -> Regime:
-    """Map (gamma, lambda_n = c n^e) to the regime its limit theorem covers.
+def regime_classify(gamma: float, schedule: TuningSchedule) -> dict:
+    """Map (gamma, lambda_n = c n^e) to the regime its limit theorem covers, as the
+    block {"tag", "lambda0", "rate_limits"} that estimate, check and limit print.
 
     The tag depends only on e and gamma; the constant c enters only through
     lambda0 when e hits the critical exponent. Exponents above 1, and the cell
@@ -77,24 +66,24 @@ def regime_classify(gamma: float, schedule: TuningSchedule) -> Regime:
         "linear": _limit_of_ratio(c, e, 1.0),
     }
     if c == 0.0:
-        return Regime(tag=REGIME_STANDARD, lambda0=0.0, rate_limits=limits)
-    if e > 1.0:
+        tag, lam0 = REGIME_STANDARD, 0.0
+    elif e > 1.0:
         raise UnsupportedRegimeError(
             f"schedule exponent e={e} > 1: the penalty dominates the squared loss "
             "and no limit theorem covers it")
-    if e == 1.0:
-        return Regime(tag=REGIME_PSEUDO_TRUE, lambda0=c, rate_limits=limits)
-    if e <= crit:
-        lam0 = c if e == crit else 0.0
-        return Regime(tag=REGIME_STANDARD, lambda0=lam0, rate_limits=limits)
-    if gamma < 1.0:
-        if e <= 0.5:
-            lam0 = c if e == 0.5 else 0.0
-            return Regime(tag=REGIME_SPARSE_NORMAL, lambda0=lam0, rate_limits=limits)
-        return Regime(tag=REGIME_SPARSE_SLOW, lambda0=None, rate_limits=limits)
-    raise UnsupportedRegimeError(
-        f"gamma={gamma} >= 1 with exponent e={e} in (1/2, 1) is uncovered: "
-        "root-n asymptotics need e <= 1/2 and the sparse regimes need gamma < 1")
+    elif e == 1.0:
+        tag, lam0 = REGIME_PSEUDO_TRUE, c
+    elif e <= crit:
+        tag, lam0 = REGIME_STANDARD, c if e == crit else 0.0
+    elif gamma < 1.0 and e <= 0.5:
+        tag, lam0 = REGIME_SPARSE_NORMAL, c if e == 0.5 else 0.0
+    elif gamma < 1.0:
+        tag, lam0 = REGIME_SPARSE_SLOW, None
+    else:
+        raise UnsupportedRegimeError(
+            f"gamma={gamma} >= 1 with exponent e={e} in (1/2, 1) is uncovered: "
+            "root-n asymptotics need e <= 1/2 and the sparse regimes need gamma < 1")
+    return {"tag": tag, "lambda0": lam0, "rate_limits": limits}
 
 
 def penalty_gamma(penalty) -> float:
@@ -231,17 +220,16 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     rules, so draw k depends only on (law, seed, k). Raises InvalidInputError,
     before any draw, when the field's linear tilt t is not finite.
     """
-    if law.regime.tag != REGIME_STANDARD:
-        raise InvalidInputError(
-            f"argmin sampling is defined for the standard regime, got {law.regime.tag}")
-    C0 = np.asarray(law.C0, dtype=float)
-    theta0 = np.asarray(law.theta0, dtype=float)
+    tag = law.regime["tag"]
+    if tag != REGIME_STANDARD:
+        raise InvalidInputError(f"argmin sampling is defined for the standard regime, got {tag}")
+    C0, theta0 = law.C0, law.theta0
     eig = np.linalg.eigvalsh(C0)
     if eig[0] <= 0.0:
         raise InvalidInputError("C0 must be positive definite")
     p = C0.shape[0]
     sigma = math.sqrt(law.sigma2)
-    lam0 = law.regime.lambda0 or 0.0
+    lam0 = law.regime["lambda0"] or 0.0
     t, s, g = _v0_penalty_terms(law.gamma, lam0, theta0)
 
     W_all = sigma * _rows_times(spawned_normals(seed, R, p), np.linalg.cholesky(C0).T)
@@ -338,32 +326,25 @@ def limit_law(gamma: float, schedule: TuningSchedule, sigma2: float, C0,
               theta0, p0: int, box: Box | None = None) -> LimitLaw:
     """Assemble the LimitLaw for the classified regime from model ingredients."""
     regime = regime_classify(gamma, schedule)
+    tag, lam0 = regime["tag"], regime["lambda0"]
     C0 = np.asarray(C0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
-    rate_descriptors = {
+    law = LimitLaw(regime=regime, gamma=gamma, sigma2=sigma2, rate_descriptors={
         "s_n_exponent": -1.0,
         "eps_n_exponent": -0.5,
         "alpha_n_exponent": schedule.e - gamma / 2.0,
         "beta_n_exponent": 0.0,
-    }
-    law = LimitLaw(regime=regime, gamma=gamma, sigma2=sigma2,
-                   rate_descriptors=rate_descriptors)
-    if regime.tag == REGIME_STANDARD:
-        law.C0 = C0
-        law.theta0 = theta0
-        return law
-    if regime.tag in (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW):
+    })
+    if tag == REGIME_STANDARD:
+        law.C0, law.theta0 = C0, theta0
+    elif tag == REGIME_PSEUDO_TRUE:
+        point, flags = pseudo_true(C0, lam0, gamma, theta0, box=box)
+        law.params = {"pseudo_true_point": point, "pseudo_zero_flags": flags}
+    else:
         # the sparse-slow drift -B0^-1 Upsilon is the bias at lambda0 = 1
-        lam0 = regime.lambda0 if regime.tag == REGIME_SPARSE_NORMAL else 1.0
-        law.upsilon, bias, law.cov = sparse_limit_params(gamma, lam0, C0[p0:, p0:], sigma2, theta0[p0:])
-        if regime.tag == REGIME_SPARSE_NORMAL:
-            law.bias = bias
-        else:
-            law.drift = bias
-        return law
-    point, flags = pseudo_true(C0, regime.lambda0, gamma, theta0, box=box)
-    law.C0 = C0
-    law.theta0 = theta0
-    law.pseudo_true_point = point
-    law.pseudo_zero_flags = flags
+        sparse_normal = tag == REGIME_SPARSE_NORMAL
+        upsilon, bias, cov = sparse_limit_params(gamma, lam0 if sparse_normal else 1.0, C0[p0:, p0:],
+                                                 sigma2, theta0[p0:])
+        law.params = ({"upsilon": upsilon, "bias": bias, "cov": cov} if sparse_normal
+                      else {"upsilon": upsilon, "drift": bias, "rate": "n over lambda_n"})
     return law

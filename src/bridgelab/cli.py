@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import model as model_mod
 from . import penalty as penalty_mod
-from .asymptotics import (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW, REGIME_STANDARD, penalty_gamma,
-                          regime_classify, sample_limit_argmin)
+from .asymptotics import REGIME_STANDARD, penalty_gamma, regime_classify, sample_limit_argmin
 from .asymptotics import limit_law  # noqa: F401  (perfbench/tracer.py wraps cli.limit_law)
 from .config import ExperimentConfig, check_design_grid, parse_config
 from .contrast import Contrast
@@ -61,7 +60,7 @@ def _regime_payload(ec: ExperimentConfig) -> dict:
     if pen.family not in ("bridge", "none"):
         return {"note": f"the schedule-exponent regimes classify the bridge family; "
                         f"{pen.family} is covered by the penalty-condition checkers"}
-    return asdict(regime_classify(penalty_gamma(pen), pen.schedule))
+    return regime_classify(penalty_gamma(pen), pen.schedule)
 
 
 def cmd_estimate(ec: ExperimentConfig) -> int:
@@ -197,13 +196,14 @@ def cmd_limit(ec: ExperimentConfig) -> int:
     mc = ec.mc
     law = config_law(mc)
     payload: dict = {
-        "regime": asdict(law.regime),
+        "regime": law.regime,
         "gamma": law.gamma,
         "sigma2": law.sigma2,
         "c0_source": C0_SOURCES[mc.design.kind],
         "rate_descriptors": law.rate_descriptors,
+        **law.params,
     }
-    if law.regime.tag == REGIME_STANDARD:
+    if law.regime["tag"] == REGIME_STANDARD:
         samples = sample_limit_argmin(
             law, _LIMIT_SAMPLE_COUNT, seed=derive_seed(mc.master_seed, 777))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -215,17 +215,6 @@ def cmd_limit(ec: ExperimentConfig) -> int:
             raise InvalidInputError(f"the limit argmin samples overflow their {', '.join(overflowing)} "
                                     f"(mean {stats['mean'].tolist()})")
         payload["argmin_samples"] = {"count": _LIMIT_SAMPLE_COUNT, **stats}
-    elif law.regime.tag == REGIME_SPARSE_NORMAL:
-        payload["upsilon"] = law.upsilon
-        payload["bias"] = law.bias
-        payload["cov"] = law.cov
-    elif law.regime.tag == REGIME_SPARSE_SLOW:
-        payload["upsilon"] = law.upsilon
-        payload["drift"] = law.drift
-        payload["rate"] = "n over lambda_n"
-    else:
-        payload["pseudo_true_point"] = law.pseudo_true_point
-        payload["pseudo_zero_flags"] = law.pseudo_zero_flags
     sys.stdout.write(canonical_json(payload))
     return 0
 

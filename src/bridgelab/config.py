@@ -237,6 +237,11 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     if command == "check":  # q_n divides the divergence values and scales the cross-block sequence
         design_grid = () if kind == "explicit-matrix" else check_design_grid(n_grid)
         _require_divergence_scale(penalty, (*check.n_grid, *design_grid))
+        if design_grid:  # the design-condition rates scale by n**delta
+            try:
+                float(design_grid[-1]) ** check.delta
+            except OverflowError:
+                _fail("check", "delta", f"n**delta overflows at n={design_grid[-1]} (delta={check.delta})")
     responses = None
     if "response_file" in model:
         responses = _load_csv("response_file", model["response_file"], 1)

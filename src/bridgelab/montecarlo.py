@@ -63,6 +63,11 @@ class MCConfig:
         if any(r <= 0 for r in self.r_grid) or any(b <= a for a, b in zip(self.r_grid, self.r_grid[1:])):
             raise InvalidSpecError("r-grid must be positive and strictly increasing")
         require_finite(r_grid=self.r_grid, tail_orders=self.tail_orders)
+        with np.errstate(over="ignore"):  # tail.csv and pldi_probe print r^L p_hat
+            overflowing = [(r, L) for L in self.tail_orders for r in self.r_grid if np.isinf(np.power(r, L))]
+        if overflowing:
+            r, L = overflowing[0]
+            raise InvalidSpecError(f"tail_orders: r**L overflows at r={r:g} of r_grid and L={L:g}")
         if self.design.p != self.truth.p:
             raise InvalidSpecError("design and truth dimensions differ")
         if self.box.p != self.truth.p:
@@ -333,20 +338,23 @@ def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
     """
     cfg = rs.config
     law = config_law(cfg)
-    report = {"regime": law.regime.tag, "per_n": {}}
+    tag, params = law.regime["tag"], law.params
+    report = {"regime": tag, "per_n": {}}
 
-    if law.regime.tag == REGIME_SPARSE_NORMAL:
-        bias = np.asarray(law.bias, dtype=float)
-        cov = np.asarray(law.cov, dtype=float)
+    if tag == REGIME_SPARSE_NORMAL:
+        bias, cov = params["bias"], params["cov"]
+        # the norms are taken at the scale of cov (an exact power of two), where their squares stay finite
+        scale = -int(np.frexp(np.max(np.abs(cov)))[1])
         for n in cfg.n_grid:
             V = rs.v_hat(n)
             mean, gap = _gap_in_se(V, bias)
             emp_cov = np.atleast_2d(np.cov(V.T))
-            denom = float(np.linalg.norm(cov))
+            emp, lim = np.ldexp(emp_cov, scale), np.ldexp(cov, scale)
+            denom = float(np.linalg.norm(lim))
             if denom > 0.0:
-                cov_gap = float(np.linalg.norm(emp_cov - cov)) / denom
+                cov_gap = float(np.linalg.norm(emp - lim)) / denom
             else:
-                cov_gap = 0.0 if float(np.linalg.norm(emp_cov)) == 0.0 else math.inf
+                cov_gap = 0.0 if float(np.linalg.norm(emp)) == 0.0 else math.inf
             report["per_n"][n] = {
                 "mean": mean.tolist(),
                 "limit_mean": bias.tolist(),
@@ -357,7 +365,7 @@ def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
             }
         return report
 
-    if law.regime.tag == REGIME_STANDARD:
+    if tag == REGIME_STANDARD:
         for n in cfg.n_grid:
             scaled = np.hstack([rs.u_hat(n), rs.v_hat(n)])
             if limit_samples is None:
@@ -374,8 +382,8 @@ def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
             }
         return report
 
-    if law.regime.tag == REGIME_SPARSE_SLOW:
-        drift = np.asarray(law.drift, dtype=float)
+    if tag == REGIME_SPARSE_SLOW:
+        drift = params["drift"]
         sch = cfg.penalty.schedule
         for n in cfg.n_grid:
             lam_n = sch.value(n)
@@ -389,8 +397,8 @@ def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
         return report
 
     # pseudo-true
-    point = np.asarray(law.pseudo_true_point, dtype=float)
-    zero_idx = np.flatnonzero(law.pseudo_zero_flags)
+    point = params["pseudo_true_point"]
+    zero_idx = np.flatnonzero(params["pseudo_zero_flags"])
     for n in cfg.n_grid:
         thetas = rs.theta_hat[n]
         mean = thetas.mean(axis=0)

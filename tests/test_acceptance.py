@@ -236,7 +236,7 @@ def test_criterion_08_standard_moment_convergence():
 def test_criterion_09_limit_sampler_covariance():
     law = limit_law(2.0, TuningSchedule(1.0, 0.25), 1.0, np.eye(2),
                     np.array([1.0, 1.0]), p0=0)
-    assert law.regime.lambda0 == 0.0
+    assert law.regime["lambda0"] == 0.0
     draws = sample_limit_argmin(law, 100_000, seed=909)
     cov = np.cov(draws.T)
     rel = np.linalg.norm(cov - np.eye(2)) / np.linalg.norm(np.eye(2))
@@ -273,7 +273,7 @@ def test_criterion_11_pseudo_true_regime():
     sched = TuningSchedule(0.5, 1.0)
     law = limit_law(0.5, sched, 1.0, np.eye(2), np.array([0.0, 1.0]), p0=1,
                     box=Box.cube(2))
-    point_ok = law.pseudo_true_point[0] == 0.0
+    point_ok = law.params["pseudo_true_point"][0] == 0.0
     cfg = MCConfig(
         design=DesignSpec(kind="standardized-orthonormal", p=2),
         noise=NoiseSpec(family="gaussian", sigma=1.0),
@@ -287,7 +287,7 @@ def test_criterion_11_pseudo_true_regime():
     rs = run_replications(cfg)
     hits = np.mean(rs.theta_hat[3200][:, 0] == 0.0)
     _report(11, point_ok and hits >= 0.9,
-            f"pseudo-true point {np.round(law.pseudo_true_point, 4).tolist()} "
+            f"pseudo-true point {np.round(law.params['pseudo_true_point'], 4).tolist()} "
             f"(z exactly 0: {point_ok}); P(z'=0) = {hits:.3f} at n=3200")
 
 

@@ -34,15 +34,15 @@ def sched(c, e):
 
 
 def test_regime_examples():
-    assert regime_classify(0.5, sched(1.0, 0.6)).tag == REGIME_SPARSE_SLOW
+    assert regime_classify(0.5, sched(1.0, 0.6))["tag"] == REGIME_SPARSE_SLOW
     r = regime_classify(0.5, sched(3.0, 0.5))
-    assert r.tag == REGIME_SPARSE_NORMAL and r.lambda0 == 3.0
+    assert r["tag"] == REGIME_SPARSE_NORMAL and r["lambda0"] == 3.0
     r = regime_classify(2.0, sched(1.0, 0.5))
-    assert r.tag == REGIME_STANDARD and r.lambda0 == 1.0
+    assert r["tag"] == REGIME_STANDARD and r["lambda0"] == 1.0
     r = regime_classify(0.5, sched(0.5, 1.0))
-    assert r.tag == REGIME_PSEUDO_TRUE and r.lambda0 == 0.5
+    assert r["tag"] == REGIME_PSEUDO_TRUE and r["lambda0"] == 0.5
     r = regime_classify(0.5, sched(2.0, 0.4))
-    assert r.tag == REGIME_SPARSE_NORMAL and r.lambda0 == 0.0
+    assert r["tag"] == REGIME_SPARSE_NORMAL and r["lambda0"] == 0.0
 
 
 def test_regime_rejections():
@@ -56,23 +56,23 @@ def test_regime_rejections():
 
 def test_regime_tag_invariant_to_constant():
     for c in (0.1, 1.0, 7.0):
-        assert regime_classify(0.5, sched(c, 0.6)).tag == REGIME_SPARSE_SLOW
-        assert regime_classify(0.5, sched(c, 0.4)).tag == REGIME_SPARSE_NORMAL
+        assert regime_classify(0.5, sched(c, 0.6))["tag"] == REGIME_SPARSE_SLOW
+        assert regime_classify(0.5, sched(c, 0.4))["tag"] == REGIME_SPARSE_NORMAL
     # lambda0 depends on c only at the critical exponent
-    assert regime_classify(0.5, sched(7.0, 0.4)).lambda0 == 0.0
-    assert regime_classify(0.5, sched(7.0, 0.5)).lambda0 == 7.0
+    assert regime_classify(0.5, sched(7.0, 0.4))["lambda0"] == 0.0
+    assert regime_classify(0.5, sched(7.0, 0.5))["lambda0"] == 7.0
 
 
 def test_regime_zero_schedule_is_standard():
     r = regime_classify(0.5, sched(0.0, 0.9))
-    assert r.tag == REGIME_STANDARD and r.lambda0 == 0.0
+    assert r["tag"] == REGIME_STANDARD and r["lambda0"] == 0.0
 
 
 def test_regime_rate_limits():
     r = regime_classify(0.5, sched(1.0, 0.6))
-    assert r.rate_limits["gamma_half"] == math.inf
-    assert r.rate_limits["sqrt_n"] == math.inf
-    assert r.rate_limits["linear"] == 0.0
+    assert r["rate_limits"]["gamma_half"] == math.inf
+    assert r["rate_limits"]["sqrt_n"] == math.inf
+    assert r["rate_limits"]["linear"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def _standard_law(gamma, c, e, C0, theta0, sigma2=1.0):
 def test_sampler_lambda0_zero_closed_form():
     C0 = np.array([[1.5, 0.4], [0.4, 1.0]])
     law = _standard_law(2.0, 1.0, 0.3, C0, [1.0, 1.0])
-    assert law.regime.lambda0 == 0.0
+    assert law.regime["lambda0"] == 0.0
     S = sample_limit_argmin(law, 64, seed=9)
     # stationarity: W = C0 u exactly, and the recovered W must have the right law
     L = np.linalg.cholesky(C0)
@@ -158,7 +158,7 @@ def test_sampler_covariance_matches_closed_form():
 
 def test_sampler_gamma_below_one_has_mass_at_zero():
     law = _standard_law(0.5, 1.0, 0.25, np.eye(2), [0.0, 1.0])
-    assert law.regime.tag == REGIME_STANDARD and law.regime.lambda0 == 1.0
+    assert law.regime["tag"] == REGIME_STANDARD and law.regime["lambda0"] == 1.0
     S = sample_limit_argmin(law, 100, seed=3)
     assert np.mean(S[:, 0] == 0.0) > 0.0
     assert np.all(S[:, 1] != 0.0)
@@ -187,7 +187,7 @@ CORRELATED_C0 = np.array([[1.0, 0.6], [0.6, 1.5]])
 def test_sampler_matches_lattice_oracle(gamma, C0):
     theta0 = np.array([0.0, 1.0])
     law = _standard_law(gamma, 1.0, min(1.0, gamma) / 2.0, C0, theta0)
-    assert law.regime.tag == REGIME_STANDARD and law.regime.lambda0 == 1.0
+    assert law.regime["tag"] == REGIME_STANDARD and law.regime["lambda0"] == 1.0
     S = sample_limit_argmin(law, 100, seed=3)
     assert np.any(S[:, 0] == 0.0) and np.any(S[:, 0] != 0.0)
     L = np.linalg.cholesky(C0)
@@ -250,7 +250,7 @@ def test_sampler_draws_through_spawned_normals(monkeypatch):
     C0 = np.array([[1.0, 0.6], [0.6, 1.5]])
     law = limit_law(0.5, sched(1.0, 0.25), 1.0, C0, np.array([0.0, 1.0]), p0=1,
                     box=Box(lo=(-3.0, -2.0), hi=(2.0, 4.0)))
-    assert law.regime.tag == REGIME_STANDARD
+    assert law.regime["tag"] == REGIME_STANDARD
     S = sample_limit_argmin(law, 300, seed=31)
     monkeypatch.setattr(asymptotics, "spawned_normals", _spawned_normals_loop)
     assert sample_limit_argmin(law, 300, seed=31).tobytes() == S.tobytes()
@@ -262,7 +262,7 @@ def test_sampler_gamma_above_one_stationarity():
     S = sample_limit_argmin(law, 50, seed=7)
     L = np.linalg.cholesky(C0)
     children = np.random.SeedSequence(7).spawn(50)
-    gamma, lam0 = 1.5, law.regime.lambda0
+    gamma, lam0 = 1.5, law.regime["lambda0"]
     th = np.array([0.0, 1.0])
     t = gamma * lam0 * np.sign(th) * np.abs(th) ** (gamma - 1.0)
     for k in range(50):
@@ -274,7 +274,7 @@ def test_sampler_gamma_above_one_stationarity():
 def test_sampler_refuses_an_overflowing_tilt_before_drawing(monkeypatch):
     # gamma = 4 tilts by 4 lambda0 |theta0|^3, which overflows for theta0 = 1e300
     law = limit_law(4.0, sched(1.0, 0.5), 1.0, np.eye(2), np.array([0.0, 1e300]), p0=1)
-    assert law.regime.tag == REGIME_STANDARD
+    assert law.regime["tag"] == REGIME_STANDARD
     monkeypatch.setattr(asymptotics, "spawned_normals", None)  # a draw would raise TypeError
     with pytest.raises(InvalidInputError, match="tilt overflows"):
         sample_limit_argmin(law, 10, seed=0)
@@ -383,14 +383,14 @@ def test_pseudo_true_respects_a_box_without_the_origin(gamma):
 
 def test_limit_law_assembly_sparse_normal():
     law = limit_law(0.5, sched(1.0, 0.5), 1.0, np.eye(2), np.array([0.0, 1.0]), p0=1)
-    assert law.regime.tag == REGIME_SPARSE_NORMAL
-    assert law.bias[0] == pytest.approx(-0.25)
-    assert law.cov[0, 0] == pytest.approx(1.0)
+    assert law.regime["tag"] == REGIME_SPARSE_NORMAL
+    assert law.params["bias"][0] == pytest.approx(-0.25)
+    assert law.params["cov"][0, 0] == pytest.approx(1.0)
 
 
 def test_limit_law_assembly_pseudo_true():
     law = limit_law(0.5, sched(0.5, 1.0), 1.0, np.eye(2), np.array([0.0, 1.0]), p0=1)
-    assert law.regime.tag == REGIME_PSEUDO_TRUE
-    assert law.pseudo_true_point[0] == 0.0
-    assert law.pseudo_zero_flags[0]
-    assert law.pseudo_true_point[1] == pytest.approx(0.8656, abs=1e-3)
+    assert law.regime["tag"] == REGIME_PSEUDO_TRUE
+    assert law.params["pseudo_true_point"][0] == 0.0
+    assert law.params["pseudo_zero_flags"][0]
+    assert law.params["pseudo_true_point"][1] == pytest.approx(0.8656, abs=1e-3)

@@ -9,14 +9,15 @@ from pathlib import Path
 import pytest
 
 import bridgelab
+from bridgelab.asymptotics import penalty_gamma, regime_classify
 from bridgelab.cli import main
 from bridgelab.config import _KEYS, config_from_echo, parse_config
 from bridgelab.contrast import Contrast
 from bridgelab.errors import ConfigError
 from bridgelab.model import Dataset, generate_design, simulate_responses
-from bridgelab.montecarlo import design_seed, replication_seed
+from bridgelab.montecarlo import config_law, design_seed, replication_seed
 from bridgelab.solver import minimize
-from bridgelab.util import format_float
+from bridgelab.util import canonical_json, format_float
 
 BASE = """
 [model]
@@ -148,10 +149,15 @@ def test_non_finite_spec_values_are_config_errors(tmp_path, capsys, command, sec
      "[model] bound^2 must be finite, got inf"),
     (("design = standardized-orthonormal", "design = bounded-random-frozen\nbound = 1e-154"),
      "[model] bound^-4 must be finite, got inf"),
+    (("seed = 424242", "seed = 424242\ntail_orders = 2, 400"),
+     "[mc] tail_orders: r**L overflows at r=8 of r_grid and L=400"),
+    (("seed = 424242", "seed = 424242\ntail_orders = -600"),
+     "[mc] tail_orders: r**L overflows at r=0.25 of r_grid and L=-600"),
 ])
 def test_overflowing_spec_values_are_config_errors(tmp_path, capsys, command, edit, message):
     # finite values whose square overflows: sigma^2 in the limit law, bound^2 in C0 and X'X; and a
-    # bound whose C0 = bound^2 / 3p is subnormal, so the norm of sigma^2 C0^-1 (cov_rel_gap) overflows
+    # bound whose C0 = bound^2 / 3p is subnormal, so the norm of sigma^2 C0^-1 (cov_rel_gap) overflows;
+    # a tail order L whose r^L overflows on the r-grid, since tail.csv and pldi_probe print r^L p_hat
     path = tmp_path / "big.cfg"
     path.write_text(BASE.replace(*edit))
     code, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
@@ -292,11 +298,21 @@ def test_unbounded_box_is_a_config_error(tmp_path, capsys, command, key, text, s
     assert err.startswith(f"config error: [solver] {side} must be finite, got ")
 
 
-@pytest.mark.parametrize("key, text", [("n_grid", "4096, 1024, 256, 64, 16"), ("delta", "0")])
+@pytest.mark.parametrize("key, text", [("n_grid", "4096, 1024, 256, 64, 16"), ("delta", "0"),
+                                       ("delta", "200")])  # 800**200 overflows the design-condition rates
 def test_check_grid_settings_checked_at_parse_time(tmp_path, capsys, key, text):
     code, out, err = _run(capsys, ["check", "--config", _config_with(tmp_path, "check", key, text)])
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: [check] {key}: ")
+
+
+def test_check_delta_is_not_checked_against_an_explicit_matrix(tmp_path, capsys):
+    # n**delta is checked at the n of check's design grid; an explicit matrix draws no design
+    # sequence, so at delta = 200 its check reports no rate and runs
+    path = _config_with(tmp_path, "check", "delta", "200",
+                        base=Path(_explicit_matrix_config(tmp_path, 100, 100, "100")).read_text())
+    code, out, _ = _run(capsys, ["check", "--config", path])
+    assert code == 0 and "n-grid" in json.loads(out)["design_conditions"]["note"]
 
 
 def _readme() -> str:
@@ -596,6 +612,21 @@ def test_mc_byte_identical_across_runs(tmp_path, capsys, e, regime):
     assert json.loads(a)["limit_distance"]["regime"] == regime
 
 
+def test_cov_rel_gap_is_finite_at_a_huge_sigma(tmp_path, capsys):
+    # sigma^2 B0^-1 = 1e200 I: the Frobenius norms of emp_cov - cov and cov square it past the
+    # float range, and cov_rel_gap was nan (0/0 of two infinite norms) after a numpy warning;
+    # at the scale of cov the norms stay finite (pytest makes a warning an error)
+    path = tmp_path / "huge.cfg"
+    path.write_text(BASE.replace("sigma = 1.0", "sigma = 1e100").replace("e = 0.6", "e = 0.5"))
+    out_dir = tmp_path / "o"
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir), "--threads", "1"]) == (0, "", "")
+    text = (out_dir / "summary.json").read_text()
+    assert '"nan"' not in text
+    limit = json.loads(text)["limit_distance"]
+    assert limit["regime"] == "sparse-normal"
+    assert all(math.isfinite(entry["cov_rel_gap"]) for entry in limit["per_n"].values())
+
+
 def test_overflowing_campaign_moment_is_a_config_error(tmp_path, capsys):
     # on the box [-10, 10], |v| = sqrt(n) |rho_hat - 1e80| is about 1e81: E|v|^2 = 1e162 is finite,
     # but |v|^4 overflows, and its SE would be nan; no file is written and no numpy warning shows
@@ -753,6 +784,26 @@ def test_limit_sparse_normal_values(tmp_path, capsys):
     assert payload["regime"]["tag"] == "sparse-normal"
     assert payload["bias"][0] == pytest.approx(-0.5)
     assert payload["cov"][0][0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("e, tag", [("0.5", "sparse-normal"), ("0.6", "sparse-slow"), ("1.0", "pseudo-true")])
+def test_limit_prints_the_law_and_every_command_the_classified_regime(tmp_path, capsys, e, tag):
+    # limit prints the law's params key for key after rate_descriptors; estimate and check
+    # print the block of regime_classify
+    path = tmp_path / "law.cfg"
+    path.write_text(BASE.replace("e = 0.6", f"e = {e}"))
+    mc = parse_config(str(path)).mc
+    law = config_law(mc)
+    regime = json.loads(canonical_json(regime_classify(penalty_gamma(mc.penalty), mc.penalty.schedule)))
+    assert regime["tag"] == tag
+    code, out, _ = _run(capsys, ["limit", "--config", str(path)])
+    payload = json.loads(out)
+    assert code == 0 and list(payload) == ["regime", "gamma", "sigma2", "c0_source", "rate_descriptors",
+                                           *law.params]
+    assert {key: payload[key] for key in law.params} == json.loads(canonical_json(law.params))
+    for command in ("limit", "estimate", "check"):
+        code, out, _ = _run(capsys, [command, "--config", str(path)])
+        assert code == 0 and json.loads(out)["regime"] == regime
 
 
 def test_limit_zero_lambda0_bias_zero(tmp_path, capsys):

@@ -319,7 +319,7 @@ def test_compare_to_limit_sparse_normal_unit_case():
 def test_compare_to_limit_sparse_normal_unbiased_when_lambda0_zero():
     cfg = _cfg(gamma=0.5, c=1.0, e=0.3, n_grid=(6400,), R=400, seed=2)
     rs = run_replications(cfg)
-    assert config_law(cfg).regime.lambda0 == 0.0
+    assert config_law(cfg).regime["lambda0"] == 0.0
     entry = compare_to_limit(rs)["per_n"][6400]
     assert entry["limit_mean"][0] == 0.0
     assert entry["mean_gap_in_se"][0] <= 3.0
@@ -355,6 +355,8 @@ def test_unpenalized_campaign_meets_the_law_of_its_config():
 
 def _binomial_central_interval(N: int, q: float, alpha: float) -> tuple[int, int]:
     """[lo, hi] with P(X < lo) <= alpha/2 and P(X > hi) <= alpha/2 for X ~ Binomial(N, q)."""
+    if q in (0.0, 1.0):  # a degenerate binomial: X = N q surely
+        return int(N * q), int(N * q)
     logs = [math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
             + k * math.log(q) + (N - k) * math.log1p(-q) for k in range(N + 1)]
     cdf = np.cumsum(np.exp(logs))
@@ -372,9 +374,10 @@ def _prox_threshold(pen, n: int, size: float = 0.0) -> tuple[float, float]:
 
 
 @functools.cache
-def _pooled_campaigns(n_grid: tuple[int, ...], R: int, seeds: range) -> list[ReplicationSet]:
-    """The acceptance sparse campaign (bridge gamma = 0.5, lambda_n = n^0.6) at each seed."""
-    return [run_replications(_cfg(n_grid=n_grid, R=R, seed=seed)) for seed in seeds]
+def _pooled_campaigns(family: str, n_grid: tuple[int, ...], R: int, seeds: range) -> list[ReplicationSet]:
+    """The acceptance sparse campaign (bridge gamma = 0.5, lambda_n = n^0.6), or its unpenalized
+    twin (family none), at each seed."""
+    return [run_replications(_cfg(family=family, n_grid=n_grid, R=R, seed=seed)) for seed in seeds]
 
 
 @pytest.mark.parametrize("pen, hit_rates", [
@@ -385,7 +388,9 @@ def _pooled_campaigns(n_grid: tuple[int, ...], R: int, seeds: range) -> list[Rep
     # SELO with lambda_n = 1/n and its tau = 0.01 n^-0.5: the prox threshold is a constant over sqrt(n)
     (PenaltySpec(family="selo", schedule=TuningSchedule(1.0, -1.0), tau=TuningSchedule(0.01, -0.5)),
      (0.84164,) * 3),
-], ids=["bridge", "scad", "selo"])
+    # none: z_hat = b, so the threshold is 0 and no fit hits zero
+    (zero_penalty(), (0.0,) * 3),
+], ids=["bridge", "scad", "selo", "none"])
 def test_selection_rate_matches_the_exact_orthonormal_rate(pen, hit_rates):
     # On an orthonormal Gaussian design X'X = nI, so z_hat is the prox (c = n) of b ~ N(0, 1/n)
     # and P(z_hat = 0) = P(|b| <= tau_n) = erf(tau_n sqrt(n/2)) exactly, tau_n the prox threshold.
@@ -424,21 +429,26 @@ def _exact_orthonormal_moments(pen, n: int, theta0: float, orders) -> np.ndarray
     return total
 
 
-def test_moments_match_the_exact_orthonormal_moments():
+@pytest.mark.parametrize("family, exact_u, rtol_u, exact_v", [
+    ("bridge", [[0.075621, 0.359017], [0.0072703, 0.049587]], 1e-4,
+     [[1.209913, 4.406006], [1.219373, 4.402311]]),
+    # none: u and v are N(0, 1), whose E|.|^2, E|.|^4 and E|.|^8 are 1, 3 and 105
+    ("none", [[1.0, 3.0, 105.0]] * 2, 1e-6, [[1.0, 3.0, 105.0]] * 2),
+], ids=["bridge", "none"])
+def test_moments_match_the_exact_orthonormal_moments(family, exact_u, rtol_u, exact_v):
     # As in the selection-rate test, z_hat = prox(b_z) with b_z ~ N(0, 1/n) and rho_hat = prox(b_r)
     # with b_r ~ N(1, 1/n), so E|u|^q and E|v|^q are one-dimensional Gaussian integrals. The means
     # of seeds 1-8 pooled at R = 400 lie within 4.5 exact SEs, the SE taken from E|.|^(2q).
     # Each seed's plug-in v_se lies within a factor of the exact SE: over seeds 1-40 its ratio
     # to the exact SE was 0.75-1.24 at q = 2 and 0.44-2.49 at q = 4 (E|v|^8 = 237 at n = 50).
     n_grid, R, seeds = (50, 200), 400, range(1, 9)
-    pen = _cfg().penalty
+    pen = _cfg(family=family).penalty
     exact = {n: (_exact_orthonormal_moments(pen, n, 0.0, (2.0, 4.0, 8.0)),
                  _exact_orthonormal_moments(pen, n, 1.0, (2.0, 4.0, 8.0))) for n in n_grid}
-    assert_allclose([exact[n][0][:2] for n in n_grid],
-                    [[0.075621, 0.359017], [0.0072703, 0.049587]], rtol=1e-4)
-    assert_allclose([exact[n][1][:2] for n in n_grid],
-                    [[1.209913, 4.406006], [1.219373, 4.402311]], rtol=1e-6)
-    trajs = [moment_trajectory(rs) for rs in _pooled_campaigns(n_grid, R, seeds)]
+    width = len(exact_u[0])
+    assert_allclose([exact[n][0][:width] for n in n_grid], exact_u, rtol=rtol_u)
+    assert_allclose([exact[n][1][:width] for n in n_grid], exact_v, rtol=1e-6)
+    trajs = [moment_trajectory(rs) for rs in _pooled_campaigns(family, n_grid, R, seeds)]
     for qi, (q, factor) in enumerate(((2.0, 1.5), (4.0, 3.0))):
         for j, n in enumerate(n_grid):
             for side, moments in zip("uv", exact[n]):
@@ -453,21 +463,25 @@ def test_moments_match_the_exact_orthonormal_moments():
 
 
 
-def test_tail_curve_matches_the_exact_orthonormal_survival():
+@pytest.mark.parametrize("family", ["bridge", "none"])
+def test_tail_curve_matches_the_exact_orthonormal_survival(family):
     # As in the selection-rate test, z_hat = prox(b) with b ~ N(0, 1/n). |prox(b)| does not
     # decrease in |b|, so P(|sqrt(n) z_hat| >= r) = P(|b| >= b_r) = erfc(b_r sqrt(n/2)) exactly,
     # b_r the least b >= 0 with |prox(b)| >= r / sqrt(n). Pooled over seeds 1-8 at R = 400, each
-    # tail_curve count lies in its central 1 - 1e-6 binomial interval.
+    # tail_curve count lies in its central 1 - 1e-6 binomial interval. For none, u ~ N(0, 1):
+    # b_r = r / sqrt(n) and the survival is erfc(r / sqrt(2)).
     n_grid, R, seeds = (50, 200), 400, range(1, 9)
-    cfg = _cfg()
+    cfg = _cfg(family=family)
     counts = dict.fromkeys(n_grid, 0)
-    for rs in _pooled_campaigns(n_grid, R, seeds):
+    for rs in _pooled_campaigns(family, n_grid, R, seeds):
         for n, row in zip(n_grid, tail_curve(rs)):
             counts[n] = counts[n] + np.rint(row * R).astype(int)
     for n in n_grid:
         for r, count in zip(cfg.r_grid, counts[n].tolist()):
             b_r = _prox_threshold(cfg.penalty, n, r / math.sqrt(n))[1]
             survival = math.erfc(b_r * math.sqrt(n / 2.0))
+            if family == "none":
+                assert survival == pytest.approx(math.erfc(r / math.sqrt(2.0)), abs=1e-9)
             low, high = _binomial_central_interval(R * len(seeds), survival, 1e-6)
             assert low <= count <= high, (n, r, count, (low, high), R * len(seeds) * survival)
 
