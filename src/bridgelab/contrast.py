@@ -66,7 +66,8 @@ def contrast_value(c: Contrast, theta):
         raise InvalidInputError(f"theta has shape {theta.shape}, expected ({c.p},) or (m, {c.p})")
     rows = np.ascontiguousarray(np.atleast_2d(theta))  # strided rows change the bits on F-ordered X
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf (or nan), which minimize refuses
-        resid = c.dataset.Y - np.matmul(c.dataset.X, rows[:, :, None])[:, :, 0]
+        XT = np.matmul(c.dataset.X, rows[:, :, None])[:, :, 0]
+        resid = np.subtract(c.dataset.Y, XT, out=XT)  # in place: a second (m, n) temporary costs page faults
         values = row_squares(resid) + np.sum(penalty_value(c.penalty, c.n, rows), axis=1)
     return float(values[0]) if theta.ndim == 1 else values
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
 from .penalty import TuningSchedule
-from .util import boundedness_verdict, require_finite
+from .util import boundedness_verdict, default_rng, require_finite
 
 DESIGN_KINDS = ("standardized-orthonormal", "explicit-matrix", "bounded-random-frozen")
 NOISE_FAMILIES = ("gaussian", "scaled-uniform", "scaled-rademacher")
@@ -169,7 +169,7 @@ def generate_design(spec: DesignSpec, n: int, seed: int) -> np.ndarray:
     half = spec.bound / math.sqrt(spec.p)
     if not math.isfinite(n * half * half):  # the bound on every diagonal entry of X'X
         raise InvalidSpecError(f"bound = {spec.bound} overflows X'X at n = {n}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     base = rng.uniform(-half, half, size=(n, spec.p))
     if spec.kind == "bounded-random-frozen":
         return base
@@ -195,7 +195,7 @@ def simulate_responses(X: np.ndarray, truth: TrueParameter, noise: NoiseSpec,
         raise InvalidInputError(
             f"design has {X.shape[1] if X.ndim == 2 else '?'} columns, truth has {theta.size}")
     n = X.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     if noise.sigma == 0.0:
         eps = np.zeros(n)
     elif noise.family == "gaussian":

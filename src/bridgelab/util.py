@@ -9,6 +9,7 @@ import json
 import math
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence, default_rng  # here, not lazily in a command
 
 from .errors import InvalidInputError, InvalidSpecError
 
@@ -24,7 +25,7 @@ def derive_seed(*parts: int) -> int:
     Built on numpy's SeedSequence so that streams for distinct part tuples are
     statistically independent and the mapping is stable across platforms.
     """
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
+    ss = SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -80,7 +81,7 @@ def _pcg64_generators(entropy: list[np.ndarray]):
     mult, mask = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
     incs = [((a << 64 | b) << 1 | 1) & mask for a, b in zip(w2, w3)]
     states = [((inc + (a << 64 | b)) * mult + inc) & mask for a, b, inc in zip(w0, w1, incs)]
-    rng, inner = np.random.Generator(np.random.PCG64(0)), {}
+    rng, inner = Generator(PCG64(0)), {}
     full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": inner}
     for inner["state"], inner["inc"] in zip(states, incs):
         rng.bit_generator.state = full

@@ -273,13 +273,37 @@ def test_overflowing_objective_is_a_config_error(tmp_path, capsys, command, rho0
     assert err.count("\n") == 1 and any(err.startswith("config error: " + m) for m in messages)
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    # multiprocessing is imported only when a campaign runs with --threads > 1
-    code = ("import sys, bridgelab.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+def _fresh_python(code: str, cwd=None) -> str:
     env = {**os.environ, "PYTHONPATH": str(Path(bridgelab.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          cwd=cwd, check=True).stdout.strip()
+
+
+def test_cli_import_leaves_out_the_process_pool_and_scipy():
+    # multiprocessing is imported only when a campaign runs with --threads > 1; scipy never,
+    # and numpy.random (which numpy 2 loads on first use) at import, not in the first command
+    assert _fresh_python("import sys, bridgelab.cli; print(sorted({'multiprocessing', "
+                         "'concurrent.futures.process', 'scipy', 'numpy.random'} & set(sys.modules)))"
+                         ) == "['numpy.random']"
+
+
+def test_commands_import_no_numpy_or_scipy_module(tmp_path):
+    # what the commands need is loaded before they run, so their own time holds no import
+    cfg = BASE.replace("e = 0.6", "e = 0.25").replace("n_grid = 50, 100", "n_grid = 50, 200")
+    (tmp_path / "exp.cfg").write_text(cfg)  # standard regime: mc measures KS distances
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from bridgelab.cli import main",
+        "from bridgelab.config import parse_config",
+        "parse_config('exp.cfg')",
+        "before = set(sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [main(['limit', '--config', 'exp.cfg']),",
+        "             main(['mc', '--config', 'exp.cfg', '--out', 'o', '--threads', '1'])]",
+        "print(codes, sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')))",
+    ])
+    assert _fresh_python(code, cwd=tmp_path) == "[0, 0] []"
+    assert "ks_per_margin" in (tmp_path / "o" / "summary.json").read_text()
 
 
 @pytest.mark.parametrize("command", ["estimate", "mc", "check", "limit"])

@@ -2,6 +2,7 @@ import functools
 import math
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -342,6 +343,47 @@ def test_compare_to_limit_standard_self_comparison():
     scaled = np.hstack([rs.u_hat(100), rs.v_hat(100)])
     rep = compare_to_limit(rs, limit_samples=scaled)
     assert rep["per_n"][100]["ks_per_margin"][0] == 0.0
+
+
+def _ks_oracle(a, b) -> float:
+    """sup over the sample points of |F_a - F_b| in exact fractions, as the float nearest k / lcm."""
+    lcm = math.lcm(len(a), len(b))
+    k = max(abs(sum(x <= t for x in a) * (lcm // len(a)) - sum(y <= t for y in b) * (lcm // len(b)))
+            for t in [*a, *b])
+    return float(Fraction(k, lcm))
+
+
+def _ks_case(name):
+    rng = np.random.default_rng(20251019)
+    if name == "ties":
+        return np.round(rng.standard_normal(150), 1), np.round(rng.standard_normal(150), 1)
+    if name == "exact-zeros":  # argmin draws put mass on 0.0 (and -0.0), as limit draws do
+        a, b = rng.standard_normal(120), rng.standard_normal(200)
+        a[rng.random(120) < 0.4], b[rng.random(200) < 0.3] = 0.0, -0.0
+        return a, b
+    if name == "unequal-sizes":
+        return rng.standard_normal(77), 0.3 + rng.standard_normal(241)
+    if name == "identical":
+        a = np.round(rng.standard_normal(90), 1)
+        return a, rng.permutation(a)
+    return rng.uniform(0.0, 1.0, 40), rng.uniform(1.0, 2.0, 60)  # disjoint
+
+
+@pytest.mark.parametrize("name, known", [("ties", None), ("exact-zeros", None), ("unequal-sizes", None),
+                                         ("identical", 0.0), ("disjoint", 1.0)])
+def test_ks_distance_matches_the_exact_fraction(name, known):
+    a, b = _ks_case(name)
+    d = montecarlo._ks_distance(a, b)
+    assert d == _ks_oracle(a.tolist(), b.tolist())
+    assert known is None or d == known
+
+
+def test_ks_distance_above_10000_points_is_scipys_unrounded_statistic():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal(12000), np.round(rng.standard_normal(10001), 2)
+    a[:3000] = 0.0
+    assert montecarlo._ks_distance(a, b) == float(stats.ks_2samp(a, b).statistic)
 
 
 def test_unpenalized_campaign_meets_the_law_of_its_config():
