@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .penalty import TuningSchedule, power_prox_candidates
-from .solver import PATTERN_COORDS, Box, tiebreak_argmin, zeroed_starts
-from .util import spawned_normals
+from .penalty import PenaltySpec, TuningSchedule
+from .penalty import power_prox_candidates  # noqa: F401  (perfbench/tracer.py wraps it; ROADMAP item 1)
+from .solver import PATTERN_COORDS, Box, box_descent, tiebreak_argmin, zeroed_starts
+from .util import rows_times, spawned_normals
 
 REGIME_STANDARD = "standard"
 REGIME_SPARSE_NORMAL = "sparse-normal"
@@ -137,73 +138,16 @@ def v0_on_points(points, W, gamma: float, lambda0: float, C0, theta0) -> np.ndar
     for one row of W per point. Each row is evaluated on its own."""
     pts, W, C0, theta0 = (np.asarray(a, dtype=float) for a in (points, W, C0, theta0))
     t, s, g = _v0_penalty_terms(gamma, lambda0, theta0)
-    quad = np.sum(_rows_times(pts, C0) * pts, axis=1)
+    quad = np.sum(rows_times(pts, C0) * pts, axis=1)
     return (-2.0 * np.sum(W * pts, axis=1) + quad + np.sum(t * pts, axis=1)
             + np.sum(s * np.abs(pts) ** g, axis=1))
 
 
-def _rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X @ M from elementwise products summed in index order, so a row's result
-    does not depend on the other rows (a BLAS kernel's rounding may)."""
-    out = X[:, :1] * M[0]
-    for k in range(1, M.shape[0]):
-        out = out + X[:, k:k + 1] * M[k]
-    return out
-
-
-def _coordinate_min(c: float, b: np.ndarray, s: float, g: float, lo: float, hi: float):
-    """argmin over [lo, hi] of c(x-b)^2 + s|x|^g for every element of b.
-
-    Candidates are the literal 0, the finite box ends and the power prox
-    root, each where it lies in the box; the smallest (value, |x|, x) wins.
-    """
-    if s == 0.0:
-        return np.clip(b, lo, hi)
-    best, best_v = np.zeros(b.shape), np.full(b.shape, np.inf)
-    fixed = [x for x in (0.0, lo, hi) if lo <= x <= hi and math.isfinite(x)]
-    for x in fixed + [power_prox_candidates(c, b, s, g)]:
-        d = x - b
-        with np.errstate(over="ignore"):  # an end of a huge box may overflow: inf never wins
-            v = c * d * d + s * np.abs(x) ** g
-        ax, a_best = np.abs(x), np.abs(best)
-        take = (v < best_v) | ((v == best_v) & ((ax < a_best) | ((ax == a_best) & (x < best))))
-        take &= (lo <= x) & (x <= hi)
-        best = np.where(take, x, best)
-        best_v = np.where(take, v, best_v)
-    return best
-
-
-def box_descent(Q, q, s, g, starts, lo=-np.inf, hi=np.inf) -> np.ndarray:
-    """Coordinate descent on u'Qu - 2q'u + sum_j s_j |u_j|^g_j over lo <= u <= hi
-    (Q symmetric positive definite), on every row of `starts` (with its row of
-    q, or one shared q) at once.
-
-    Each row follows its own rules: exact coordinate minimization by
-    `_coordinate_min`, and a stop after its first sweep that moves no
-    coordinate by more than 1e-13 (or after 2000 sweeps). Sums are formed
-    elementwise in index order, so a row's endpoint does not depend on the
-    other rows.
-    """
-    Q = np.asarray(Q, dtype=float)
-    p = Q.shape[0]
-    lo, hi = np.broadcast_to(lo, p), np.broadcast_to(hi, p)
-    U = np.clip(np.asarray(starts, dtype=float), lo, hi)
-    q = np.broadcast_to(np.asarray(q, dtype=float), U.shape)
-    Q_off = Q - np.diag(np.diag(Q))
-    active = np.arange(U.shape[0])
-    for _ in range(2000):
-        if active.size == 0:
-            break
-        u, qa = U[active], q[active]
-        max_move = np.zeros(active.size)
-        for j in range(p):
-            b = (qa[:, j] - _rows_times(u, Q_off[:, j:j + 1])[:, 0]) / Q[j, j]
-            new = _coordinate_min(Q[j, j], b, s[j], g[j], lo[j], hi[j])
-            max_move = np.maximum(max_move, np.abs(new - u[:, j]))
-            u[:, j] = new
-        U[active] = u
-        active = active[max_move > 1e-13]
-    return U
+def _power_penalties(s, g) -> list[PenaltySpec]:
+    """The terms s_j |u_j|^g_j of the limit field as penalties at n = 1: bridge
+    with lambda = s_j and gamma = g_j (lambda = 0 where the term is absent)."""
+    return [PenaltySpec(family="bridge", schedule=TuningSchedule(c=sj, e=0.0), gamma=gj)
+            for sj, gj in zip(s.tolist(), g.tolist())]
 
 
 _SAMPLER_BLOCK = 4096  # draws per kernel call: bounds the sampler's working memory
@@ -232,9 +176,9 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     lam0 = law.regime["lambda0"] or 0.0
     t, s, g = _v0_penalty_terms(law.gamma, lam0, theta0)
 
-    W_all = sigma * _rows_times(spawned_normals(seed, R, p), np.linalg.cholesky(C0).T)
+    W_all = sigma * rows_times(spawned_normals(seed, R, p), np.linalg.cholesky(C0).T)
     # stationary point of the smooth part: C0 u = W - t/2
-    base = _rows_times(W_all - 0.5 * t, np.linalg.inv(C0).T)
+    base = rows_times(W_all - 0.5 * t, np.linalg.inv(C0).T)
     if np.all(s == 0.0):
         return base
 
@@ -242,10 +186,11 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     # PATTERN_COORDS nonconvex coordinates
     nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:PATTERN_COORDS]
     n_starts = 1 + 2 ** nonconvex.size
+    pens = _power_penalties(s, g)
     samples = np.empty((R, p))
     for a in range(0, R, _SAMPLER_BLOCK):
         W = np.repeat(W_all[a:a + _SAMPLER_BLOCK], n_starts, axis=0)
-        U = box_descent(C0, W - 0.5 * t, s, g, zeroed_starts(base[a:a + _SAMPLER_BLOCK], nonconvex))
+        U = box_descent(C0, W - 0.5 * t, pens, 1, zeroed_starts(base[a:a + _SAMPLER_BLOCK], nonconvex))[0]
         vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
         draw = np.arange(U.shape[0]) // n_starts
         samples[a:a + _SAMPLER_BLOCK] = U[tiebreak_argmin(draw, vals, U)]
@@ -312,10 +257,10 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
         raise InvalidInputError("the pseudo-true objective overflows: inf at every point of the box")
 
     starts = zeroed_starts(theta0[None, :], np.arange(min(p, PATTERN_COORDS)))
-    th = box_descent(C0, C0 @ theta0, np.full(p, lambda0), np.full(p, gamma), starts,
-                     box.lo_array(), box.hi_array())
+    th = box_descent(C0, C0 @ theta0, _power_penalties(np.full(p, lambda0), np.full(p, gamma)), 1, starts,
+                     box.lo_array(), box.hi_array())[0]
     d = th - theta0
-    objective = np.sum(_rows_times(d, C0) * d, axis=1) + lambda0 * np.sum(np.abs(th) ** gamma, axis=1)
+    objective = np.sum(rows_times(d, C0) * d, axis=1) + lambda0 * np.sum(np.abs(th) ** gamma, axis=1)
     i = tiebreak_argmin(np.zeros(th.shape[0], dtype=int), objective, th)[0]
     if not np.isfinite(objective[i]):
         raise InvalidInputError(f"the pseudo-true objective overflows: {objective[i]} at every start")

@@ -28,11 +28,13 @@ from .contrast import Contrast
 from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
-from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize
+from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize_block
+from .solver import minimize  # noqa: F401  (perfbench/tracer.py wraps montecarlo.minimize; ROADMAP item 1)
 from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, require_finite,
                    row_squares, seeded_generators)
 
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
+_BLOCKS_PER_WORKER = 4  # tasks per worker and n; a task's fits run as one kernel call
 
 
 @dataclass(frozen=True)
@@ -143,19 +145,21 @@ def config_law(cfg: MCConfig) -> LimitLaw:
                      cfg.truth.theta, cfg.truth.p0, box=cfg.box)
 
 
-def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, factor, seed: int,
-               rng: np.random.Generator) -> tuple[int, EstimateResult]:  # rng = default_rng(seed)
+def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, seed: int,
+               rng: np.random.Generator) -> tuple[int, Contrast]:  # rng = default_rng(seed)
+    """One replication's contrast, its responses drawn from rng, for its block's
+    `minimize_block` call (perfbench/tracer.py times it as the replication)."""
     Y = simulate_responses(X, cfg.truth, cfg.noise, rng)
-    ds = Dataset(X=X, Y=Y, truth=cfg.truth, n=n)
-    return seed, minimize(Contrast(dataset=ds, penalty=cfg.penalty), cfg.box, cfg.solver, factor)
+    return seed, Contrast(dataset=Dataset(X=X, Y=Y, truth=cfg.truth, n=n), penalty=cfg.penalty)
 
 
 def _solve_block(task) -> list[tuple[int, EstimateResult]]:
     cfg, X, n, lo, hi = task
-    factor = DesignFactor(X)  # X'X and pinv once per task, shared by its fits
     seeded = seeded_generators(derived_seeds((cfg.master_seed, n), range(lo, hi)))  # one hash pass
-    return [_solve_one(cfg, X, n, rep, factor, seed, rng)
-            for rep, (seed, rng) in zip(range(lo, hi), seeded)]
+    seeds, contrasts = zip(*(_solve_one(cfg, X, n, rep, seed, rng)
+                             for rep, (seed, rng) in zip(range(lo, hi), seeded)))
+    # X'X and pinv once per task, and one kernel call for all of its fits
+    return list(zip(seeds, minimize_block(list(contrasts), cfg.box, cfg.solver, DesignFactor(X))))
 
 
 def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
@@ -174,7 +178,7 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
             f"dataset generation failed ({exc}); config: design={cfg.design}, "
             f"truth={cfg.truth}, n_grid={cfg.n_grid}, seed={cfg.master_seed}") from exc
     R = cfg.replications
-    block = max(1, math.ceil(R / (workers * 4)))
+    block = max(1, math.ceil(R / (workers * _BLOCKS_PER_WORKER)))
     tasks = [(cfg, designs[n], n, lo, min(lo + block, R))
              for n in cfg.n_grid for lo in range(0, R, block)]
     workers = min(workers, len(tasks))

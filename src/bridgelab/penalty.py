@@ -1,9 +1,9 @@
-"""Penalty families (bridge, SCAD, seamless-L0), exact scalar subproblems, and condition checkers.
+"""Penalty families (bridge, SCAD, seamless-L0), exact one-dimensional subproblems, and condition checkers.
 
-The scalar proximal solve is exact up to the one-dimensional root finds: for
-each family the candidate minimizers of c(x-b)^2 + p_n(x) are enumerated
-(literal 0, branch stationary points, branch junctions) and compared, so exact
-zeros are produced without thresholding.
+The proximal solve is exact up to the one-dimensional root finds: for each
+family the candidate minimizers of c(x-b)^2 + p_n(x) are enumerated (literal
+0, branch stationary points, branch junctions) and compared, so exact zeros
+are produced without thresholding. It runs elementwise on an array of b.
 """
 
 from __future__ import annotations
@@ -157,122 +157,55 @@ def penalty_total(pen: PenaltySpec, n: int, theta) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact scalar proximal solves
+# Exact proximal solves, elementwise
 # ---------------------------------------------------------------------------
 
 
-def _bracketed_newton(h, hprime, lo: float, hi: float, x: float | None = None) -> float:
-    """Root of increasing h on [lo, hi] with h(lo) <= 0 <= h(hi).
+def _bracketed_newton_array(h, hprime, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+                            *args: np.ndarray) -> np.ndarray:
+    """Root of increasing h on [lo, hi] with h(lo) <= 0 <= h(hi), for every element at once.
 
-    Newton from x (default the midpoint), clipped into the shrinking bracket;
-    bisection whenever the Newton step leaves it. Stops at float resolution:
-    once a Newton correction is at most 2 ulp of x, or once the bisection
-    midpoint equals an end of the bracket. The iteration cap is only a safety
-    net. Deterministic.
+    Newton from x, clipped into the shrinking bracket; bisection whenever the
+    Newton step leaves it. Each element stops at float resolution, at its own
+    exit: once its Newton correction is at most 2 ulp of x, or once its
+    bisection midpoint equals an end of its bracket. So its root does not
+    depend on the others, and the iteration cap is only a safety net. h and
+    hprime take (x, *args), args being per-element parameters of x's shape.
     """
-    if x is None:
-        x = 0.5 * (lo + hi)
-    for _ in range(200):
-        hx = h(x)
-        if hx == 0.0:
-            return x
-        if hx > 0.0:
-            hi = x
-        else:
-            lo = x
-        d = hprime(x)
-        if d > 0.0:
-            step = x - hx / d
-            if abs(step - x) <= 2.0 * math.ulp(x):
-                return min(max(step, lo), hi)
-        else:
-            step = lo  # force bisection
-        if not (lo < step < hi):
-            step = 0.5 * (lo + hi)
-            if step == lo or step == hi:
-                break
-        x = step
-    return 0.5 * (lo + hi)
-
-
-def _bracketed_newton_array(h, hprime, lo: np.ndarray, hi: np.ndarray,
-                            x: np.ndarray) -> np.ndarray:
-    """_bracketed_newton on every element at once: each element runs the scalar
-    iteration and leaves at its own exit, so its root does not depend on the
-    others. h and hprime take (x, idx), the iterates and their indices."""
     root = np.empty_like(x)
     idx = np.arange(x.size)
-    for _ in range(200):
-        if idx.size == 0:
-            break
-        hx = h(x, idx)
-        lo, hi = np.where(hx > 0.0, lo, x), np.where(hx > 0.0, x, hi)
-        d = hprime(x, idx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(d > 0.0, x - hx / d, lo)
-        close = (d > 0.0) & (np.abs(newton - x) <= 2.0 * np.spacing(x))
-        bisect = ~((lo < newton) & (newton < hi))
-        step = np.where(bisect, 0.5 * (lo + hi), newton)
-        found = hx == 0.0
-        done = found | close | (bisect & ((step == lo) | (step == hi)))
-        value = np.where(found, x, np.where(close, np.clip(newton, lo, hi), step))
-        root[idx[done]] = value[done]
-        idx, x, lo, hi = (v[~done] for v in (idx, step, lo, hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            if idx.size == 0:
+                break
+            hx = h(x, *args)
+            above = hx > 0.0
+            lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+            d = hprime(x, *args)
+            rising = d > 0.0
+            newton = np.where(rising, x - hx / d, lo)
+            close = rising & (np.abs(newton - x) <= 2.0 * np.spacing(x))
+            bisect = ~((lo < newton) & (newton < hi))
+            step = np.where(bisect, 0.5 * (lo + hi), newton)
+            found = hx == 0.0
+            done = found | close | (bisect & ((step == lo) | (step == hi)))
+            if not done.any():
+                x = step
+                continue
+            value = np.where(found, x, np.where(close, np.clip(newton, lo, hi), step))
+            root[idx[done]] = value[done]
+            keep = ~done
+            idx, x, lo, hi = idx[keep], step[keep], lo[keep], hi[keep]
+            args = tuple(a[keep] for a in args)
     root[idx] = 0.5 * (lo + hi)
     return root
 
 
-def power_prox_candidates(c: float, b: float, lam: float, gamma: float) -> list[float]:
-    """Candidate minimizers of c(x-b)^2 + lam*|x|**gamma (bridge-type scalar solve).
-
-    With an ndarray b (c and lam scalars or arrays of b's shape) the solve
-    runs elementwise and returns one array of b's shape: the nonzero
-    candidate where the scalar call has one, else 0.0. Callers compare it
-    with the literal 0, as they add 0 to the scalar list.
+def power_prox_candidates(c, b: np.ndarray, lam, gamma: float) -> np.ndarray:
+    """The nonzero candidate minimizer of c(x-b)^2 + lam*|x|**gamma for every
+    element of b (c and lam scalars or arrays of b's shape), else 0.0; callers
+    compare it with the literal 0. lam = 0 gives b, and b = +-0 gives +0.0.
     """
-    if isinstance(b, np.ndarray):
-        return _power_prox_array(c, b, lam, gamma)
-    if lam == 0.0:
-        return [b]
-    if b == 0.0:
-        return [0.0]
-    s = 1.0 if b > 0.0 else -1.0
-    beta = abs(b)
-    if gamma == 1.0:
-        st = beta - lam / (2.0 * c)
-        return [0.0] if st <= 0.0 else [s * st]
-    if gamma == 2.0:
-        return [c * b / (c + lam)]
-    if gamma > 1.0:
-        # h rises from -2c*beta at 0. From this upper bound of the root Newton
-        # runs to it monotonically (for gamma < 2, where h is concave, after
-        # one step to its left). A bound below the normal floats is the root
-        # to within 2.2e-308 and is kept: h' may overflow there.
-        h = lambda x: 2.0 * c * (x - beta) + lam * gamma * x ** (gamma - 1.0)
-        hp = lambda x: 2.0 * c + lam * gamma * (gamma - 1.0) * x ** (gamma - 2.0)
-        hi = beta
-        try:
-            above = lam * gamma * beta ** (gamma - 1.0) > 2.0 * c * beta
-        except OverflowError:  # h(bound) = 2c bound > 0, so the bound brackets the root all the same
-            above = True
-        if above:
-            hi = (2.0 * c * beta / (lam * gamma)) ** (1.0 / (gamma - 1.0))
-        return [s * (hi if hi < _TINY else _bracketed_newton(h, hp, 0.0, hi, hi))]
-    # 0 < gamma < 1: nonconvex; at most one interior local minimum beyond the
-    # dip of h, compared against the exact-zero candidate.
-    x_star = (lam * gamma * (1.0 - gamma) / (2.0 * c)) ** (1.0 / (2.0 - gamma))
-    if x_star >= beta:
-        return [0.0]
-    h = lambda x: 2.0 * c * (x - beta) + lam * gamma * x ** (gamma - 1.0)
-    if h(x_star) > 0.0:
-        return [0.0]
-    hp = lambda x: 2.0 * c + lam * gamma * (gamma - 1.0) * x ** (gamma - 2.0)
-    root = _bracketed_newton(h, hp, x_star, beta)
-    return [0.0, s * root]
-
-
-def _power_prox_array(c, b: np.ndarray, lam, gamma: float) -> np.ndarray:
-    """power_prox_candidates elementwise, with the scalar call's rules."""
     c, b, lam = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(b, dtype=float),
                                     np.asarray(lam, dtype=float))
     beta, sign = np.abs(b), np.where(b > 0.0, 1.0, -1.0)
@@ -284,87 +217,114 @@ def _power_prox_array(c, b: np.ndarray, lam, gamma: float) -> np.ndarray:
     else:
         live = np.flatnonzero((lam != 0.0) & (b != 0.0))
         cl, bl, ll = c.flat[live], beta.flat[live], lam.flat[live]
-        h = lambda x, i: 2.0 * cl[i] * (x - bl[i]) + ll[i] * gamma * x ** (gamma - 1.0)
-        hp = lambda x, i: 2.0 * cl[i] + ll[i] * gamma * (gamma - 1.0) * x ** (gamma - 2.0)
+        h = lambda x, c, beta, lam: 2.0 * c * (x - beta) + lam * gamma * x ** (gamma - 1.0)
+        hp = lambda x, c, beta, lam: 2.0 * c + lam * gamma * (gamma - 1.0) * x ** (gamma - 2.0)
         if gamma > 1.0:
+            # h rises from -2c*beta at 0. From this upper bound of the root Newton
+            # runs to it monotonically (for gamma < 2, where h is concave, after
+            # one step to its left). A bound below the normal floats is the root
+            # to within 2.2e-308 and is kept: h' may overflow there.
             root = bl.copy()
             lower = ll * gamma * bl ** (gamma - 1.0) > 2.0 * cl * bl
             root[lower] = (2.0 * cl[lower] * bl[lower] / (ll[lower] * gamma)) ** (1.0 / (gamma - 1.0))
             k = np.flatnonzero(root >= _TINY)
             lo, hi, x = np.zeros(k.size), root[k], root[k]
         else:
+            # nonconvex: at most one interior local minimum, beyond the dip of h
             root = np.zeros(live.size)
             x_star = (ll * gamma * (1.0 - gamma) / (2.0 * cl)) ** (1.0 / (2.0 - gamma))
             k = np.flatnonzero(x_star < bl)
-            k = k[h(x_star[k], k) <= 0.0]
+            k = k[h(x_star[k], cl[k], bl[k], ll[k]) <= 0.0]
             lo, hi, x = x_star[k], bl[k], 0.5 * (x_star[k] + bl[k])
-        root[k] = _bracketed_newton_array(lambda x, i: h(x, k[i]), lambda x, i: hp(x, k[i]),
-                                          lo, hi, x)
+        root[k] = _bracketed_newton_array(h, hp, lo, hi, x, cl[k], bl[k], ll[k])
         out = np.zeros(b.shape)
         out.flat[live] = np.where(root == 0.0, 0.0, sign.flat[live] * root)
     return np.where(lam == 0.0, b, np.where(b == 0.0, 0.0, out))
 
 
-def _scad_candidates(c: float, b: float, lam: float, n: int, a: float) -> list[float]:
-    s = 1.0 if b > 0.0 else -1.0
-    beta = abs(b)
-    cands = [0.0, s * lam, s * a * lam]
+def _scad_candidates_array(c: float, b: np.ndarray, lam: float, n: int, a: float) -> list[np.ndarray]:
+    """SCAD's candidates on b's side, elementwise: the junctions lam and a lam,
+    each branch's stationary point where it lies in its branch and b itself
+    where the penalty is flat (0.0 where one does not apply)."""
+    s, beta = np.where(b > 0.0, 1.0, -1.0), np.abs(b)
     x1 = beta - n * lam / (2.0 * c)
-    if 0.0 < x1 <= lam:
-        cands.append(s * x1)
+    cands = [s * lam, s * (a * lam), np.where((0.0 < x1) & (x1 <= lam), s * x1, 0.0)]
     denom = 2.0 * c - n / (a - 1.0)
     if denom != 0.0:
         x2 = (2.0 * c * beta - n * a * lam / (a - 1.0)) / denom
-        if lam < x2 <= a * lam:
-            cands.append(s * x2)
-    if beta > a * lam:
-        cands.append(b)
-    return cands
+        cands.append(np.where((lam < x2) & (x2 <= a * lam), s * x2, 0.0))
+    return cands + [np.where(beta > a * lam, b, 0.0)]
 
 
-def _selo_candidates(c: float, b: float, lam: float, n: int, tau: float) -> list[float]:
-    s = 1.0 if b > 0.0 else -1.0
-    beta = abs(b)
+def _selo_candidates_array(c: float, b: np.ndarray, lam: float, n: int, tau: float) -> list[np.ndarray]:
+    """SELO's interior candidate, elementwise (0.0 where there is none)."""
+    s, beta = np.where(b > 0.0, 1.0, -1.0), np.abs(b)
     coef = 2.0 * n * lam / LOG2
 
     # p_n'(x) = coef tau / (u v), u = x + tau, v = 2x + tau. h, h' and h'' divide by u
     # and v one at a time, so no product of small factors underflows to a zero divisor.
-    def dpen(x: float) -> float:
+    def dpen(x):
         return coef * (tau / (2.0 * x + tau)) / (x + tau)
 
-    def h(x: float) -> float:
-        return 2.0 * c * (x - beta) + dpen(x)
-
-    def hp(x: float) -> float:
+    def hp(x):
         return 2.0 * c - dpen(x) * (1.0 / (x + tau) + 2.0 / (2.0 * x + tau))
 
-    def hpp(x: float) -> float:
+    def hpp(x):
         iu, iv = 1.0 / (x + tau), 2.0 / (2.0 * x + tau)
         return dpen(x) * ((iu + iv) * (iu + iv) + iu * iu + iv * iv)
 
     # h is convex on [0, beta] with h(beta) > 0; an interior local minimum of the objective
     # exists only where h crosses 0 from below, right of its dip (the root of increasing h').
-    if hp(beta) <= 0.0:
-        return [0.0]
-    x_h = 0.0 if hp(0.0) >= 0.0 else _bracketed_newton(hp, hpp, 0.0, beta)
-    if h(x_h) > 0.0:
-        return [0.0]
-    root = _bracketed_newton(h, hp, x_h, beta)
-    return [0.0, s * root]
+    k = np.flatnonzero(hp(beta) > 0.0)
+    if hp(0.0) >= 0.0:
+        dip = np.zeros(k.size)
+    else:
+        dip = _bracketed_newton_array(hp, hpp, np.zeros(k.size), beta[k], 0.5 * beta[k])
+    h = lambda x, beta: 2.0 * c * (x - beta) + dpen(x)
+    rising = h(dip, beta[k]) <= 0.0
+    k, dip = k[rising], dip[rising]
+    root = _bracketed_newton_array(h, lambda x, beta: hp(x), dip, beta[k], 0.5 * (dip + beta[k]), beta[k])
+    out = np.zeros(b.shape)
+    out[k] = s[k] * root
+    return [out]
 
 
-def _prox_candidates(pen: PenaltySpec, n: int, c: float, b: float) -> list[float]:
-    """Candidates for c(x-b)^2 + p_n(x); in every family b = +-0 gives +0.0, then p_n = 0 gives b."""
-    if b == 0.0:
-        return [0.0]
+def _least(pen: PenaltySpec, n: int, c, b: np.ndarray, cands: list, lo: float, hi: float) -> np.ndarray:
+    """Elementwise, the candidate of least c(x-b)^2 + p_n(x) in [lo, hi] among the
+    literal 0 and the finite ends (where they lie in it) and the arrays `cands`:
+    the smallest (value, |x|, x), the earliest on a full tie. A value that
+    overflows is inf, which loses to every finite one."""
+    best, best_v = np.full(b.shape, np.inf), np.full(b.shape, np.inf)
+    fixed = [np.array([x]) for x in (0.0, lo, hi) if lo <= x <= hi and math.isfinite(x)]
+    for x in fixed + cands:
+        d = x - b
+        v = c * d * d + penalty_value(pen, n, x)
+        ax, a_best = np.abs(x), np.abs(best)
+        take = (v < best_v) | ((v == best_v) & ((ax < a_best) | ((ax == a_best) & (x < best))))
+        take &= (lo <= x) & (x <= hi)
+        best = np.where(take, x, best)
+        best_v = np.where(take, v, best_v)
+    return best
+
+
+def prox_array(pen: PenaltySpec, n: int, c: float, b: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Minimizer over [lo, hi] of x -> c*(x-b)^2 + p_n(x), c > 0, for every element of b.
+
+    `_least` picks among the family's stationary points (bridge through
+    `power_prox_candidates`, SCAD in closed form, SELO by two root finds), so
+    a zero is the literal +0.0, never a thresholded value; p_n = 0 gives
+    clip(b). Callers hold numpy's overflow and invalid-value errors: a b that
+    overflows gives inf or nan candidates, which never win."""
     lam = pen.schedule.value(n)
     if lam == 0.0:
-        return [b]
+        return np.clip(b, lo, hi) + 0.0  # + 0.0 turns -0.0 into +0.0
     if pen.family == "bridge":
-        return power_prox_candidates(c, b, lam, pen.gamma)
-    if pen.family == "scad":
-        return _scad_candidates(c, b, lam, n, pen.a)
-    return _selo_candidates(c, b, lam, n, pen.tau.value(n))
+        cands = [power_prox_candidates(c, b, lam, pen.gamma)]
+    elif pen.family == "scad":
+        cands = _scad_candidates_array(c, b, lam, n, pen.a)
+    else:
+        cands = _selo_candidates_array(c, b, lam, n, pen.tau.value(n))
+    return _least(pen, n, c, b, cands, lo, hi)
 
 
 def scalar_prox(pen: PenaltySpec, n: int, c: float, b: float) -> float:
@@ -378,24 +338,14 @@ def scalar_prox(pen: PenaltySpec, n: int, c: float, b: float) -> float:
 
 def scalar_prox_interval(pen: PenaltySpec, n: int, c: float, b: float,
                          lo: float, hi: float) -> float:
-    """Minimizer of x -> c*(x-b)^2 + p_n(x) over [lo, hi], comparing the
-    stationary candidates inside, the finite ends and 0 (when inside).
+    """Minimizer of x -> c*(x-b)^2 + p_n(x) over [lo, hi]: `prox_array` on one element.
 
-    Smallest objective wins; ties go toward smaller |x|, then toward negative x,
-    then to the first candidate.
+    Smallest objective wins; ties go toward smaller |x|, then toward negative x.
     """
     if not (c > 0.0):
         raise InvalidInputError(f"prox curvature must be positive, got {c}")
-    cands = [x for x in _prox_candidates(pen, n, c, b) if lo <= x <= hi]
-    cands += [end for end in (lo, hi) if math.isfinite(end)]
-    if lo <= 0.0 <= hi and 0.0 not in cands:
-        cands.append(0.0)
-
-    def obj(x: float) -> float:
-        d = x - b
-        return c * d * d + _value_scalar(pen, n, x)
-
-    return min(cands, key=lambda x: (obj(x), abs(x), x))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return float(prox_array(pen, n, c, np.array([float(b)]), lo, hi)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Global minimization of the penalized contrast over a compact box.
 
-Cyclic exact coordinate descent from a deterministic multistart set, with a
+Cyclic exact coordinate descent from a deterministic multistart set, run by
+one elementwise kernel on every start of a block of fits at once, with a
 brute-force nested-grid oracle for low dimensions. Exact zeros come from the
-scalar prox, never from thresholding, so zero-hit events are well defined.
+prox, never from thresholding, so zero-hit events are well defined.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 
 from .contrast import Contrast, contrast_value
 from .errors import InvalidInputError, InvalidSpecError
-from .penalty import scalar_prox_interval
-from .util import require_finite
+from .penalty import PenaltySpec, penalty_value, prox_array
+from .penalty import scalar_prox_interval  # noqa: F401  (perfbench/tracer.py wraps it; ROADMAP item 1)
+from .util import require_finite, rows_times
 
 PATTERN_COORDS = 6  # zero-support patterns of multistart sets cover this many leading coordinates
 FACE_TOL = 1e-9  # Box.on_boundary: a coordinate this close to a face touches it
@@ -47,7 +49,7 @@ class Box:
     hi: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("lo", "hi"):  # Python floats, which the descent reads directly
+        for name in ("lo", "hi"):  # Python floats, whatever the input's type
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if len(self.lo) != len(self.hi):
             raise InvalidSpecError("box lo/hi lengths differ")
@@ -109,15 +111,15 @@ class EstimateResult:
 
 class DesignFactor:
     """The design-only work of a fit, done once per X and shared by its fits:
-    the finiteness check, Q = X'X as Python lists and pinv(X) for the OLS
-    start. pinv cuts singular values at max(n, p) eps times the largest, as
-    lstsq(rcond=None) does, so rank-deficient designs keep the minimum-norm
-    solution. Holds X; `minimize` uses it only for that very X object."""
+    the finiteness check, Q = X'X and pinv(X) for the OLS start. pinv cuts
+    singular values at max(n, p) eps times the largest, as lstsq(rcond=None)
+    does, so rank-deficient designs keep the minimum-norm solution. Holds X;
+    `minimize` uses it only for that very X object."""
 
     def __init__(self, X: np.ndarray):
         if not np.all(np.isfinite(X)):
             raise InvalidInputError("design contains non-finite values")
-        self.X, self.Q = X, (X.T @ X).tolist()
+        self.X, self.Q = X, X.T @ X
         self.pinv = np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)
 
 
@@ -141,71 +143,123 @@ def zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.where(keep, base[:, None, :], 0.0).reshape(-1, keep.shape[1])
 
 
-def _multistart_points(Y: np.ndarray, box: Box, factor: DesignFactor) -> np.ndarray:
-    """(k, p) starts from the data alone: the OLS point pinv(X) Y, the origin,
+def _multistart_points(ols: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Starts from the data alone, and the fit of each, for the fits whose OLS
+    points pinv(X) Y are the rows of `ols`: per fit the OLS point, the origin
     and OLS with each nonempty subset of its first PATTERN_COORDS coordinates
-    set to 0 (`zeroed_starts`), clipped to the box.
+    set to 0 (`zeroed_starts`; these target the support-indexed basins of the
+    nonconvex penalties), clipped to the box, byte-duplicate rows dropped in order."""
+    m, p = ols.shape
+    starts = box.clip(zeroed_starts(ols, np.arange(min(p, PATTERN_COORDS))))
+    fit = np.repeat(np.arange(m), starts.shape[0] // m)
+    bits = starts.view(np.int64)
+    order = np.lexsort((*bits.T[::-1], fit))  # stable: a fit's equal rows keep their order
+    same = np.all(bits[order[1:]] == bits[order[:-1]], axis=1) & (fit[order[1:]] == fit[order[:-1]])
+    keep = np.ones(fit.size, dtype=bool)
+    keep[order[1:][same]] = False  # every copy after the earliest
+    return starts[keep], fit[keep]
 
-    Support patterns target the support-indexed basins of the nonconvex
-    penalties; at most 2**PATTERN_COORDS + 1 starts, byte-duplicate rows
-    dropped in order.
-    """
-    ols = factor.pinv @ Y
-    starts = box.clip(zeroed_starts(ols[None], np.arange(min(ols.size, PATTERN_COORDS))))
-    first = {row.tobytes(): i for i, row in reversed(list(enumerate(starts)))}  # earliest row wins
-    return starts[sorted(first.values())]
+
+def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np.inf,
+                tolerance: float = 1e-13, max_sweeps: int = 2000):
+    """Cyclic exact coordinate descent on u'Qu - 2q'u + sum_j p_j(u_j) over
+    lo <= u <= hi (p_j = pens[j] at n) from every row of `starts` at once, each
+    with its row of q (or one shared q). Coordinate j moves to `prox_array` of
+    b = (q_j - sum_{k != j} Q_jk u_k) / Q_jj, or to the point of [lo_j, hi_j]
+    nearest 0 where Q_jj = 0 (only the penalty sees u_j). A row stops after its
+    first sweep that moves no coordinate by more than `tolerance`, or after
+    `max_sweeps`; sums run elementwise in index order, so a row's endpoint does
+    not depend on the other rows. Returns (endpoints, sweeps, converged)."""
+    Q = np.asarray(Q, dtype=float)
+    p = Q.shape[0]
+    lo, hi = np.broadcast_to(lo, p), np.broadcast_to(hi, p)
+    U = np.clip(np.asarray(starts, dtype=float), lo, hi)
+    q = np.broadcast_to(np.asarray(q, dtype=float), U.shape)
+    Q_off = Q - np.diag(np.diag(Q))
+    sweeps, converged = np.full(U.shape[0], max_sweeps), np.zeros(U.shape[0], dtype=bool)
+    active = np.arange(U.shape[0])
+    # an overflowing b (a near-singular Q) gives inf or nan candidates, which never win
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for sweep in range(1, max_sweeps + 1):
+            if active.size == 0:
+                break
+            whole = active.size == U.shape[0]  # no gather or scatter while every row moves
+            u, qa = (U, q) if whole else (U[active], q[active])
+            max_move = np.zeros(active.size)
+            for j in range(p):
+                if Q[j, j] == 0.0:
+                    new = np.full(active.size, np.clip(0.0, lo[j], hi[j]) + 0.0)
+                else:
+                    b = (qa[:, j] - rows_times(u, Q_off[:, j:j + 1])[:, 0]) / Q[j, j]
+                    new = prox_array(pens[j], n, Q[j, j], b, lo[j], hi[j])
+                max_move = np.maximum(max_move, np.abs(new - u[:, j]))
+                u[:, j] = new
+            if not whole:
+                U[active] = u
+            moving = max_move > tolerance
+            sweeps[active[~moving]], converged[active[~moving]] = sweep, True
+            active = active[moving]
+    return U, sweeps, converged
 
 
-def _coordinate_descent(c: Contrast, box: Box, opts: SolverOptions, start: np.ndarray,
-                        gram: tuple, memo: dict) -> tuple[list[float], bool, int]:
-    """Cyclic exact coordinate descent in Gram form, Q = X'X and q = X'Y.
+def minimize_block(contrasts: list[Contrast], box: Box, opts: SolverOptions,
+                   factor: DesignFactor) -> list[EstimateResult]:
+    """`minimize` on fits that share factor.X, the penalty and n, each with its
+    own Y: one `box_descent` call, stopped by `opts`, runs every start
+    (`_multistart_points`) of every fit, and a fit's bits do not depend on the
+    others. One `contrast_value` call per fit then scores its starts and
+    endpoints by the exact residual objective (the Gram-form RSS cancels when
+    RSS << Y'Y). A start is kept verbatim if descent cannot improve it, so the
+    returned objective never exceeds any multistart objective, and
+    `tiebreak_argmin` picks each fit's winner. Of the starts that reached it,
+    `converged` says whether any converged and `iterations` counts the first
+    converged one's sweeps (else the first's)."""
+    X, pen, n = factor.X, contrasts[0].penalty, contrasts[0].n
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a sum is nan
+        qs = np.array([X.T @ c.dataset.Y for c in contrasts])
+    bad = np.flatnonzero(~np.all(np.isfinite(qs), axis=1))
+    if bad.size:  # a non-finite Y makes q non-finite too
+        if not np.all(np.isfinite(contrasts[bad[0]].dataset.Y)):
+            raise InvalidInputError("responses contain non-finite values")
+        raise InvalidInputError(f"X'Y overflows: {qs[bad[0]].tolist()}")
+    lo, hi = box.lo_array(), box.hi_array()
+    for j in np.flatnonzero(np.diag(factor.Q) != 0.0):
+        penalty_value(pen, n, max(-lo[j], hi[j]))  # a bridge value that overflows in the box raises
 
-    Coordinate j moves to the prox of b = theta_j + (q_j - sum_k Q_jk theta_k) / Q_jj
-    in Python floats: O(p) per update, no residual, so the cost is flat in n.
-    `memo` maps (j, b) to the prox value, a pure function of b's value within
-    one fit, so a hit returns the same bits.
-    """
-    (Q, q), pen, n, lo, hi = gram, c.penalty, c.n, box.lo, box.hi
-    theta = start.tolist()
-    for sweeps in range(1, opts.max_sweeps + 1):
-        max_move = 0.0
-        for j, Qj in enumerate(Q):
-            if Qj[j] == 0.0:
-                # column identically zero: only the penalty sees theta_j
-                new = 0.0 if lo[j] <= 0.0 <= hi[j] else (lo[j] if abs(lo[j]) < abs(hi[j]) else hi[j])
-            else:
-                g = q[j]  # a plain loop: sum() of floats is compensated from Python 3.12
-                for Qjk, t in zip(Qj, theta):
-                    g -= Qjk * t
-                b = theta[j] + g / Qj[j]
-                new = memo.get((j, b))
-                if new is None:
-                    new = memo[j, b] = scalar_prox_interval(pen, n, Qj[j], b, lo[j], hi[j])
-            if new != theta[j]:
-                max_move = max(max_move, abs(new - theta[j]))
-                theta[j] = new
-        if max_move <= opts.tolerance:
-            return theta, True, sweeps
-    return theta, False, opts.max_sweeps
+    S, group = _multistart_points(np.array([factor.pinv @ c.dataset.Y for c in contrasts]), box)
+    counts = np.bincount(group, minlength=len(contrasts))
+    first = np.concatenate(([0], np.cumsum(counts)))
+    ends, sweeps, conv = box_descent(factor.Q, qs[group], [pen] * X.shape[1], n, S,
+                                     lo, hi, opts.tolerance, opts.max_sweeps)
+    start_obj, obj = np.empty(S.shape[0]), np.empty(S.shape[0])
+    for c, a, z in zip(contrasts, first, first[1:]):
+        values = contrast_value(c, np.concatenate((S[a:z], ends[a:z])))
+        start_obj[a:z], obj[a:z] = values[:z - a], values[z - a:]
+    back = obj > start_obj  # float-pathological sweep; keep the start itself
+    ends[back], obj[back], conv[back], sweeps[back] = S[back], start_obj[back], True, 0
+
+    win = tiebreak_argmin(group, obj, ends)
+    bad = np.flatnonzero(~np.isfinite(obj[win]))
+    if bad.size:
+        raise InvalidInputError(f"the objective overflows: {obj[win[bad[0]]]} "
+                                f"at the best of {counts[bad[0]]} starts")
+    # flags of the first converged start that reached the winner, if any
+    w = win[group]
+    reached = np.flatnonzero(conv & (obj == obj[w]) & np.all(ends == ends[w], axis=1))
+    fits, earliest = np.unique(group[reached], return_index=True)
+    flag = win.copy()
+    flag[fits] = reached[earliest]
+    flag = np.where(conv[win], win, flag)
+    return [EstimateResult(ends[i], float(obj[i]), int(k), bool(conv[j]), int(sweeps[j]))
+            for i, j, k in zip(win, flag, counts)]
 
 
 def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = None,
              factor: DesignFactor | None = None) -> EstimateResult:
-    """Best terminal point of coordinate descent over the multistart set.
-
-    A function of (X, Y, penalty, box) alone: the starts are those of
-    `_multistart_points`, built from Y, never from the generating truth.
-    Deterministic: identical inputs give bit-identical results; ties across
-    restarts break by `tiebreak_argmin`. `factor` (built here when absent or
-    made from another X) gives X'X and the OLS start pinv(X) Y, so a fit forms
-    only X'Y. One prox memo serves all starts. After every descent, one
-    `contrast_value` call scores the table of starts and endpoints by the exact
-    residual objective (the Gram-form RSS cancels when RSS << Y'Y). A start is
-    kept verbatim if descent cannot improve it, so the returned objective never
-    exceeds any multistart objective. Of the starts that reached the returned
-    point, `converged` says whether any converged and `iterations` counts the
-    first converged one's sweeps (else the first's).
-    """
+    """Best terminal point of coordinate descent over the multistart set:
+    `minimize_block` on one fit, a function of (X, Y, penalty, box) alone (the
+    starts are built from Y, never from the generating truth). `factor` (built
+    here when absent or made from another X) gives X'X and pinv(X)."""
     if box is None:
         box = Box.cube(c.p)
     if box.p != c.p:
@@ -214,31 +268,7 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
         opts = SolverOptions()
     if factor is None or factor.X is not c.dataset.X:
         factor = DesignFactor(c.dataset.X)
-    if not np.all(np.isfinite(c.dataset.Y)):
-        raise InvalidInputError("responses contain non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a sum is nan
-        q = c.dataset.X.T @ c.dataset.Y
-    if not np.all(np.isfinite(q)):
-        raise InvalidInputError(f"X'Y overflows: {q.tolist()}")
-
-    starts = _multistart_points(c.dataset.Y, box, factor)
-    gram, memo = (factor.Q, q.tolist()), {}
-    runs = (_coordinate_descent(c, box, opts, start, gram, memo) for start in starts)
-    ends, conv, sweeps = map(np.array, zip(*runs))
-    k = len(starts)
-    values = contrast_value(c, np.concatenate((starts, ends)))
-    start_obj, obj = values[:k], values[k:]
-    back = obj > start_obj  # float-pathological sweep; keep the start itself
-    if back.any():
-        ends[back], obj[back], conv[back], sweeps[back] = starts[back], start_obj[back], True, 0
-
-    i = j = tiebreak_argmin(np.zeros(k, dtype=int), obj, ends)[0]
-    if not conv[i]:  # flags of the first converged start that reached the winner, if any
-        reached = np.flatnonzero((obj == obj[i]) & np.all(ends == ends[i], axis=1) & conv)
-        j = reached[0] if reached.size else i
-    if not np.isfinite(obj[i]):
-        raise InvalidInputError(f"the objective overflows: {obj[i]} at the best of {k} starts")
-    return EstimateResult(ends[i], float(obj[i]), k, bool(conv[j]), int(sweeps[j]))
+    return minimize_block([c], box, opts, factor)[0]
 
 
 def _lattice_points(center: np.ndarray, span: np.ndarray, box: Box,

@@ -1,5 +1,5 @@
 """Seed derivation and bulk SeedSequence seeding (derived seeds, per-seed generators,
-spawned normals), the spec finiteness check, per-row dots, boundedness heuristics,
+spawned normals), the spec finiteness check, per-row products and dots, boundedness heuristics,
 line fits, and byte-stable serialization helpers."""
 
 from __future__ import annotations
@@ -127,6 +127,15 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if value is not None and not np.all(np.isfinite(value)):
             raise InvalidSpecError(f"{name} must be finite, got {value}")
+
+
+def rows_times(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M from elementwise products summed in index order, so a row's result
+    does not depend on the other rows (a BLAS kernel's rounding may)."""
+    out = X[:, :1] * M[0]
+    for k in range(1, M.shape[0]):
+        out = out + X[:, k:k + 1] * M[k]
+    return out
 
 
 def row_squares(A: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from bridgelab.config import _KEYS, config_from_echo, parse_config
 from bridgelab.contrast import Contrast
 from bridgelab.errors import ConfigError
 from bridgelab.model import Dataset, generate_design, simulate_responses
+from bridgelab import montecarlo
 from bridgelab.montecarlo import config_law, design_seed, replication_seed
 from bridgelab.solver import minimize
 from bridgelab.util import canonical_json, format_float
@@ -717,6 +718,32 @@ def test_mc_rows_equal_direct_fits(tmp_path, capsys):
     warnings = json.loads((out_dir / "summary.json").read_text())["warnings"]
     assert any("did not stabilize" in w for w in warnings)
     assert any("touch the box boundary" in w for w in warnings)
+
+
+@pytest.mark.parametrize("penalty, schedule", [
+    ("family = bridge\ngamma = 0.5", "c = 1.0\ne = 0.6"),
+    ("family = scad\na = 3.7", "c = 1.0\ne = -0.25"),
+    ("family = selo\ntau_c = 0.1\ntau_e = -0.5", "c = 0.05\ne = 0.0"),
+    ("family = none", "c = 1.0\ne = 0.6"),
+], ids=["bridge", "scad", "selo", "none"])
+def test_fits_independent_of_threads_and_block_size(tmp_path, capsys, monkeypatch, penalty, schedule):
+    # fit (n, rep) depends only on (config, n, rep): replications.csv has the same bytes for
+    # one or two workers (blocks of 25 and 13 fits) and for blocks of 8 (the last one
+    # ragged) and of 100
+    path = tmp_path / "blocks.cfg"
+    path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 1.0, -1.5")
+                    .replace("design = standardized-orthonormal", "design = bounded-random-frozen\nbound = 3.0")
+                    .replace("family = bridge\ngamma = 0.5", penalty).replace("c = 1.0\ne = 0.6", schedule))
+    runs = []
+    for threads, blocks_per_worker in ((1, 4), (2, 4), (1, 13), (1, 1)):
+        monkeypatch.setattr(montecarlo, "_BLOCKS_PER_WORKER", blocks_per_worker)
+        out_dir = tmp_path / f"out-{threads}-{blocks_per_worker}"
+        assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir),
+                             "--threads", str(threads)]) == (0, "", "")
+        runs.append((out_dir / "replications.csv").read_bytes())
+    assert runs[1:] == runs[:1] * 3
+    zero_flags = [line.split(b",")[6] for line in runs[0].splitlines()[1:]]
+    assert set(zero_flags) == ({b"0"} if penalty == "family = none" else {b"0", b"1"})
 
 
 def test_mc_io_error_exit_code(cfg_path, tmp_path, capsys):

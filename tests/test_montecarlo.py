@@ -30,7 +30,7 @@ from bridgelab.montecarlo import (
     survival_curve,
     tail_curve,
 )
-from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval, zero_penalty
+from bridgelab.penalty import PenaltySpec, TuningSchedule, prox_array, scalar_prox_interval, zero_penalty
 from bridgelab.solver import Box
 from bridgelab.util import derive_seed, derived_seeds, seeded_generators
 
@@ -463,7 +463,7 @@ def _exact_orthonormal_moments(pen, n: int, theta0: float, orders) -> np.ndarray
     total = np.zeros(len(orders))
     for a, b in zip(bounds[::2], bounds[1::2]):
         bs = np.linspace(a, b, 2001)
-        dist = np.abs(s * (np.array([scalar_prox_interval(pen, n, n, x, -10.0, 10.0) for x in bs]) - theta0))
+        dist = np.abs(s * (prox_array(pen, n, float(n), bs, -10.0, 10.0) - theta0))
         density = s / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * n * (bs - theta0) ** 2)
         for i, q in enumerate(orders):
             f = dist ** q * density

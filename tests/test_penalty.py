@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,48 +244,61 @@ def _log_uniform_prox_inputs(seed, size):
     return [(float(ci), float(bi), float(li)) for ci, bi, li in zip(c, b, lam)]
 
 
+def _log_uniform_prox_arrays(seed, size):
+    """The inputs of `_log_uniform_prox_inputs` as the arrays c, b, lam."""
+    return np.array(_log_uniform_prox_inputs(seed, size)).T
+
+
 @pytest.mark.parametrize("gamma, closed_form", [(0.5, _half_thresholding_root),
                                                  (1.5, _three_halves_root)],
                          ids=["half-thresholding", "three-halves"])
 def test_power_prox_root_matches_closed_form_to_64_ulp(gamma, closed_form):
+    c, b, lam = _log_uniform_prox_arrays(20251018, 6000)
+    roots = power_prox_candidates(c, b, lam, gamma)
     ulps = []
-    for c, b, lam in _log_uniform_prox_inputs(20251018, 6000):
-        cands = power_prox_candidates(c, b, lam, gamma)
-        if gamma < 1.0 and len(cands) < 2:
-            continue  # no interior local minimum: only the literal 0
-        ref = closed_form(c, b, lam)
-        ulps.append(abs(cands[-1] - ref) / math.ulp(ref))
+    for ci, bi, li, root in zip(c, b, lam, roots):
+        if root == 0.0:
+            assert gamma < 1.0  # no interior local minimum: only the literal 0
+            continue
+        ref = closed_form(ci, bi, li)
+        ulps.append(abs(root - ref) / math.ulp(ref))
     ulps = np.array(ulps)
     assert ulps.size >= 2000
     assert np.max(ulps) <= 64.0, (
         f"{int(np.sum(ulps > 64.0))} of {ulps.size} roots beyond 64 ulp, worst {np.max(ulps)}")
 
 
-@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.5, "selo"])
-def test_prox_root_finds_stop_at_float_resolution(monkeypatch, gamma):
-    # every root find must meet its stopping rule long before the 200-iteration cap
+def _count_root_find_evaluations(monkeypatch):
+    """Patch the root finder to record how often each element's h is evaluated."""
     evaluations = []
-    newton = penalty_mod._bracketed_newton
+    newton = penalty_mod._bracketed_newton_array
 
-    def counted(h, hprime, lo, hi, *start):
-        count = [0]
+    def counted(h, hprime, lo, hi, x, *args):
+        count = np.zeros(x.size, dtype=int)
 
-        def h_counted(x):
-            count[0] += 1
-            return h(x)
+        def h_counted(x, *args):
+            np.add.at(count, args[-1], 1)
+            return h(x, *args[:-1])
 
-        root = newton(h_counted, hprime, lo, hi, *start)
-        evaluations.append(count[0])
+        root = newton(h_counted, lambda x, *a: hprime(x, *a[:-1]), lo, hi, x, *args, np.arange(x.size))
+        evaluations.extend(count.tolist())
         return root
 
-    monkeypatch.setattr(penalty_mod, "_bracketed_newton", counted)
+    monkeypatch.setattr(penalty_mod, "_bracketed_newton_array", counted)
+    return evaluations
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.5, "selo"])
+def test_prox_root_finds_stop_at_float_resolution(monkeypatch, gamma):
+    # every element of a root find must meet its stopping rule long before the 200-iteration cap
+    evaluations = _count_root_find_evaluations(monkeypatch)
     rng = np.random.default_rng(7)
-    for c, b, lam in _log_uniform_prox_inputs(11, 3000):
-        if gamma == "selo":
+    if gamma == "selo":
+        for c, b, lam in _log_uniform_prox_inputs(11, 3000):
             pen = selo(lam, 0.0, tau_c=10.0 ** rng.uniform(-4.0, 0.0), tau_e=0.0)
             scalar_prox(pen, int(rng.integers(1, 5000)), c, b)
-        else:
-            scalar_prox(bridge(lam, 0.0, gamma), 1, c, b)
+    else:
+        power_prox_candidates(*_log_uniform_prox_arrays(11, 3000)[[0, 1, 2]], gamma)
     assert len(evaluations) >= 1000
     assert max(evaluations) <= 60
     if gamma == 1.5:
@@ -291,32 +306,33 @@ def test_prox_root_finds_stop_at_float_resolution(monkeypatch, gamma):
         # halved its way down (47 and 66 evaluations)
         for lam in (1e3, 1e6):
             evaluations.clear()
-            root = power_prox_candidates(0.01, 0.001, lam, 1.5)[0]
+            root = power_prox_candidates(0.01, np.array([0.001]), lam, 1.5)[0]
             assert evaluations[0] <= 15
             ref = _three_halves_root(0.01, 0.001, lam)
             assert abs(root - ref) <= 64.0 * math.ulp(ref)
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.0, 1.5, 2.0])
-def test_power_prox_array_matches_scalar(gamma):
-    # the elementwise solve makes the scalar zero decisions and lands within
-    # 64 ulp of the scalar root and of the closed forms
-    inputs = np.array(_log_uniform_prox_inputs(20251019, 6000))
-    c, b, lam = inputs.T
+def test_power_prox_candidates_are_elementwise(gamma):
+    # each element's candidate has the bits of its own one-element call, c and
+    # lam as arrays or as scalars alike, and lands within 64 ulp of the closed forms
+    c, b, lam = _log_uniform_prox_arrays(20251019, 2000)
     vec = power_prox_candidates(c, b, lam, gamma)
     assert isinstance(vec, np.ndarray) and vec.shape == b.shape
-    closed_form = {0.5: _half_thresholding_root, 1.5: _three_halves_root}.get(gamma)
-    for i, (ci, bi, li) in enumerate(inputs):
-        nonzero = [x for x in power_prox_candidates(ci, bi, li, gamma) if x != 0.0]
-        assert len(nonzero) <= 1
-        if not nonzero:
-            assert vec[i] == 0.0 and not np.signbit(vec[i])
-            continue
-        assert abs(vec[i] - nonzero[0]) <= 64.0 * math.ulp(nonzero[0])
-        if closed_form is not None:
-            ref = closed_form(ci, bi, li)
-            assert abs(vec[i] - ref) <= 64.0 * math.ulp(ref)
-    assert np.any(vec == 0.0) == (gamma < 1.0 or gamma == 1.0)
+    alone = [power_prox_candidates(ci, np.array([bi]), li, gamma)[0] for ci, bi, li in zip(c, b, lam)]
+    assert vec.tobytes() == np.array(alone).tobytes()
+    assert power_prox_candidates(c[0], b, lam[0], gamma).tobytes() == power_prox_candidates(
+        np.full(b.shape, c[0]), b, np.full(b.shape, lam[0]), gamma).tobytes()
+    closed_form = {0.5: _half_thresholding_root, 1.5: _three_halves_root,
+                   1.0: lambda c, b, lam: math.copysign(max(abs(b) - lam / (2.0 * c), 0.0), b),
+                   2.0: lambda c, b, lam: c * b / (c + lam)}.get(gamma)
+    if closed_form is not None:
+        for ci, bi, li, x in zip(c, b, lam, vec):
+            if x != 0.0:
+                ref = closed_form(ci, bi, li)
+                assert abs(x - ref) <= 64.0 * math.ulp(ref)
+    assert np.any(vec == 0.0) == (gamma <= 1.0)
+    assert not np.any(np.signbit(vec[vec == 0.0]))
 
 
 def test_power_prox_array_edge_values():
@@ -325,8 +341,104 @@ def test_power_prox_array_edge_values():
     assert power_prox_candidates(1.0, b, 0.0, 0.5).tobytes() == b.tobytes()
     out = power_prox_candidates(1.0, b, 1.0, 0.5)
     assert out[0] == 0.0 and not np.signbit(out[0]) and not np.signbit(out[1])
-    root = power_prox_candidates(1.0, 2.0, 1.0, 0.5)[1]
+    root = _half_thresholding_root(1.0, 2.0, 1.0)
     assert abs(out[2] - root) <= 64.0 * math.ulp(root) and out[3] == -out[2]
+
+
+def _selo_h(c, beta, coef, tau, x):
+    """h(x) = 2c(x - beta) + coef tau / ((x + tau)(2x + tau)), exactly in the current decimal context."""
+    return 2 * c * (x - beta) + coef * tau / ((x + tau) * (2 * x + tau))
+
+
+def _decimal_bisect(f, lo, hi):
+    """The sign change of f on [lo, hi] (f(lo) <= 0 < f(hi)), to 40 digits."""
+    while hi - lo > hi * Decimal("1e-40"):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) <= 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def test_selo_root_matches_a_50_digit_bisection_to_274_ulp():
+    # h is rational in x, so a decimal bisection holds the elementwise SELO root to
+    # an exact reference: first the dip (the root of the increasing h'), then the
+    # root of h right of it. Near-tangent h make the root ill-conditioned; 274 ulp
+    # is the largest error the scalar root find made on such draws
+    rng = np.random.default_rng(29)
+    ulps = []
+    for c, b, lam in _log_uniform_prox_inputs(31, 1500):
+        n, tau = int(rng.integers(1, 5000)), float(10.0 ** rng.uniform(-4.0, 0.0))
+        (x,) = penalty_mod._selo_candidates_array(c, np.array([b]), lam, n, tau)
+        dc, beta, coef, dt = Decimal(c), Decimal(abs(b)), Decimal(2.0 * n * lam / penalty_mod.LOG2), Decimal(tau)
+        h = lambda t: _selo_h(dc, beta, coef, dt, t)
+        hp = lambda t: 2 * dc - coef * dt * (4 * t + 3 * dt) / ((t + dt) * (2 * t + dt)) ** 2
+        with localcontext() as ctx:
+            ctx.prec = 50
+            dip = Decimal(0) if hp(Decimal(0)) >= 0 else _decimal_bisect(hp, Decimal(0), beta)
+            # an interior root exists exactly where the float path finds one
+            assert (hp(beta) > 0 and h(dip) <= 0) == (x[0] != 0.0), (c, b, lam, n, tau)
+            if x[0] == 0.0:
+                continue
+            ref = float(_decimal_bisect(h, dip, beta))
+        ulps.append(abs(abs(x[0]) - ref) / math.ulp(ref))
+        assert math.copysign(1.0, x[0]) == math.copysign(1.0, b)
+        assert scalar_prox(selo(lam, 0.0, tau_c=tau, tau_e=0.0), n, c, b) in (0.0, x[0])
+    assert len(ulps) >= 500
+    assert max(ulps) <= 274.0, f"worst {max(ulps)} ulp"
+
+
+def _scad_exact_values(c, b, lam, n, a, lo, hi):
+    """SCAD's candidates in [lo, hi] with their exact values of c(x-b)^2 + p_n(x),
+    in rationals, sorted by (value, |x|, x)."""
+    c, b, lam, n, a, lo, hi = (Fraction(v) for v in (c, b, lam, n, a, lo, hi))
+    s, beta = (1 if b > 0 else -1), abs(b)
+
+    def pen(x):
+        t = abs(x)
+        if t <= lam:
+            return n * lam * t
+        if t <= a * lam:
+            return -n * (t * t - 2 * a * lam * t + lam * lam) / (2 * (a - 1))
+        return n * (a + 1) * lam * lam / 2
+
+    cands = [Fraction(0), lo, hi, s * lam, s * a * lam]
+    x1 = beta - n * lam / (2 * c)
+    if 0 < x1 <= lam:
+        cands.append(s * x1)
+    denom = 2 * c - n / (a - 1)
+    if denom != 0:
+        x2 = (2 * c * beta - n * a * lam / (a - 1)) / denom
+        if lam < x2 <= a * lam:
+            cands.append(s * x2)
+    if beta > a * lam:
+        cands.append(b)
+    return sorted(((c * (x - b) ** 2 + pen(x), abs(x), x) for x in set(cands) if lo <= x <= hi))
+
+
+def test_scad_prox_matches_an_exact_rational_enumeration():
+    # the elementwise SCAD prox picks the exact minimizer among SCAD's candidates,
+    # enumerated in rationals: exactly where that is 0 or a box end, else within
+    # 4 ulp of the inputs' scale max(|b|, a lambda) (the float candidates are
+    # rounded differences of such numbers). Draws whose best two exact values
+    # lie within 1e-12 relative of each other would be skipped: either is a minimizer
+    rng = np.random.default_rng(17)
+    checked = zeros = skipped = 0
+    for _ in range(60):
+        a, n = float(rng.uniform(2.1, 5.0)), int(rng.integers(1, 400))
+        pen = scad(float(10.0 ** rng.uniform(-2.0, 0.0)), 0.0, a=a)
+        c, lo, hi = float(n * rng.uniform(0.2, 2.0)), float(-rng.uniform(0.5, 10.0)), float(rng.uniform(0.5, 10.0))
+        lam = pen.schedule.value(n)
+        b = rng.choice([-1.0, 1.0], 40) * lam * 10.0 ** rng.uniform(-1.0, 1.5, 40)
+        for bi, x in zip(b.tolist(), penalty_mod.prox_array(pen, n, c, b, lo, hi).tolist()):
+            (best, _, ref), (second, _, _) = _scad_exact_values(c, bi, lam, n, a, lo, hi)[:2]
+            if second - best <= abs(best) * Fraction(1, 10 ** 12):
+                skipped += 1
+                continue
+            if ref == 0 or ref in (lo, hi):
+                assert x == float(ref), (bi, x, ref)
+            assert abs(x - float(ref)) <= 4.0 * math.ulp(max(abs(bi), a * lam)), (bi, x, float(ref))
+            zeros += x == 0.0
+            checked += 1
+    assert checked >= 2000 and 100 <= zeros < checked and skipped <= 40
 
 
 # ---------------------------------------------------------------------------

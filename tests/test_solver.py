@@ -16,15 +16,15 @@ from bridgelab.model import (
     simulate_responses,
 )
 from bridgelab.montecarlo import design_seed, replication_seed
-from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval, zero_penalty
+from bridgelab.penalty import PenaltySpec, TuningSchedule, prox_array, scalar_prox_interval, zero_penalty
 from bridgelab.solver import (
     PATTERN_COORDS,
     Box,
     DesignFactor,
     SolverOptions,
-    _coordinate_descent,
     _keep_mask,
     _multistart_points,
+    box_descent,
     grid_oracle,
     minimize,
     tiebreak_argmin,
@@ -49,14 +49,16 @@ def _bits(res):
 
 
 def _starts(c, box):
-    return _multistart_points(c.dataset.Y, box, DesignFactor(c.dataset.X))
+    return _multistart_points((DesignFactor(c.dataset.X).pinv @ c.dataset.Y)[None], box)[0]
 
 
-def _descend(c, box, opts, start, memo=None):
-    """One descent from `start` with the Gram data that `minimize` forms per fit."""
-    gram = (DesignFactor(c.dataset.X).Q, (c.dataset.X.T @ c.dataset.Y).tolist())
-    theta, conv, sweeps = _coordinate_descent(c, box, opts, start, gram, {} if memo is None else memo)
-    return np.array(theta), conv, sweeps
+def _descend(c, box, opts, starts):
+    """The descents from the rows of `starts` by the kernel `minimize` runs, on
+    the Gram data of one fit: (endpoints, converged, sweeps), one per row."""
+    X, Y = c.dataset.X, c.dataset.Y
+    ends, sweeps, conv = box_descent(X.T @ X, X.T @ Y, [c.penalty] * c.p, c.n, starts,
+                                     box.lo_array(), box.hi_array(), opts.tolerance, opts.max_sweeps)
+    return ends, conv, sweeps
 
 
 def _contrast(pen, n=30, sigma=1.0, seed=5, p0=1, rho0=(1.0,),
@@ -183,8 +185,8 @@ def test_exact_zero_is_fixed_point():
     box = Box.cube(2)
     res = minimize(c, box)
     assert res.theta_hat[0] == 0.0
-    rerun, _, _ = _descend(c, box, SolverOptions(), res.theta_hat.copy())
-    assert rerun[0] == 0.0
+    rerun, _, _ = _descend(c, box, SolverOptions(), res.theta_hat[None])
+    assert rerun[0, 0] == 0.0
 
 
 def test_minimize_deterministic():
@@ -232,8 +234,8 @@ def test_converged_if_any_start_reaching_the_winner_converged():
             c = Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=n), penalty=pen)
             res = minimize(c, box, opts)
             reached = []  # (converged, sweeps) of each start that reached the winner
-            for start in _starts(c, box):
-                theta, conv, sweeps = _descend(c, box, opts, start)
+            starts = _starts(c, box)
+            for start, theta, conv, sweeps in zip(starts, *_descend(c, box, opts, starts)):
                 if contrast_value(c, theta) > contrast_value(c, start):
                     theta, conv, sweeps = start, True, 0
                 if np.array_equal(theta, res.theta_hat):
@@ -346,30 +348,34 @@ def test_minimize_matches_separable_oracle_beyond_p3(pen):
 
 def _residual_form_minimize(c, box, opts=SolverOptions()):
     """The residual-form descent that the Gram form replaced (O(n) per update),
-    with the same starts, start guard and tie-break: the Gram form's oracle."""
+    from every start at once, with the same starts, start guard and
+    tie-break: the Gram form's oracle."""
     X, Y, pen, n = c.dataset.X, c.dataset.Y, c.penalty, c.n
     col_sq = np.einsum("ij,ij->j", X, X)
     lo, hi = box.lo_array(), box.hi_array()
+    starts = _starts(c, box)
+    theta = starts.copy()
+    moving = np.ones(len(starts), dtype=bool)
+    for _ in range(opts.max_sweeps):
+        resid = Y - theta[moving] @ X.T
+        max_move = np.zeros(resid.shape[0])
+        for j in range(theta.shape[1]):
+            old = theta[moving, j]
+            b = old + resid @ X[:, j] / col_sq[j]
+            new = prox_array(pen, n, col_sq[j], b, lo[j], hi[j])
+            resid += np.outer(old - new, X[:, j])
+            max_move = np.maximum(max_move, np.abs(new - old))
+            theta[moving, j] = new
+        moving[np.flatnonzero(moving)[max_move <= opts.tolerance]] = False
+        if not moving.any():
+            break
     best = None
-    for start in _starts(c, box):
-        theta = start.copy()
-        for _ in range(opts.max_sweeps):
-            resid = Y - X @ theta
-            max_move = 0.0
-            for j in range(theta.size):
-                b = theta[j] + float(X[:, j] @ resid) / col_sq[j]
-                new = scalar_prox_interval(pen, n, col_sq[j], b, lo[j], hi[j])
-                if new != theta[j]:
-                    resid += X[:, j] * (theta[j] - new)
-                    max_move = max(max_move, abs(new - theta[j]))
-                    theta[j] = new
-            if max_move <= opts.tolerance:
-                break
-        obj, start_obj = contrast_value(c, theta), contrast_value(c, start)
+    for start, end in zip(starts, theta):
+        obj, start_obj = contrast_value(c, end), contrast_value(c, start)
         if obj > start_obj:
-            theta, obj = start.copy(), start_obj
-        if best is None or _tiebreak_key(obj, theta) < _tiebreak_key(best[1], best[0]):
-            best = (theta, obj)
+            end, obj = start, start_obj
+        if best is None or _tiebreak_key(obj, end) < _tiebreak_key(best[1], best[0]):
+            best = (end, obj)
     return best
 
 
@@ -394,18 +400,16 @@ def test_gram_form_matches_residual_form():
         assert res.objective <= obj + 1e-12 * abs(obj), trial
 
 
-def test_prox_memo_is_per_coordinate():
+def test_each_coordinate_reads_its_own_interval():
     # disjoint columns give both coordinates b = 1 exactly from the origin, but
-    # only the second box binds: a memo shared across coordinates would leak
+    # only the second box binds: the kernel must not mix the coordinates' intervals
     X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     ds = Dataset(X=X, Y=X @ np.ones(2), truth=TrueParameter(p0=0, rho0=(1.0, 1.0)), n=4)
     c = Contrast(dataset=ds, penalty=_bridge(0.5, 0.0, 0.5))
     box = Box(lo=(-10.0, -10.0), hi=(10.0, 0.5))
-    memo = {}
-    theta, _, _ = _descend(c, box, SolverOptions(), np.zeros(2), memo)
+    theta = _descend(c, box, SolverOptions(), np.zeros((1, 2)))[0][0]
     assert theta[0] > 0.5 and theta[1] == 0.5
-    again, _, _ = _descend(c, box, SolverOptions(), np.zeros(2), memo)
-    assert_array_equal(again, theta)  # memo hits return the computed values
+    assert theta[0] == scalar_prox_interval(c.penalty, 4, 2.0, 1.0, -10.0, 10.0)
     assert_array_equal(minimize(c, box).theta_hat, theta)
 
 
