@@ -35,6 +35,7 @@ from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, re
 
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
 _BLOCKS_PER_WORKER = 4  # tasks per worker and n; a task's fits run as one kernel call
+_BLOCK_FITS = 256  # most fits a task holds: their responses stay in memory until they are scored
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
             f"dataset generation failed ({exc}); config: design={cfg.design}, "
             f"truth={cfg.truth}, n_grid={cfg.n_grid}, seed={cfg.master_seed}") from exc
     R = cfg.replications
-    block = max(1, math.ceil(R / (workers * _BLOCKS_PER_WORKER)))
+    block = max(1, min(_BLOCK_FITS, math.ceil(R / (workers * _BLOCKS_PER_WORKER))))
     tasks = [(cfg, designs[n], n, lo, min(lo + block, R))
              for n in cfg.n_grid for lo in range(0, R, block)]
     workers = min(workers, len(tasks))

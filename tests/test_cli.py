@@ -729,19 +729,21 @@ def test_mc_rows_equal_direct_fits(tmp_path, capsys):
 def test_fits_independent_of_threads_and_block_size(tmp_path, capsys, monkeypatch, penalty, schedule):
     # fit (n, rep) depends only on (config, n, rep): replications.csv has the same bytes for
     # one or two workers (blocks of 25 and 13 fits) and for blocks of 8 (the last one
-    # ragged) and of 100
+    # ragged), of 100 and of 7 (the cap on a task's fits)
     path = tmp_path / "blocks.cfg"
     path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 1.0, -1.5")
                     .replace("design = standardized-orthonormal", "design = bounded-random-frozen\nbound = 3.0")
                     .replace("family = bridge\ngamma = 0.5", penalty).replace("c = 1.0\ne = 0.6", schedule))
     runs = []
-    for threads, blocks_per_worker in ((1, 4), (2, 4), (1, 13), (1, 1)):
+    for threads, blocks_per_worker, block_fits in ((1, 4, 256), (2, 4, 256), (1, 13, 256), (1, 1, 256),
+                                                   (1, 1, 7)):
         monkeypatch.setattr(montecarlo, "_BLOCKS_PER_WORKER", blocks_per_worker)
-        out_dir = tmp_path / f"out-{threads}-{blocks_per_worker}"
+        monkeypatch.setattr(montecarlo, "_BLOCK_FITS", block_fits)
+        out_dir = tmp_path / f"out-{threads}-{blocks_per_worker}-{block_fits}"
         assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir),
                              "--threads", str(threads)]) == (0, "", "")
         runs.append((out_dir / "replications.csv").read_bytes())
-    assert runs[1:] == runs[:1] * 3
+    assert runs[1:] == runs[:1] * 4
     zero_flags = [line.split(b",")[6] for line in runs[0].splitlines()[1:]]
     assert set(zero_flags) == ({b"0"} if penalty == "family = none" else {b"0", b"1"})
 
