@@ -131,8 +131,7 @@ def penalty_value(pen: PenaltySpec, n: int, t):
     junctions or of the kink at the origin).
     """
     at = np.abs(np.asarray(t, dtype=float))
-    scalar = at.ndim == 0
-    if scalar:
+    if at.ndim == 0:
         return _value_scalar(pen, n, float(at))
     lam = pen.schedule.value(n)
     if lam == 0.0:
@@ -141,11 +140,9 @@ def penalty_value(pen: PenaltySpec, n: int, t):
         return lam * at ** pen.gamma
     if pen.family == "scad":
         a = pen.a
-        return np.select(
-            [at <= lam, at <= a * lam],
-            [n * lam * at, -n * (at * at - 2.0 * a * lam * at + lam * lam) / (2.0 * (a - 1.0))],
-            default=n * (a + 1.0) * lam * lam / 2.0,
-        )
+        return np.where(at <= lam, n * lam * at,
+                        np.where(at <= a * lam, -n * (at * at - 2.0 * a * lam * at + lam * lam) / (2.0 * (a - 1.0)),
+                                 n * (a + 1.0) * lam * lam / 2.0))
     tau = pen.tau.value(n)
     return (2.0 * n * lam / LOG2) * np.log1p(at / (at + tau))
 
@@ -294,14 +291,17 @@ def _least(pen: PenaltySpec, n: int, c, b: np.ndarray, cands: list, lo: float, h
     literal 0 and the finite ends (where they lie in it) and the arrays `cands`:
     the smallest (value, |x|, x), the earliest on a full tie. A value that
     overflows is inf, which loses to every finite one."""
+    fixed = [x for x in (0.0, lo, hi) if lo <= x <= hi and math.isfinite(x)]
+    C = np.array(cands)
+    # p_n once for the fixed candidates and once for the others, nan outside [lo, hi]: it never wins
+    pens = [*penalty_value(pen, n, np.array(fixed)),
+            *np.where((lo <= C) & (C <= hi), penalty_value(pen, n, C), np.nan)]
     best, best_v = np.full(b.shape, np.inf), np.full(b.shape, np.inf)
-    fixed = [np.array([x]) for x in (0.0, lo, hi) if lo <= x <= hi and math.isfinite(x)]
-    for x in fixed + cands:
+    for x, px in zip(fixed + cands, pens):
         d = x - b
-        v = c * d * d + penalty_value(pen, n, x)
+        v = c * d * d + px
         ax, a_best = np.abs(x), np.abs(best)
         take = (v < best_v) | ((v == best_v) & ((ax < a_best) | ((ax == a_best) & (x < best))))
-        take &= (lo <= x) & (x <= hi)
         best = np.where(take, x, best)
         best_v = np.where(take, v, best_v)
     return best
@@ -341,9 +341,13 @@ def scalar_prox_interval(pen: PenaltySpec, n: int, c: float, b: float,
     """Minimizer of x -> c*(x-b)^2 + p_n(x) over [lo, hi]: `prox_array` on one element.
 
     Smallest objective wins; ties go toward smaller |x|, then toward negative x.
+    A bridge value that overflows at a finite end raises InvalidInputError, as
+    in `minimize`; elsewhere a candidate whose value overflows just loses.
     """
     if not (c > 0.0):
         raise InvalidInputError(f"prox curvature must be positive, got {c}")
+    for end in filter(math.isfinite, (lo, hi)):
+        _value_scalar(pen, n, end)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return float(prox_array(pen, n, c, np.array([float(b)]), lo, hi)[0])
 

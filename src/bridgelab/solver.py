@@ -183,8 +183,7 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
         for sweep in range(1, max_sweeps + 1):
             if active.size == 0:
                 break
-            whole = active.size == U.shape[0]  # no gather or scatter while every row moves
-            u, qa = (U, q) if whole else (U[active], q[active])
+            u, qa = U[active], q[active]
             max_move = np.zeros(active.size)
             for j in range(p):
                 if Q[j, j] == 0.0:
@@ -194,8 +193,7 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
                     new = prox_array(pens[j], n, Q[j, j], b, lo[j], hi[j])
                 max_move = np.maximum(max_move, np.abs(new - u[:, j]))
                 u[:, j] = new
-            if not whole:
-                U[active] = u
+            U[active] = u
             moving = max_move > tolerance
             sweeps[active[~moving]], converged[active[~moving]] = sweep, True
             active = active[moving]

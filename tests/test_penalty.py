@@ -189,6 +189,14 @@ def test_prox_interval_respects_box():
     assert x == pytest.approx(2.0)
 
 
+def test_prox_interval_raises_where_a_bridge_value_overflows_at_a_finite_end():
+    pen = bridge(1e10, 0.0, 3.0)
+    for lo, hi in ((-1e200, 1e200), (-1.0, 1e200), (-1e200, math.inf)):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            scalar_prox_interval(pen, 1, 1.0, 0.5, lo, hi)
+    assert scalar_prox_interval(pen, 1, 1.0, 0.5, -1.0, 1.0) == scalar_prox(pen, 1, 1.0, 0.5)
+
+
 @pytest.mark.parametrize("pen", [bridge(1.0, 0.0, 0.5), bridge(1.0, 0.0, 1.5), bridge(0.0, 0.0, 0.5),
                                  scad(0.2, 0.0), selo(0.2, 0.0), zero_penalty()],
                          ids=["bridge-0.5", "bridge-1.5", "bridge-lam0", "scad", "selo", "none"])
@@ -314,13 +322,19 @@ def test_prox_root_finds_stop_at_float_resolution(monkeypatch, gamma):
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.0, 1.5, 2.0])
 def test_power_prox_candidates_are_elementwise(gamma):
-    # each element's candidate has the bits of its own one-element call, c and
-    # lam as arrays or as scalars alike, and lands within 64 ulp of the closed forms
-    c, b, lam = _log_uniform_prox_arrays(20251019, 2000)
+    # an element's candidate does not depend on the other elements: a permuted
+    # call, calls on chunks of 1 to 109 elements and one-element calls give the
+    # same bits, c and lam as arrays or as scalars alike; roots land within 64
+    # ulp of the closed forms (gamma = 0.3 and 0.7: the decimal reference below)
+    c, b, lam = _log_uniform_prox_arrays(20251019, 6000)
     vec = power_prox_candidates(c, b, lam, gamma)
     assert isinstance(vec, np.ndarray) and vec.shape == b.shape
-    alone = [power_prox_candidates(ci, np.array([bi]), li, gamma)[0] for ci, bi, li in zip(c, b, lam)]
-    assert vec.tobytes() == np.array(alone).tobytes()
+    perm = np.random.default_rng(3).permutation(b.size)
+    assert power_prox_candidates(c[perm], b[perm], lam[perm], gamma).tobytes() == vec[perm].tobytes()
+    chunks = np.split(np.arange(b.size), np.cumsum(np.arange(1, 110)))
+    assert np.concatenate([power_prox_candidates(c[i], b[i], lam[i], gamma) for i in chunks]).tobytes() == vec.tobytes()
+    alone = [power_prox_candidates(ci, np.array([bi]), li, gamma)[0] for ci, bi, li in zip(c[:300], b[:300], lam[:300])]
+    assert vec[:300].tobytes() == np.array(alone).tobytes()
     assert power_prox_candidates(c[0], b, lam[0], gamma).tobytes() == power_prox_candidates(
         np.full(b.shape, c[0]), b, np.full(b.shape, lam[0]), gamma).tobytes()
     closed_form = {0.5: _half_thresholding_root, 1.5: _three_halves_root,
@@ -333,6 +347,47 @@ def test_power_prox_candidates_are_elementwise(gamma):
                 assert abs(x - ref) <= 64.0 * math.ulp(ref)
     assert np.any(vec == 0.0) == (gamma <= 1.0)
     assert not np.any(np.signbit(vec[vec == 0.0]))
+
+
+def _decimal_tenth_root(m):
+    """m^(1/10) to the decimal context's precision: Newton from the float root."""
+    z = Decimal(float(m) ** 0.1)
+    for _ in range(4):
+        z -= (z ** 10 - m) / (10 * z ** 9)
+    return z
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_nonconvex_power_root_matches_a_50_digit_bisection(k):
+    # gamma = k/10 < 1. With x = z^10, z^(10-k) h(x) = 2c z^(10-k) (z^10 - beta)
+    # + lam gamma =: g(z) has the sign of h(x) = 2c(x - beta) + lam gamma x^(gamma-1)
+    # and only integer powers, so a decimal bisection of g is an exact reference.
+    # g falls, then rises on z > 0, least at z^10 = (10-k) beta / (20-k): an
+    # interior local minimum exists exactly where that least value is <= 0, and
+    # it is g's larger root. Each root is within 64 ulp of it, or, where h is
+    # near-tangent (its slope h'(x) far below 2c), within the error that 4 ulp of
+    # h's term 2c(beta - x) make: on these draws one root, 69 ulp off at
+    # h'(x) = 0.039 * 2c
+    gamma = k / 10
+    c, b, lam = _log_uniform_prox_arrays(20251019, 6000)
+    roots = power_prox_candidates(c, b, lam, gamma)
+    count = 0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for ci, bi, li, x in zip(c, b, lam, roots):
+            two_c, beta, lam_gamma = 2 * Decimal(ci), Decimal(abs(bi)), Decimal(li) * k / 10
+            g = lambda z: two_c * z ** (10 - k) * (z ** 10 - beta) + lam_gamma
+            z_least = _decimal_tenth_root(beta * (10 - k) / (20 - k))
+            assert (g(z_least) <= 0) == (x != 0.0), (ci, bi, li)
+            if x == 0.0:
+                continue
+            ref = float(_decimal_bisect(g, z_least, _decimal_tenth_root(beta), Decimal("1e-25")) ** 10)
+            slope = 2.0 * ci + li * gamma * (gamma - 1.0) * ref ** (gamma - 2.0)
+            bound = max(64.0 * math.ulp(ref), 4.0 * 2.0 ** -52 * 2.0 * ci * (abs(bi) - ref) / slope)
+            assert abs(abs(x) - ref) <= bound, (ci, bi, li, x, ref)
+            assert math.copysign(1.0, x) == math.copysign(1.0, bi)
+            count += 1
+    assert count >= 3000
 
 
 def test_power_prox_array_edge_values():
@@ -350,9 +405,9 @@ def _selo_h(c, beta, coef, tau, x):
     return 2 * c * (x - beta) + coef * tau / ((x + tau) * (2 * x + tau))
 
 
-def _decimal_bisect(f, lo, hi):
-    """The sign change of f on [lo, hi] (f(lo) <= 0 < f(hi)), to 40 digits."""
-    while hi - lo > hi * Decimal("1e-40"):
+def _decimal_bisect(f, lo, hi, rel=Decimal("1e-40")):
+    """The sign change of f on [lo, hi] (f(lo) <= 0 < f(hi)), to `rel` of hi."""
+    while hi - lo > hi * rel:
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if f(mid) <= 0 else (lo, mid)
     return (lo + hi) / 2
