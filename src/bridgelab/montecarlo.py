@@ -28,7 +28,7 @@ from .contrast import Contrast
 from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
 from .penalty import PenaltySpec
-from .solver import Box, DesignFactor, EstimateResult, SolverOptions, minimize_block
+from .solver import Box, SolverOptions, minimize_block
 from .solver import minimize  # noqa: F401  (perfbench/tracer.py wraps montecarlo.minimize; ROADMAP item 1)
 from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, require_finite,
                    row_squares, seeded_generators)
@@ -146,21 +146,21 @@ def config_law(cfg: MCConfig) -> LimitLaw:
                      cfg.truth.theta, cfg.truth.p0, box=cfg.box)
 
 
-def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, seed: int,
-               rng: np.random.Generator) -> tuple[int, Contrast]:  # rng = default_rng(seed)
-    """One replication's contrast, its responses drawn from rng, for its block's
-    `minimize_block` call (perfbench/tracer.py times it as the replication)."""
+def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, rng: np.random.Generator) -> Contrast:
+    """One replication's contrast, its responses drawn from rng (in the state of
+    default_rng of the rep's seed), for its block's `minimize_block` call
+    (perfbench/tracer.py times it as the replication)."""
     Y = simulate_responses(X, cfg.truth, cfg.noise, rng)
-    return seed, Contrast(dataset=Dataset(X=X, Y=Y, truth=cfg.truth, n=n), penalty=cfg.penalty)
+    return Contrast(dataset=Dataset(X=X, Y=Y, truth=cfg.truth, n=n), penalty=cfg.penalty)
 
 
-def _solve_block(task) -> list[tuple[int, EstimateResult]]:
+def _solve_block(task) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A task's fits as one `minimize_block` call: (seeds, theta_hat, objective, converged) in rep order."""
     cfg, X, n, lo, hi = task
-    seeded = seeded_generators(derived_seeds((cfg.master_seed, n), range(lo, hi)))  # one hash pass
-    seeds, contrasts = zip(*(_solve_one(cfg, X, n, rep, seed, rng)
-                             for rep, (seed, rng) in zip(range(lo, hi), seeded)))
-    # X'X and pinv once per task, and one kernel call for all of its fits
-    return list(zip(seeds, minimize_block(list(contrasts), cfg.box, cfg.solver, DesignFactor(X))))
+    seeds = derived_seeds((cfg.master_seed, n), range(lo, hi))  # one hash pass
+    contrasts = [_solve_one(cfg, X, n, rep, rng)
+                 for rep, (_, rng) in zip(range(lo, hi), seeded_generators(seeds))]
+    return (seeds, *minimize_block(contrasts, cfg.box, cfg.solver)[:3])
 
 
 def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
@@ -189,17 +189,12 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~11 ms to import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_solve_block, tasks))
-    solved = [out for chunk in blocks for out in chunk]
-    if len(solved) != len(cfg.n_grid) * R:
-        raise RuntimeError("replication results are incomplete")
-
     rs = ReplicationSet(config=cfg, seeds={}, theta_hat={}, objective={}, converged={})
-    for i, n in enumerate(cfg.n_grid):
-        seeds, fits = zip(*solved[i * R:(i + 1) * R])
-        rs.seeds[n] = np.array(seeds, dtype=np.uint64)
-        rs.theta_hat[n] = np.stack([f.theta_hat for f in fits])
-        rs.objective[n] = np.array([f.objective for f in fits])
-        rs.converged[n] = np.array([f.converged for f in fits])
+    for n in cfg.n_grid:
+        parts = [block for task, block in zip(tasks, blocks) if task[2] == n]
+        rs.seeds[n], rs.theta_hat[n], rs.objective[n], rs.converged[n] = map(np.concatenate, zip(*parts))
+        if rs.seeds[n].size != R:
+            raise RuntimeError("replication results are incomplete")
         bad = R - int(np.count_nonzero(rs.converged[n]))
         if bad > 0.01 * R:
             rs.warnings.append(f"{bad} of {R} solves did not stabilize at n={n}")

@@ -96,60 +96,47 @@ def zero_penalty() -> PenaltySpec:
     return PenaltySpec(family="none", schedule=TuningSchedule(c=0.0, e=0.0))
 
 
-def _value_scalar(pen: PenaltySpec, n: int, t: float) -> float:
-    """Scalar penalty evaluation on the hot path (pure python float math); a
-    bridge value that overflows raises InvalidInputError."""
-    at = abs(t)
-    lam = pen.schedule.value(n)
-    if lam == 0.0:
-        return 0.0
-    if pen.family == "bridge":
-        try:
-            value = lam * at ** pen.gamma
-        except OverflowError:
-            value = math.inf
-        if value == math.inf:
-            raise InvalidInputError(f"bridge penalty lambda_n * |t|**gamma overflows at n={n}, |t|={at} "
-                                    f"(lambda_n={lam}, gamma={pen.gamma})")
-        return value
-    if pen.family == "scad":
-        a = pen.a
-        if at <= lam:
-            return n * lam * at
-        if at <= a * lam:
-            return -n * (at * at - 2.0 * a * lam * at + lam * lam) / (2.0 * (a - 1.0))
-        return n * (a + 1.0) * lam * lam / 2.0
-    # selo
-    tau = pen.tau.value(n)
-    return (2.0 * n * lam / LOG2) * math.log1p(at / (at + tau))
-
-
 def penalty_value(pen: PenaltySpec, n: int, t):
-    """Evaluate p_n at t; accepts scalars or arrays, returns the same shape.
+    """Evaluate p_n at t elementwise: an array gives an array of its shape, a
+    scalar a float with the bits of its one-element array call.
 
     Even in t, 0 at 0, and branchwise exact (no smoothing of the SCAD
     junctions or of the kink at the origin).
     """
-    at = np.abs(np.asarray(t, dtype=float))
-    if at.ndim == 0:
-        return _value_scalar(pen, n, float(at))
+    t = np.asarray(t, dtype=float)
+    at = np.abs(np.atleast_1d(t))  # a scalar runs the ufunc loops of a one-element array
     lam = pen.schedule.value(n)
     if lam == 0.0:
-        return np.zeros_like(at)
-    if pen.family == "bridge":
-        return lam * at ** pen.gamma
-    if pen.family == "scad":
+        value = np.zeros_like(at)
+    elif pen.family == "bridge":
+        value = lam * at ** pen.gamma
+    elif pen.family == "scad":
         a = pen.a
-        return np.where(at <= lam, n * lam * at,
-                        np.where(at <= a * lam, -n * (at * at - 2.0 * a * lam * at + lam * lam) / (2.0 * (a - 1.0)),
-                                 n * (a + 1.0) * lam * lam / 2.0))
-    tau = pen.tau.value(n)
-    return (2.0 * n * lam / LOG2) * np.log1p(at / (at + tau))
+        value = np.where(at <= lam, n * lam * at,
+                         np.where(at <= a * lam, -n * (at * at - 2.0 * a * lam * at + lam * lam) / (2.0 * (a - 1.0)),
+                                  n * (a + 1.0) * lam * lam / 2.0))
+    else:
+        value = (2.0 * n * lam / LOG2) * np.log1p(at / (at + pen.tau.value(n)))
+    return float(value[0]) if t.ndim == 0 else value
+
+
+def checked_penalty_value(pen: PenaltySpec, n: int, t):
+    """`penalty_value` with numpy's overflow and invalid-value errors held,
+    refusing a bridge value that overflows at a finite |t|: InvalidInputError
+    names the first such t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = penalty_value(pen, n, t)
+    if pen.family == "bridge":
+        over = np.flatnonzero(np.isinf(value) & np.isfinite(t))
+        if over.size:
+            at = abs(float(np.ravel(t)[over[0]]))
+            raise InvalidInputError(f"bridge penalty lambda_n * |t|**gamma overflows at n={n}, |t|={at} "
+                                    f"(lambda_n={pen.schedule.value(n)}, gamma={pen.gamma})")
+    return value
 
 
 def penalty_total(pen: PenaltySpec, n: int, theta) -> float:
     """Sum of p_n over the coordinates of theta."""
-    theta = np.asarray(theta, dtype=float)
     return float(np.sum(penalty_value(pen, n, theta)))
 
 
@@ -272,11 +259,15 @@ def _selo_candidates_array(c: float, b: np.ndarray, lam: float, n: int, tau: flo
 
     # h is convex on [0, beta] with h(beta) > 0; an interior local minimum of the objective
     # exists only where h crosses 0 from below, right of its dip (the root of increasing h').
+    # h'(x) >= 2c - coef tau / x^3, so the dip lies below cbrt(coef tau / 2c): twice that
+    # bounds its search, which a tiny tau would otherwise halve its way down from beta.
     k = np.flatnonzero(hp(beta) > 0.0)
     if hp(0.0) >= 0.0:
         dip = np.zeros(k.size)
     else:
-        dip = _bracketed_newton_array(hp, hpp, np.zeros(k.size), beta[k], 0.5 * beta[k])
+        bound = 2.0 * np.cbrt(coef * tau / (2.0 * c))  # 0 where coef tau underflows: no bound then
+        top = np.minimum(beta[k], bound if bound > 0.0 else np.inf)
+        dip = _bracketed_newton_array(hp, hpp, np.zeros(k.size), top, 0.5 * top)
     h = lambda x, beta: 2.0 * c * (x - beta) + dpen(x)
     rising = h(dip, beta[k]) <= 0.0
     k, dip = k[rising], dip[rising]
@@ -346,8 +337,7 @@ def scalar_prox_interval(pen: PenaltySpec, n: int, c: float, b: float,
     """
     if not (c > 0.0):
         raise InvalidInputError(f"prox curvature must be positive, got {c}")
-    for end in filter(math.isfinite, (lo, hi)):
-        _value_scalar(pen, n, end)
+    checked_penalty_value(pen, n, [end for end in (lo, hi) if math.isfinite(end)])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return float(prox_array(pen, n, c, np.array([float(b)]), lo, hi)[0])
 
@@ -370,8 +360,8 @@ def default_divergence_scale(pen: PenaltySpec) -> TuningSchedule:
     return TuningSchedule(c=sch.c, e=1.0 + sch.e)
 
 
-def _sphere_infimum(pen: PenaltySpec, n: int, r: float, p0: int) -> float:
-    """inf over |u| = r of sum_k p_n(u_k/sqrt(n)), in closed form.
+def _sphere_infimum(pen: PenaltySpec, n: int, r: np.ndarray, p0: int) -> np.ndarray:
+    """inf over |u| = r of sum_k p_n(u_k/sqrt(n)), in closed form, for every r of an array.
 
     With s_k = u_k^2 the sum is sum_k f(s_k), f(s) = p_n(sqrt(s/n)), over the
     simplex sum_k s_k = r^2. For SCAD, SELO and bridge with gamma <= 2, p_n' is
@@ -382,8 +372,8 @@ def _sphere_infimum(pen: PenaltySpec, n: int, r: float, p0: int) -> float:
     the minimum puts mass r^2/p0 on every axis. Both are among the allocations
     of equal mass on k axes, k = 1..p0, so the least of those is the infimum.
     """
-    rn = r / math.sqrt(n)
-    return min(k * _value_scalar(pen, n, rn / math.sqrt(k)) for k in range(1, p0 + 1))
+    k = np.arange(1, p0 + 1)
+    return np.min(k * checked_penalty_value(pen, n, (r / math.sqrt(n))[:, None] / np.sqrt(k)), axis=1)
 
 
 def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) -> dict:
@@ -411,19 +401,12 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) ->
         qn = q.value(n)
         if qn <= 0.0:
             raise InvalidInputError(f"q_n must be positive, got {qn} at n={n}")
-        for j, r in enumerate(r_grid):
-            vals[i, j] = _sphere_infimum(pen, n, r, p0) / qn
+        vals[i] = _sphere_infimum(pen, n, np.array(r_grid), p0) / qn
 
-    mid = len(r_grid) // 2
-    ok = True
-    for i in range(len(n_grid)):
-        row = vals[i]
-        nondec = bool(np.all(np.diff(row) >= -1e-9 * max(1.0, float(np.max(np.abs(row))))))
-        grow_total = row[-1] > 2.0 * row[0]
-        grow_tail = row[-1] > 2.0 * row[mid]
-        if not (nondec and grow_total and grow_tail):
-            ok = False
-            break
+    # per n: nondecreasing in r, and more than x2 from the first r and from the middle r to the last
+    slack = -1e-9 * np.maximum(1.0, np.max(np.abs(vals), axis=1, keepdims=True))
+    ok = bool(np.all(np.all(np.diff(vals, axis=1) >= slack, axis=1) & (vals[:, -1] > 2.0 * vals[:, 0])
+                     & (vals[:, -1] > 2.0 * vals[:, len(r_grid) // 2])))
 
     report = {"condition": COND_DIVERGENCE, "n_grid": list(n_grid), "probes": list(r_grid),
               "values": vals.tolist(), "verdict": "satisfied" if ok else "not-satisfied"}
@@ -455,38 +438,30 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
     if not (0.0 < beta < 0.5):
         raise InvalidInputError(f"beta must lie in (0, 1/2), got {beta}")
 
-    growth = np.empty((len(a_probes), len(n_grid)))
-    for i, a in enumerate(a_probes):
-        for j, n in enumerate(n_grid):
-            growth[i, j] = _value_scalar(pen, n, a) / float(n) ** (0.5 + beta)
-    growth_ok = all(boundedness_verdict(growth[i]) == PLAUSIBLY_BOUNDED
-                    for i in range(len(a_probes)))
+    # p_n at every a and every a + b/sqrt(n), one call per n: values[k] is (1 + len(b), len(a)) at n_grid[k]
+    a_arr, b_arr = np.array(a_probes), np.array(b_probes)
+    values = np.array([checked_penalty_value(pen, n, np.vstack((a_arr, a_arr + (b_arr / math.sqrt(n))[:, None])))
+                       for n in n_grid])
+    growth = np.array([v[0] / float(n) ** (0.5 + beta) for v, n in zip(values, n_grid)]).T
+    growth_ok = all(boundedness_verdict(row) == PLAUSIBLY_BOUNDED for row in growth)
     growth_report = {"condition": COND_GROWTH_CAP, "n_grid": list(n_grid), "probes": list(a_probes),
                      "values": growth.tolist(), "verdict": "satisfied" if growth_ok else "not-satisfied",
                      "detail": {"beta": beta}}
 
-    diffs = np.empty((len(a_probes), len(b_probes), len(n_grid)))
-    for i, a in enumerate(a_probes):
-        for j, b in enumerate(b_probes):
-            for k, n in enumerate(n_grid):
-                diffs[i, j, k] = abs(_value_scalar(pen, n, a + b / math.sqrt(n))
-                                     - _value_scalar(pen, n, a))
-    shift_ok = all(
-        boundedness_verdict(diffs[i, j]) == PLAUSIBLY_BOUNDED
-        for i in range(len(a_probes)) for j in range(len(b_probes))
-    )
+    diffs = np.abs(values[:, 1:] - values[:, :1]).transpose(2, 1, 0)
+    shift_ok = all(boundedness_verdict(row) == PLAUSIBLY_BOUNDED for row in diffs.reshape(-1, len(n_grid)))
     # Level of each (a, b) sequence over the top half of the grid = the
     # finite-n limsup surrogate; kappa, when one is found, is the smallest
     # power keeping the levels bounded across |b|.
     half = len(n_grid) // 2
     levels = diffs[:, :, half:].max(axis=2)
-    order = np.argsort(np.abs(np.asarray(b_probes)))
+    order = np.argsort(np.abs(b_arr))
     shift_report = {"condition": COND_SHIFT, "n_grid": list(n_grid),
                     "probes": [[a, b] for a in a_probes for b in b_probes],
                     "values": diffs.tolist(), "verdict": "satisfied" if shift_ok else "not-satisfied"}
     for cand in (1, 2):
-        ratios = levels / np.abs(np.asarray(b_probes))[None, :] ** cand
-        if all(boundedness_verdict(ratios[i, order]) == PLAUSIBLY_BOUNDED for i in range(len(a_probes))):
+        ratios = levels[:, order] / np.abs(b_arr[order]) ** cand
+        if all(boundedness_verdict(row) == PLAUSIBLY_BOUNDED for row in ratios):
             shift_report["kappa"] = cand
             break
     shift_report["detail"] = {"levels": levels.tolist()}

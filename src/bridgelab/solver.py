@@ -17,7 +17,7 @@ import numpy as np
 
 from .contrast import Contrast, contrast_value
 from .errors import InvalidInputError, InvalidSpecError
-from .penalty import PenaltySpec, penalty_value, prox_array
+from .penalty import PenaltySpec, checked_penalty_value, prox_array
 from .penalty import scalar_prox_interval  # noqa: F401  (perfbench/tracer.py wraps it; ROADMAP item 1)
 from .util import require_finite, rows_times
 
@@ -109,18 +109,11 @@ class EstimateResult:
     iterations: int
 
 
-class DesignFactor:
-    """The design-only work of a fit, done once per X and shared by its fits:
-    the finiteness check, Q = X'X and pinv(X) for the OLS start. pinv cuts
-    singular values at max(n, p) eps times the largest, as lstsq(rcond=None)
-    does, so rank-deficient designs keep the minimum-norm solution. Holds X;
-    `minimize` uses it only for that very X object."""
-
-    def __init__(self, X: np.ndarray):
-        if not np.all(np.isfinite(X)):
-            raise InvalidInputError("design contains non-finite values")
-        self.X, self.Q = X, X.T @ X
-        self.pinv = np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)
+def ols_pinv(X: np.ndarray) -> np.ndarray:
+    """pinv(X) of the OLS start pinv(X) Y: singular values cut at max(n, p) eps
+    times the largest, as lstsq(rcond=None) does, so rank-deficient designs
+    keep the minimum-norm solution."""
+    return np.linalg.pinv(X, rcond=max(X.shape) * np.finfo(float).eps)
 
 
 @functools.lru_cache
@@ -200,19 +193,22 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
     return U, sweeps, converged
 
 
-def minimize_block(contrasts: list[Contrast], box: Box, opts: SolverOptions,
-                   factor: DesignFactor) -> list[EstimateResult]:
-    """`minimize` on fits that share factor.X, the penalty and n, each with its
-    own Y: one `box_descent` call, stopped by `opts`, runs every start
-    (`_multistart_points`) of every fit, and a fit's bits do not depend on the
-    others. One `contrast_value` call per fit then scores its starts and
-    endpoints by the exact residual objective (the Gram-form RSS cancels when
-    RSS << Y'Y). A start is kept verbatim if descent cannot improve it, so the
-    returned objective never exceeds any multistart objective, and
-    `tiebreak_argmin` picks each fit's winner. Of the starts that reached it,
-    `converged` says whether any converged and `iterations` counts the first
-    converged one's sweeps (else the first's)."""
-    X, pen, n = factor.X, contrasts[0].penalty, contrasts[0].n
+def minimize_block(contrasts: list[Contrast], box: Box, opts: SolverOptions):
+    """`minimize` on fits that share one X, the penalty and n, each with its
+    own Y: X'X and pinv(X) are formed once, one `box_descent` call, stopped by
+    `opts`, runs every start (`_multistart_points`) of every fit, and a fit's
+    bits do not depend on the others. One `contrast_value` call per fit then
+    scores its starts and endpoints by the exact residual objective (the
+    Gram-form RSS cancels when RSS << Y'Y). A start is kept verbatim if
+    descent cannot improve it, so the returned objective never exceeds any
+    multistart objective, and `tiebreak_argmin` picks each fit's winner. Of
+    the starts that reached it, `converged` says whether any converged and
+    `iterations` counts the first converged one's sweeps (else the first's).
+    Returns per-fit arrays (theta_hat, objective, converged, iterations, starts)."""
+    X, pen, n = contrasts[0].dataset.X, contrasts[0].penalty, contrasts[0].n
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("design contains non-finite values")
+    Q = X.T @ X
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a sum is nan
         qs = np.array([X.T @ c.dataset.Y for c in contrasts])
     bad = np.flatnonzero(~np.all(np.isfinite(qs), axis=1))
@@ -221,13 +217,13 @@ def minimize_block(contrasts: list[Contrast], box: Box, opts: SolverOptions,
             raise InvalidInputError("responses contain non-finite values")
         raise InvalidInputError(f"X'Y overflows: {qs[bad[0]].tolist()}")
     lo, hi = box.lo_array(), box.hi_array()
-    for j in np.flatnonzero(np.diag(factor.Q) != 0.0):
-        penalty_value(pen, n, max(-lo[j], hi[j]))  # a bridge value that overflows in the box raises
+    checked_penalty_value(pen, n, np.maximum(-lo, hi)[np.diag(Q) != 0.0])  # at the far box ends
 
-    S, group = _multistart_points(np.array([factor.pinv @ c.dataset.Y for c in contrasts]), box)
+    pinv = ols_pinv(X)
+    S, group = _multistart_points(np.array([pinv @ c.dataset.Y for c in contrasts]), box)
     counts = np.bincount(group, minlength=len(contrasts))
     first = np.concatenate(([0], np.cumsum(counts)))
-    ends, sweeps, conv = box_descent(factor.Q, qs[group], [pen] * X.shape[1], n, S,
+    ends, sweeps, conv = box_descent(Q, qs[group], [pen] * X.shape[1], n, S,
                                      lo, hi, opts.tolerance, opts.max_sweeps)
     start_obj, obj = np.empty(S.shape[0]), np.empty(S.shape[0])
     for c, a, z in zip(contrasts, first, first[1:]):
@@ -248,25 +244,19 @@ def minimize_block(contrasts: list[Contrast], box: Box, opts: SolverOptions,
     flag = win.copy()
     flag[fits] = reached[earliest]
     flag = np.where(conv[win], win, flag)
-    return [EstimateResult(ends[i], float(obj[i]), int(k), bool(conv[j]), int(sweeps[j]))
-            for i, j, k in zip(win, flag, counts)]
+    return ends[win], obj[win], conv[flag], sweeps[flag], counts
 
 
-def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = None,
-             factor: DesignFactor | None = None) -> EstimateResult:
+def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = None) -> EstimateResult:
     """Best terminal point of coordinate descent over the multistart set:
     `minimize_block` on one fit, a function of (X, Y, penalty, box) alone (the
-    starts are built from Y, never from the generating truth). `factor` (built
-    here when absent or made from another X) gives X'X and pinv(X)."""
+    starts are built from Y, never from the generating truth)."""
     if box is None:
         box = Box.cube(c.p)
     if box.p != c.p:
         raise InvalidInputError(f"box has {box.p} coordinates, contrast has {c.p}")
-    if opts is None:
-        opts = SolverOptions()
-    if factor is None or factor.X is not c.dataset.X:
-        factor = DesignFactor(c.dataset.X)
-    return minimize_block([c], box, opts, factor)[0]
+    theta, obj, conv, iterations, starts = minimize_block([c], box, opts or SolverOptions())
+    return EstimateResult(theta[0], float(obj[0]), int(starts[0]), bool(conv[0]), int(iterations[0]))
 
 
 def _lattice_points(center: np.ndarray, span: np.ndarray, box: Box,

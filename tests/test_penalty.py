@@ -102,6 +102,19 @@ def test_penalty_even_nonnegative_zero_at_zero(t, fam, gamma):
         assert v > 0.0  # strictly positive off 0 for all three families
 
 
+@pytest.mark.parametrize("pen", [bridge(1.3, 0.4, 0.7), scad(0.3, 0.1), selo(0.2, 0.1, tau_c=0.05, tau_e=-0.5),
+                                 zero_penalty()], ids=["bridge", "scad", "selo", "none"])
+def test_scalar_penalty_value_has_the_bits_of_its_one_element_call(pen):
+    # p_n has one formula: a scalar t gives a float with the bits of the array call on [t]
+    rng = np.random.default_rng(23)
+    t = rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-300.0, 300.0, 5000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ti in [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, *t.tolist()]:
+            value = penalty_value(pen, 37, ti)
+            assert type(value) is float
+            assert np.array([value]).tobytes() == penalty_value(pen, 37, np.array([ti])).tobytes(), ti
+
+
 def test_schedule_validation():
     with pytest.raises(InvalidSpecError):
         TuningSchedule(c=-1.0, e=0.5)
@@ -213,9 +226,10 @@ def test_prox_zero_rule_is_positive_zero_in_every_family(pen):
 
 
 @pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e-80])
-def test_selo_prox_is_finite_for_tiny_tau(tau):
+def test_selo_prox_is_finite_for_tiny_tau(monkeypatch, tau):
     # the products (x + tau)(2x + tau) of the SELO slopes underflow to 0 near
     # x = 0 for such tau; the prox must still return a finite minimizer
+    evaluations = _count_root_find_evaluations(monkeypatch)
     rng = np.random.default_rng(3)
     for c, b, lam in _log_uniform_prox_inputs(5, 300):
         n = int(rng.integers(1, 5000))
@@ -224,6 +238,11 @@ def test_selo_prox_is_finite_for_tiny_tau(tau):
         assert math.isfinite(x) and (x == 0.0 or abs(x) <= abs(b))
         obj = lambda t: scalar_objective(pen, n, c, b, t)
         assert obj(x) <= min(obj(0.0), obj(b))
+    # the dip of h lies below 2 cbrt(coef tau / 2c), far below beta: a dip search bracketed
+    # by beta alone ran every element into the 200-iteration cap; each search (dip and
+    # root of h, per draw) must stop by its own rule
+    assert len(evaluations) == 600
+    assert max(evaluations) <= 60
 
 
 def _half_thresholding_root(c, b, lam):

@@ -20,13 +20,13 @@ from bridgelab.penalty import PenaltySpec, TuningSchedule, prox_array, scalar_pr
 from bridgelab.solver import (
     PATTERN_COORDS,
     Box,
-    DesignFactor,
     SolverOptions,
     _keep_mask,
     _multistart_points,
     box_descent,
     grid_oracle,
     minimize,
+    ols_pinv,
     tiebreak_argmin,
     zeroed_starts,
 )
@@ -49,7 +49,7 @@ def _bits(res):
 
 
 def _starts(c, box):
-    return _multistart_points((DesignFactor(c.dataset.X).pinv @ c.dataset.Y)[None], box)[0]
+    return _multistart_points((ols_pinv(c.dataset.X) @ c.dataset.Y)[None], box)[0]
 
 
 def _descend(c, box, opts, starts):
@@ -140,7 +140,7 @@ def test_multistart_points_follow_their_definition(p0, box, count):
     # duplicates dropped with the first one kept
     c = _contrast(_bridge(1.0, 0.5, 0.5), n=40, seed=8, p0=p0,
                   rho0=(1.0, -1.5, 0.8, 1.2)[:box.p - p0])
-    ols = DesignFactor(c.dataset.X).pinv @ c.dataset.Y
+    ols = ols_pinv(c.dataset.X) @ c.dataset.Y
     k = min(c.p, PATTERN_COORDS)
     rows = [ols, np.zeros(c.p)]
     rows += [np.where(np.array(mask + (False,) * (c.p - k)), 0.0, ols)
@@ -169,14 +169,14 @@ def test_fit_never_reads_the_generating_truth(pen, kind, p0, p):
     # entries, or with a zero block of another size, give the same bits on one data set
     rng = np.random.default_rng(31)
     X = generate_design(DesignSpec(kind=kind, p=p), 60, 17)
-    factor, box = DesignFactor(X), Box.cube(p)
+    box = Box.cube(p)
     near = TrueParameter(p0=p0, rho0=(1.0,) * (p - p0))
     far = TrueParameter(p0=p0, rho0=(-3.0,) * (p - p0))
     resized = TrueParameter(p0=p0 - 1, rho0=(2.0,) * (p - p0 + 1))
     for _ in range(4):
         Y = X @ near.theta + rng.standard_normal(60)
-        fits = [minimize(Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=60), penalty=pen), box,
-                         None, factor) for truth in (near, far, resized)]
+        fits = [minimize(Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=60), penalty=pen), box)
+                for truth in (near, far, resized)]
         assert _bits(fits[0]) == _bits(fits[1]) == _bits(fits[2])
 
 
@@ -215,8 +215,6 @@ def test_minimize_rejects_nonfinite_data():
     c.dataset.X[3, 1] = np.inf
     with pytest.raises(InvalidInputError):
         minimize(c, Box.cube(2))
-    with pytest.raises(InvalidInputError):
-        DesignFactor(c.dataset.X)
 
 
 def test_converged_if_any_start_reaching_the_winner_converged():
@@ -413,35 +411,6 @@ def test_each_coordinate_reads_its_own_interval():
     assert_array_equal(minimize(c, box).theta_hat, theta)
 
 
-def test_shared_factor_gives_bit_identical_fits():
-    # one factor per design serves every response vector on it; a factor made
-    # from another design is ignored, so it cannot change a fit either
-    rng = np.random.default_rng(12)
-    kinds = ("standardized-orthonormal", "bounded-random-frozen")
-    for trial in range(18):
-        pen = zero_penalty() if trial % 6 == 0 else random_penalty(rng, gammas=(0.3, 0.5, 1.0, 1.5))
-        p = int(rng.integers(1, 9))
-        p0 = int(rng.integers(0, p))
-        truth = TrueParameter(p0=p0, rho0=tuple(float(rng.uniform(0.5, 2.0)) for _ in range(p - p0)))
-        n = int(rng.integers(p + 3, 60))
-        X = generate_design(DesignSpec(kind=kinds[trial % 2], p=p), n, int(rng.integers(1, 10**6)))
-        if trial % 3 == 2:
-            X[:, int(rng.integers(0, p))] = 0.0  # a dead column: Q_jj = 0
-        box = Box.cube(p)
-        if trial % 3 == 1:  # every coordinate's interval excludes 0
-            lo = rng.uniform(0.1, 0.5, p) * rng.choice([-1.0, 1.0], p)
-            lo = np.where(lo < 0.0, lo - 3.0, lo)
-            box = Box(lo=tuple(lo), hi=tuple(lo + 3.0 - 0.05))
-        factor = DesignFactor(X)
-        foreign = DesignFactor(X + 1.0)
-        for _ in range(3):
-            Y = X @ truth.theta + rng.standard_normal(n)
-            c = Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=n), penalty=pen)
-            alone = _bits(minimize(c, box))
-            assert _bits(minimize(c, box, None, factor)) == alone, trial
-            assert _bits(minimize(c, box, None, foreign)) == alone, trial
-
-
 def test_pinv_ols_start_matches_lstsq():
     # the OLS start is pinv(X) Y; it stays within 1e-12 (1 + max|OLS|) of
     # lstsq, on rank-deficient and underdetermined designs too
@@ -455,7 +424,7 @@ def test_pinv_ols_start_matches_lstsq():
             X[:, -1] = 2.0 * X[:, 0]
         Y = 3.0 * rng.standard_normal(n)
         ols = np.linalg.lstsq(X, Y, rcond=None)[0]
-        got = DesignFactor(X).pinv @ Y
+        got = ols_pinv(X) @ Y
         assert np.max(np.abs(got - ols)) <= 1e-12 * (1.0 + np.max(np.abs(ols))), trial
 
 
