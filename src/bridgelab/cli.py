@@ -100,6 +100,12 @@ def cmd_estimate(ec: ExperimentConfig) -> int:
     return 0
 
 
+def _row_template(p: int, p0: int) -> str:
+    """A replications.csv row (n, rep, seed, theta_hat, zero flags, objective, converged)
+    as one %-template with `format_float`'s text: %d for ints and flags, %.17g for floats."""
+    return ",".join(["%d"] * 3 + ["%.17g"] * p + ["%d"] * p0 + ["%.17g", "%d"])
+
+
 def _write_replications_csv(path: str, rs) -> None:
     p = rs.config.truth.p
     p0 = rs.config.truth.p0
@@ -107,12 +113,12 @@ def _write_replications_csv(path: str, rs) -> None:
               + [f"theta_hat_{j + 1}" for j in range(p)]
               + [f"zero_flag_{j + 1}" for j in range(p0)]
               + ["objective", "converged"])
-    lines = [",".join(header)]
+    lines, template = [",".join(header)], _row_template(p, p0)
     for n in rs.config.n_grid:
         rows = zip(rs.seeds[n].tolist(), rs.theta_hat[n].tolist(), rs.zero_flags(n).tolist(),
                    rs.objective[n].tolist(), rs.converged[n].tolist())
-        for rep, (seed, theta, flags, obj, conv) in enumerate(rows):
-            lines.append(",".join(map(format_float, (n, rep, seed, *theta, *flags, obj, conv))))
+        lines.extend(template % (n, rep, seed, *theta, *flags, obj, conv)
+                     for rep, (seed, theta, flags, obj, conv) in enumerate(rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -19,6 +19,9 @@ from .util import row_squares
 
 DELTA_TRUE_NOISE = "true-noise"
 DELTA_ESTIMATED = "estimated"
+# bytes of contrast_value's per-chunk residual temporaries: below glibc's 128 KiB mmap
+# threshold, so every chunk reuses heap memory instead of faulting in fresh pages
+_CHUNK_BYTES = 1 << 16
 
 
 @dataclass
@@ -56,19 +59,26 @@ class PlaqParts:
         return float(self.delta @ u + 0.5 * u @ self.gamma0 @ u + self.remainder(u))
 
 
-def contrast_value(c: Contrast, theta):
+def contrast_value(c: Contrast, theta, fits=None):
     """Exact residual sum of squares plus total penalty at theta, or per row of
-    an (m, p) stack in one pass; the only evaluator of Z_n. Each row keeps the
-    bits of its own call on a contiguous theta: one gemv X @ theta and one dot
-    per row, and the elementwise penalty summed along each row."""
+    an (m, p) stack in one pass; the only evaluator of Z_n. With `fits`, the
+    block form, c.dataset.Y is a (k, n) stack of responses and row i is scored
+    against Y[fits[i]]. Each row keeps the bits of its own call on a contiguous
+    theta: one gemv X @ theta and one dot per row, and the elementwise penalty
+    summed along each row. Residuals are formed a chunk of rows at a time, each
+    chunk's temporaries under _CHUNK_BYTES."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim not in (1, 2) or theta.shape[-1] != c.p:
         raise InvalidInputError(f"theta has shape {theta.shape}, expected ({c.p},) or (m, {c.p})")
     rows = np.ascontiguousarray(np.atleast_2d(theta))  # strided rows change the bits on F-ordered X
+    X, Y = c.dataset.X, c.dataset.Y
+    step = max(1, _CHUNK_BYTES // (8 * X.shape[0]))
+    rss = np.empty(rows.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf (or nan), which minimize refuses
-        XT = np.matmul(c.dataset.X, rows[:, :, None])[:, :, 0]
-        resid = np.subtract(c.dataset.Y, XT, out=XT)  # in place: a second (m, n) temporary costs page faults
-        values = row_squares(resid) + np.sum(penalty_value(c.penalty, c.n, rows), axis=1)
+        for a in range(0, rows.shape[0], step):
+            XT = np.matmul(X, rows[a:a + step, :, None])[:, :, 0]
+            rss[a:a + step] = row_squares(np.subtract(Y if fits is None else Y[fits[a:a + step]], XT, out=XT))
+        values = rss + np.sum(penalty_value(c.penalty, c.n, rows), axis=1)
     return float(values[0]) if theta.ndim == 1 else values
 
 

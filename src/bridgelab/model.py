@@ -194,19 +194,21 @@ def simulate_responses(X: np.ndarray, truth: TrueParameter, noise: NoiseSpec,
     if X.ndim != 2 or X.shape[1] != theta.size:
         raise InvalidInputError(
             f"design has {X.shape[1] if X.ndim == 2 else '?'} columns, truth has {theta.size}")
-    n = X.shape[0]
-    rng = default_rng(seed)
-    if noise.sigma == 0.0:
-        eps = np.zeros(n)
-    elif noise.family == "gaussian":
-        eps = noise.sigma * rng.standard_normal(n)
-    elif noise.family == "scaled-uniform":
-        half = noise.sigma * math.sqrt(3.0)
-        eps = rng.uniform(-half, half, size=n)
-    else:
-        eps = noise.sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
+    eps = draw_noise(noise, X.shape[0], default_rng(seed))
     with np.errstate(over="ignore"):  # an overflowing truth gives inf, which minimize refuses
         return X @ theta + eps
+
+
+def draw_noise(noise: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n iid noise values from rng's current state, one numpy call per family."""
+    if noise.sigma == 0.0:
+        return np.zeros(n)
+    if noise.family == "gaussian":
+        return noise.sigma * rng.standard_normal(n)
+    if noise.family == "scaled-uniform":
+        half = noise.sigma * math.sqrt(3.0)
+        return rng.uniform(-half, half, size=n)
+    return noise.sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
 
 
 def make_dataset(design: DesignSpec, truth: TrueParameter, noise: NoiseSpec,

@@ -24,9 +24,9 @@ from .asymptotics import (
     penalty_gamma,
     sample_limit_argmin,
 )
-from .contrast import Contrast
 from .errors import InvalidInputError, InvalidSpecError
-from .model import Dataset, DesignSpec, NoiseSpec, TrueParameter, generate_design, gram, simulate_responses
+from .model import DesignSpec, NoiseSpec, TrueParameter, draw_noise, generate_design, gram
+from .model import simulate_responses  # noqa: F401  (perfbench/tracer.py wraps montecarlo.simulate_responses)
 from .penalty import PenaltySpec
 from .solver import Box, SolverOptions, minimize_block
 from .solver import minimize  # noqa: F401  (perfbench/tracer.py wraps montecarlo.minimize; ROADMAP item 1)
@@ -34,8 +34,7 @@ from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, re
                    row_squares, seeded_generators)
 
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
-_BLOCKS_PER_WORKER = 4  # tasks per worker and n; a task's fits run as one kernel call
-_BLOCK_FITS = 256  # most fits a task holds: their responses stay in memory until they are scored
+_TASK_VALUES = 2 ** 17  # most response values (fits x n) a task holds until its fits are scored
 
 
 @dataclass(frozen=True)
@@ -146,21 +145,24 @@ def config_law(cfg: MCConfig) -> LimitLaw:
                      cfg.truth.theta, cfg.truth.p0, box=cfg.box)
 
 
-def _solve_one(cfg: MCConfig, X: np.ndarray, n: int, rep: int, rng: np.random.Generator) -> Contrast:
-    """One replication's contrast, its responses drawn from rng (in the state of
-    default_rng of the rep's seed), for its block's `minimize_block` call
-    (perfbench/tracer.py times it as the replication)."""
-    Y = simulate_responses(X, cfg.truth, cfg.noise, rng)
-    return Contrast(dataset=Dataset(X=X, Y=Y, truth=cfg.truth, n=n), penalty=cfg.penalty)
+def _solve_one(cfg: MCConfig, row: np.ndarray, n: int, rep: int, rng: np.random.Generator) -> None:
+    """Replication rep's noise, drawn from rng (in the state default_rng of the
+    rep's seed starts in) into its row of its block, as `simulate_responses`
+    draws it (perfbench/tracer.py times it as the replication)."""
+    row[:] = draw_noise(cfg.noise, n, rng)
 
 
 def _solve_block(task) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A task's fits as one `minimize_block` call: (seeds, theta_hat, objective, converged) in rep order."""
+    """A task's fits as one `minimize_block` call: (seeds, theta_hat, objective, converged)
+    in rep order. Each rep's Y row has the bits of its own `simulate_responses` call."""
     cfg, X, n, lo, hi = task
     seeds = derived_seeds((cfg.master_seed, n), range(lo, hi))  # one hash pass
-    contrasts = [_solve_one(cfg, X, n, rep, rng)
-                 for rep, (_, rng) in zip(range(lo, hi), seeded_generators(seeds))]
-    return (seeds, *minimize_block(contrasts, cfg.box, cfg.solver)[:3])
+    E = np.empty((hi - lo, n))
+    for row, rep, (_, rng) in zip(E, range(lo, hi), seeded_generators(seeds)):
+        _solve_one(cfg, row, n, rep, rng)
+    with np.errstate(over="ignore"):  # an overflowing truth gives inf, which minimize_block refuses
+        Y = np.add(X @ cfg.truth.theta, E, out=E)
+    return (seeds, *minimize_block(X, Y, cfg.penalty, n, cfg.box, cfg.solver)[:3])
 
 
 def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
@@ -179,9 +181,9 @@ def run_replications(cfg: MCConfig, threads: int = 1) -> ReplicationSet:
             f"dataset generation failed ({exc}); config: design={cfg.design}, "
             f"truth={cfg.truth}, n_grid={cfg.n_grid}, seed={cfg.master_seed}") from exc
     R = cfg.replications
-    block = max(1, min(_BLOCK_FITS, math.ceil(R / (workers * _BLOCKS_PER_WORKER))))
-    tasks = [(cfg, designs[n], n, lo, min(lo + block, R))
-             for n in cfg.n_grid for lo in range(0, R, block)]
+    block = {n: max(1, min(math.ceil(R / workers), _TASK_VALUES // n)) for n in cfg.n_grid}
+    tasks = [(cfg, designs[n], n, lo, min(lo + block[n], R))
+             for n in cfg.n_grid for lo in range(0, R, block[n])]
     workers = min(workers, len(tasks))
     if workers == 1:
         blocks = list(map(_solve_block, tasks))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .contrast import Contrast, contrast_value
 from .errors import InvalidInputError, InvalidSpecError
+from .model import Dataset
 from .penalty import PenaltySpec, checked_penalty_value, prox_array
 from .penalty import scalar_prox_interval  # noqa: F401  (perfbench/tracer.py wraps it; ROADMAP item 1)
 from .util import require_finite, rows_times
@@ -193,42 +194,39 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
     return U, sweeps, converged
 
 
-def minimize_block(contrasts: list[Contrast], box: Box, opts: SolverOptions):
-    """`minimize` on fits that share one X, the penalty and n, each with its
-    own Y: X'X and pinv(X) are formed once, one `box_descent` call, stopped by
-    `opts`, runs every start (`_multistart_points`) of every fit, and a fit's
-    bits do not depend on the others. One `contrast_value` call per fit then
-    scores its starts and endpoints by the exact residual objective (the
-    Gram-form RSS cancels when RSS << Y'Y). A start is kept verbatim if
+def minimize_block(X: np.ndarray, Y: np.ndarray, pen: PenaltySpec, n: int, box: Box, opts: SolverOptions):
+    """`minimize` on the fits of the rows of Y, which share X, the penalty and
+    n: X'X and pinv(X) are formed once, q = X'Y and the OLS points pinv(X) Y
+    by one stacked matmul each (a gemv per fit), one `box_descent` call,
+    stopped by `opts`, runs every start (`_multistart_points`) of every fit,
+    and a fit's bits do not depend on the others. One block `contrast_value`
+    call then scores every start and endpoint by the exact residual objective
+    (the Gram-form RSS cancels when RSS << Y'Y). A start is kept verbatim if
     descent cannot improve it, so the returned objective never exceeds any
     multistart objective, and `tiebreak_argmin` picks each fit's winner. Of
     the starts that reached it, `converged` says whether any converged and
     `iterations` counts the first converged one's sweeps (else the first's).
     Returns per-fit arrays (theta_hat, objective, converged, iterations, starts)."""
-    X, pen, n = contrasts[0].dataset.X, contrasts[0].penalty, contrasts[0].n
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("design contains non-finite values")
     Q = X.T @ X
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a sum is nan
-        qs = np.array([X.T @ c.dataset.Y for c in contrasts])
+        qs = np.matmul(X.T, Y[:, :, None])[:, :, 0]
     bad = np.flatnonzero(~np.all(np.isfinite(qs), axis=1))
     if bad.size:  # a non-finite Y makes q non-finite too
-        if not np.all(np.isfinite(contrasts[bad[0]].dataset.Y)):
+        if not np.all(np.isfinite(Y[bad[0]])):
             raise InvalidInputError("responses contain non-finite values")
         raise InvalidInputError(f"X'Y overflows: {qs[bad[0]].tolist()}")
     lo, hi = box.lo_array(), box.hi_array()
     checked_penalty_value(pen, n, np.maximum(-lo, hi)[np.diag(Q) != 0.0])  # at the far box ends
 
-    pinv = ols_pinv(X)
-    S, group = _multistart_points(np.array([pinv @ c.dataset.Y for c in contrasts]), box)
-    counts = np.bincount(group, minlength=len(contrasts))
-    first = np.concatenate(([0], np.cumsum(counts)))
+    S, group = _multistart_points(np.matmul(ols_pinv(X), Y[:, :, None])[:, :, 0], box)
+    counts = np.bincount(group, minlength=Y.shape[0])
     ends, sweeps, conv = box_descent(Q, qs[group], [pen] * X.shape[1], n, S,
                                      lo, hi, opts.tolerance, opts.max_sweeps)
-    start_obj, obj = np.empty(S.shape[0]), np.empty(S.shape[0])
-    for c, a, z in zip(contrasts, first, first[1:]):
-        values = contrast_value(c, np.concatenate((S[a:z], ends[a:z])))
-        start_obj[a:z], obj[a:z] = values[:z - a], values[z - a:]
+    values = contrast_value(Contrast(Dataset(X=X, Y=Y, truth=None, n=n), pen),
+                            np.concatenate((S, ends)), np.concatenate((group, group)))
+    start_obj, obj = values[:S.shape[0]], values[S.shape[0]:]
     back = obj > start_obj  # float-pathological sweep; keep the start itself
     ends[back], obj[back], conv[back], sweeps[back] = S[back], start_obj[back], True, 0
 
@@ -255,7 +253,8 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
         box = Box.cube(c.p)
     if box.p != c.p:
         raise InvalidInputError(f"box has {box.p} coordinates, contrast has {c.p}")
-    theta, obj, conv, iterations, starts = minimize_block([c], box, opts or SolverOptions())
+    theta, obj, conv, iterations, starts = minimize_block(
+        c.dataset.X, np.asarray(c.dataset.Y, dtype=float)[None], c.penalty, c.n, box, opts or SolverOptions())
     return EstimateResult(theta[0], float(obj[0]), int(starts[0]), bool(conv[0]), int(iterations[0]))
 
 

@@ -6,17 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bridgelab
 from bridgelab.asymptotics import penalty_gamma, regime_classify
-from bridgelab.cli import main
+from bridgelab.cli import _row_template, main
 from bridgelab.config import _KEYS, config_from_echo, parse_config
 from bridgelab.contrast import Contrast
 from bridgelab.errors import ConfigError
 from bridgelab.model import Dataset, generate_design, simulate_responses
-from bridgelab import montecarlo
+from bridgelab import contrast, montecarlo
 from bridgelab.montecarlo import config_law, design_seed, replication_seed
+from bridgelab.penalty import penalty_value
 from bridgelab.solver import minimize
 from bridgelab.util import canonical_json, format_float
 
@@ -686,12 +688,17 @@ def test_sparse_limit_law_that_is_not_finite_is_a_config_error(tmp_path, capsys,
     assert summary["limit_distance"] == {"note": err[len("config error: "):-1]}
 
 
-def test_mc_rows_equal_direct_fits(tmp_path, capsys):
-    # a binding box and a 2-sweep cap: both converged values and both warnings occur
+@pytest.mark.parametrize("noise, sigma", [("gaussian", "1.0"), ("scaled-uniform", "1.0"),
+                                          ("scaled-rademacher", "1.0"), ("gaussian", "0.0")],
+                         ids=["gaussian", "scaled-uniform", "scaled-rademacher", "sigma0"])
+def test_mc_rows_equal_direct_fits(tmp_path, capsys, noise, sigma):
+    # a binding box and a 2-sweep cap: both converged values and both warnings occur; every
+    # noise family's block draw has the bits of its own simulate_responses call
     path = tmp_path / "box.cfg"
     path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 0.7, 0.9")
                     .replace("design = standardized-orthonormal",
                              "design = bounded-random-frozen\nbound = 3.0")
+                    .replace("noise = gaussian\nsigma = 1.0", f"noise = {noise}\nsigma = {sigma}")
                     .replace("[mc]", "[solver]\nbox_half = 0.8\nmax_sweeps = 2\n\n[mc]")
                     .replace("seed = 424242", "seed = 9"))
     out_dir = tmp_path / "out"
@@ -714,9 +721,10 @@ def test_mc_rows_equal_direct_fits(tmp_path, capsys):
         assert row[3:3 + p] == [format_float(v) for v in res.theta_hat]
         assert row[3 + p:3 + p + p0] == ["1" if v == 0.0 else "0" for v in res.theta_hat[:p0]]
         assert row[3 + p + p0:] == [format_float(res.objective), "1" if res.converged else "0"]
-    assert {r[-1] for r in rows} == {"0", "1"}
+    noisy = sigma != "0.0"  # noiseless fits all stabilize within the 2 sweeps
+    assert {r[-1] for r in rows} == ({"0", "1"} if noisy else {"1"})
     warnings = json.loads((out_dir / "summary.json").read_text())["warnings"]
-    assert any("did not stabilize" in w for w in warnings)
+    assert any("did not stabilize" in w for w in warnings) == noisy
     assert any("touch the box boundary" in w for w in warnings)
 
 
@@ -728,24 +736,64 @@ def test_mc_rows_equal_direct_fits(tmp_path, capsys):
 ], ids=["bridge", "scad", "selo", "none"])
 def test_fits_independent_of_threads_and_block_size(tmp_path, capsys, monkeypatch, penalty, schedule):
     # fit (n, rep) depends only on (config, n, rep): replications.csv has the same bytes for
-    # one or two workers (blocks of 25 and 13 fits) and for blocks of 8 (the last one
-    # ragged), of 100 and of 7 (the cap on a task's fits)
+    # one or two workers (tasks of 100 and 50 fits), for a task budget of 800 response values
+    # (16 and 8 fits, the last task ragged), for one fit per task, and for a one-row scoring chunk
     path = tmp_path / "blocks.cfg"
     path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 1.0, -1.5")
                     .replace("design = standardized-orthonormal", "design = bounded-random-frozen\nbound = 3.0")
                     .replace("family = bridge\ngamma = 0.5", penalty).replace("c = 1.0\ne = 0.6", schedule))
     runs = []
-    for threads, blocks_per_worker, block_fits in ((1, 4, 256), (2, 4, 256), (1, 13, 256), (1, 1, 256),
-                                                   (1, 1, 7)):
-        monkeypatch.setattr(montecarlo, "_BLOCKS_PER_WORKER", blocks_per_worker)
-        monkeypatch.setattr(montecarlo, "_BLOCK_FITS", block_fits)
-        out_dir = tmp_path / f"out-{threads}-{blocks_per_worker}-{block_fits}"
+    for threads, task_values, chunk_bytes in ((1, 2 ** 17, 1 << 16), (2, 2 ** 17, 1 << 16), (1, 800, 1 << 16),
+                                              (1, 1, 1 << 16), (1, 2 ** 17, 1)):
+        monkeypatch.setattr(montecarlo, "_TASK_VALUES", task_values)
+        monkeypatch.setattr(contrast, "_CHUNK_BYTES", chunk_bytes)
+        out_dir = tmp_path / f"out-{threads}-{task_values}-{chunk_bytes}"
         assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir),
                              "--threads", str(threads)]) == (0, "", "")
         runs.append((out_dir / "replications.csv").read_bytes())
     assert runs[1:] == runs[:1] * 4
     zero_flags = [line.split(b",")[6] for line in runs[0].splitlines()[1:]]
     assert set(zero_flags) == ({b"0"} if penalty == "family = none" else {b"0", b"1"})
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one-row", "whole-block"])
+def test_mc_objective_is_the_residual_sum_of_squares_plus_the_penalty(tmp_path, capsys, monkeypatch,
+                                                                     chunk_bytes):
+    # n = 3200 spans many scoring chunks (two rows each at the default 64 KiB); whatever the chunk,
+    # every objective cell is Z_n at theta_hat written out by hand, bit for bit
+    path = tmp_path / "chunks.cfg"
+    path.write_text(BASE.replace("rho0 = 1.0", "rho0 = 1.0, -1.5")
+                    .replace("design = standardized-orthonormal", "design = bounded-random-frozen\nbound = 3.0")
+                    .replace("n_grid = 50, 100", "n_grid = 50, 3200"))
+    monkeypatch.setattr(contrast, "_CHUNK_BYTES", chunk_bytes)
+    out_dir = tmp_path / "out"
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir), "--threads", "1"]) == (0, "", "")
+    mc = parse_config(str(path)).mc
+    p = mc.truth.p
+    rows = [line.split(",") for line in (out_dir / "replications.csv").read_text().splitlines()[1:]]
+    designs = {n: generate_design(mc.design, n, design_seed(mc.master_seed, n)) for n in mc.n_grid}
+    assert len(rows) == 200
+    for row in rows:
+        n, seed = int(row[0]), int(row[2])
+        X, theta = designs[n], np.array([float(v) for v in row[3:3 + p]])
+        r = simulate_responses(X, mc.truth, mc.noise, seed) - X @ theta
+        assert row[-2] == format_float(float(r @ r) + penalty_value(mc.penalty, n, theta).sum())
+
+
+def test_replications_row_template_gives_format_float_text():
+    # the %-template of a replications.csv row writes what format_float writes, cell for cell
+    floats = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, math.nan, math.inf,
+              -math.inf, 0.1, 1 / 3, -123456789.125]
+    seeds = [0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
+    template = _row_template(1, 1)
+    for seed in seeds:
+        for a, b in zip(floats, floats[::-1]):
+            for flag, conv in ((True, False), (False, True)):
+                cells = (3200, 199, seed, a, flag, b, conv)
+                assert template % cells == ",".join(map(format_float, cells))
+    wide = _row_template(3, 2)
+    cells = (50, 0, 2 ** 64 - 1, -0.0, 5e-324, math.nan, False, True, -math.inf, True)
+    assert wide % cells == ",".join(map(format_float, cells))
 
 
 def test_mc_io_error_exit_code(cfg_path, tmp_path, capsys):
