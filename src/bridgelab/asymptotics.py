@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .penalty import PenaltySpec, TuningSchedule
 from .penalty import power_prox_candidates  # noqa: F401  (perfbench/tracer.py wraps it; ROADMAP item 1)
-from .solver import PATTERN_COORDS, Box, box_descent, tiebreak_argmin, zeroed_starts
+from .solver import PATTERN_COORDS, Box, box_descent, field_starts, tiebreak_argmin
 from .util import rows_times, spawned_normals
 
 REGIME_STANDARD = "standard"
@@ -158,11 +158,12 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
 
     Per draw: W ~ N(0, sigma^2 C0) from the normals of the k-th child of
     `SeedSequence(seed).spawn(R)` (`util.spawned_normals`). The field is then
-    minimized from a multistart set by `box_descent` (closed form when the
-    effective penalty is smooth), with the start chosen by the solver's
-    tie-break. Draws go through the kernel in fixed blocks with elementwise
-    rules, so draw k depends only on (law, seed, k). Raises InvalidInputError,
-    before any draw, when the field's linear tilt t is not finite.
+    minimized by `box_descent` (closed form when the effective penalty is
+    smooth) from `field_starts` (one start per draw when C0 is diagonal), with
+    the endpoint chosen by the solver's tie-break. Draws go through the kernel
+    in fixed blocks with elementwise rules, so draw k depends only on (law,
+    seed, k). Raises InvalidInputError, before any draw, when the field's
+    linear tilt t is not finite.
     """
     tag = law.regime["tag"]
     if tag != REGIME_STANDARD:
@@ -182,15 +183,16 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     if np.all(s == 0.0):
         return base
 
-    # starts per draw: base, origin, and zero patterns of the first
-    # PATTERN_COORDS nonconvex coordinates
+    # starts per draw (`field_starts`): base, origin, and zero patterns of the
+    # first PATTERN_COORDS nonconvex coordinates; base alone for a diagonal C0
     nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:PATTERN_COORDS]
-    n_starts = 1 + 2 ** nonconvex.size
     pens = _power_penalties(s, g)
     samples = np.empty((R, p))
     for a in range(0, R, _SAMPLER_BLOCK):
+        starts = field_starts(C0, base[a:a + _SAMPLER_BLOCK], nonconvex)
+        n_starts = starts.shape[0] // min(R - a, _SAMPLER_BLOCK)
         W = np.repeat(W_all[a:a + _SAMPLER_BLOCK], n_starts, axis=0)
-        U = box_descent(C0, W - 0.5 * t, pens, 1, zeroed_starts(base[a:a + _SAMPLER_BLOCK], nonconvex))[0]
+        U = box_descent(C0, W - 0.5 * t, pens, 1, starts)[0]
         vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
         draw = np.arange(U.shape[0]) // n_starts
         samples[a:a + _SAMPLER_BLOCK] = U[tiebreak_argmin(draw, vals, U)]
@@ -233,10 +235,10 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     """argmin over the box of (theta-theta0)'C0(theta-theta0) + lambda0 sum |theta_j|^gamma.
 
     Returns (point, exact-zero flags); the flags define the pseudo-true split.
-    Deterministic: multistart over zero-support patterns with the lexicographic
-    tie-break. Raises InvalidInputError when the best objective is not finite,
-    before the descent (and without a numpy warning) when the quadratic term
-    overflows at every point of the box.
+    Deterministic: `field_starts` (zero-support patterns, or theta0 alone for a
+    diagonal C0) with the lexicographic tie-break. Raises InvalidInputError
+    when the best objective is not finite, before the descent (and without a
+    numpy warning) when the quadratic term overflows at every point of the box.
     """
     C0 = np.asarray(C0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
@@ -256,7 +258,7 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     if not math.isfinite(gap * gap):
         raise InvalidInputError("the pseudo-true objective overflows: inf at every point of the box")
 
-    starts = zeroed_starts(theta0[None, :], np.arange(min(p, PATTERN_COORDS)))
+    starts = field_starts(C0, theta0[None, :], np.arange(min(p, PATTERN_COORDS)))
     th = box_descent(C0, C0 @ theta0, _power_penalties(np.full(p, lambda0), np.full(p, gamma)), 1, starts,
                      box.lo_array(), box.hi_array())[0]
     d = th - theta0

@@ -251,6 +251,8 @@ def main(argv=None) -> int:
     try:
         ec = parse_config(args.config, args.command)
         if args.seed is not None:  # every command, and the echo, see the override
+            if not 0 <= args.seed < 2 ** 64:
+                raise ConfigError(f"--seed: must lie in [0, 2**64), got {args.seed}")
             ec.mc = replace(ec.mc, master_seed=args.seed)
             ec.raw.setdefault("mc", {})["seed"] = str(args.seed)
         if args.command == "estimate":

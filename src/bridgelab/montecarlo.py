@@ -55,6 +55,8 @@ class MCConfig:
     tail_orders: tuple[float, ...] = (2.0, 4.0)
 
     def __post_init__(self):
+        if not 0 <= self.master_seed < 2 ** 64:  # derive_seed would wrap it modulo 2**64
+            raise InvalidSpecError(f"seed: must lie in [0, 2**64), got {self.master_seed}")
         if self.replications < 100:
             raise InvalidSpecError("need at least 100 replications per n")
         if len(self.n_grid) < 1 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):

@@ -34,8 +34,8 @@ def tiebreak_argmin(groups: np.ndarray, objectives: np.ndarray, points: np.ndarr
     Magnitudes come before the signed lexicographic order so that exact-zero
     coordinates beat ulp-level perturbations when objectives tie; this keeps
     zero-hit events well defined. `minimize`, `sample_limit_argmin` and
-    `pseudo_true` pick with it among the endpoints of one start rule:
-    `zeroed_starts` of their unpenalized stationary point.
+    `pseudo_true` pick with it among the endpoints of one start rule: `zeroed_starts`
+    of their unpenalized stationary point (or, by `field_starts`, that point alone).
     """
     order = np.lexsort((*points.T[::-1], *np.abs(points).T[::-1], objectives, groups))
     g = groups[order]
@@ -135,6 +135,15 @@ def zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
     nonempty subset of `coords` set to 0 (subsets in `itertools.product` order)."""
     keep = _keep_mask(tuple(coords.tolist()), base.shape[1])
     return np.where(keep, base[:, None, :], 0.0).reshape(-1, keep.shape[1])
+
+
+def field_starts(Q: np.ndarray, base: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Starts of a limit-field descent on Q from its stationary points: `zeroed_starts`, or
+    base alone if Q is diagonal and base finite. Then b_j = (q_j - sum_k u_k * 0) / Q_jj is the
+    same from every start (up to a zero's sign, which the prox drops), and so is the endpoint."""
+    if np.any(Q[~np.eye(Q.shape[0], dtype=bool)]) or not np.all(np.isfinite(base)):
+        return zeroed_starts(base, coords)
+    return base
 
 
 def _multistart_points(ols: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:

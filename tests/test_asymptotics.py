@@ -20,8 +20,8 @@ from bridgelab.asymptotics import (
 )
 from bridgelab.errors import InvalidInputError, UnsupportedRegimeError
 from bridgelab.penalty import TuningSchedule
-from bridgelab.solver import Box
-from bridgelab.util import spawned_normals
+from bridgelab.solver import PATTERN_COORDS, Box, box_descent, tiebreak_argmin, zeroed_starts
+from bridgelab.util import rows_times, spawned_normals
 
 
 def sched(c, e):
@@ -203,10 +203,11 @@ def test_sampler_matches_lattice_oracle(gamma, C0):
         assert limit_field_v0(S[k], W, gamma, 1.0, C0, theta0) <= float(np.min(vals)) + 1e-8
 
 
-def test_sampler_draws_independent_of_count_and_block_size(monkeypatch):
+@pytest.mark.parametrize("C0", [np.array([[1.0, 0.3, 0.1], [0.3, 1.2, -0.2], [0.1, -0.2, 0.9]]),
+                                np.diag([0.5, 2.0, 1.0])], ids=["correlated", "separable"])
+def test_sampler_draws_independent_of_count_and_block_size(monkeypatch, C0):
     # draw k depends only on (law, seed, k): the same bits for any prefix R
     # and any kernel block size
-    C0 = np.array([[1.0, 0.3, 0.1], [0.3, 1.2, -0.2], [0.1, -0.2, 0.9]])
     law = _standard_law(0.5, 1.0, 0.25, C0, [0.0, 0.0, 1.0])
     full = sample_limit_argmin(law, 10_000, seed=21)
     assert np.mean(full[:, :2] == 0.0) > 0.1
@@ -216,6 +217,74 @@ def test_sampler_draws_independent_of_count_and_block_size(monkeypatch):
     assert sample_limit_argmin(law, 10_000, seed=21).tobytes() == full.tobytes()
     monkeypatch.setattr(asymptotics, "_SAMPLER_BLOCK", 7)
     assert sample_limit_argmin(law, 137, seed=21).tobytes() == full[:137].tobytes()
+
+
+def _multistart_draws(law, R, seed):
+    """The sampler's draws by the full multistart recipe, in one block: every
+    draw descends from `zeroed_starts` of its stationary point, each endpoint
+    is scored by `v0_on_points`, and `tiebreak_argmin` picks per draw."""
+    C0, theta0 = law.C0, law.theta0
+    lam0 = law.regime["lambda0"] or 0.0
+    t, s, g = asymptotics._v0_penalty_terms(law.gamma, lam0, theta0)
+    W = math.sqrt(law.sigma2) * rows_times(spawned_normals(seed, R, C0.shape[0]), np.linalg.cholesky(C0).T)
+    base = rows_times(W - 0.5 * t, np.linalg.inv(C0).T)
+    if np.all(s == 0.0):
+        return base
+    nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:PATTERN_COORDS]
+    n_starts = 1 + 2 ** nonconvex.size
+    W = np.repeat(W, n_starts, axis=0)
+    U = box_descent(C0, W - 0.5 * t, asymptotics._power_penalties(s, g), 1, zeroed_starts(base, nonconvex))[0]
+    vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
+    return U[tiebreak_argmin(np.arange(U.shape[0]) // n_starts, vals, U)]
+
+
+def _kernel_rows(monkeypatch):
+    """The number of start rows of each `box_descent` call that `asymptotics` makes."""
+    rows = []
+
+    def counted(Q, q, pens, n, starts, *args):
+        rows.append(starts.shape[0])
+        return box_descent(Q, q, pens, n, starts, *args)
+    monkeypatch.setattr(asymptotics, "box_descent", counted)
+    return rows
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.0, 1.5])
+@pytest.mark.parametrize("kind, p", [("identity", 1), ("identity", 2), ("identity", 3), ("identity", 8),
+                                     ("bounded", 1), ("bounded", 2), ("bounded", 3), ("bounded", 8),
+                                     ("diagonal", 3)])
+def test_separable_sampler_draws_equal_the_multistart(monkeypatch, kind, p, gamma):
+    # a diagonal C0 makes every start of a draw end on the same bits, so one
+    # start per draw gives the multistart's draws; C0 as `limit_c0` builds it
+    # for orthonormal and bounded-random designs (bound 3), and a general diagonal
+    C0 = {"identity": np.eye(p), "bounded": np.eye(p) * (3.0 * 3.0 / (3 * p)),
+          "diagonal": np.diag([0.5, 2.0, 1.0])}[kind]
+    theta0 = np.linspace(0.6, 2.0, p) * (-1.0) ** np.arange(p)
+    theta0[:{1: 1, 2: 1, 3: 2, 8: 2}[p]] = 0.0  # up to 2 zero coordinates
+    law = _standard_law(gamma, 1.3, min(1.0, gamma) / 2.0, C0, theta0, sigma2=1.7)
+    assert law.regime["lambda0"] == 1.3
+    rows = _kernel_rows(monkeypatch)
+    S = sample_limit_argmin(law, 600, seed=20250809 + p)
+    assert S.tobytes() == _multistart_draws(law, 600, seed=20250809 + p).tobytes()
+    assert rows == ([] if gamma > 1.0 else [600])  # one start per draw
+    if gamma < 1.0:
+        assert np.any(S[:, 0] == 0.0) and np.any(S[:, 0] != 0.0)
+
+
+def test_sampler_keeps_every_start_where_the_stationary_point_overflows(monkeypatch):
+    # W = sigma L z = z stays finite, but base = C0^-1 W overflows where |z| > 1.8:
+    # from such a base the one-start descent reads inf * 0 = nan, so those
+    # draws keep the full start set and the multistart's bits
+    law = _standard_law(0.5, 1.0, 0.25, np.eye(2) * 1e-308, [0.0, 1.0], sigma2=1e308)
+    rows = _kernel_rows(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = sample_limit_argmin(law, 600, seed=5)
+        assert S.tobytes() == _multistart_draws(law, 600, seed=5).tobytes()
+    assert rows == [3 * 600]  # base, origin and base with its zero coordinate set to 0
+    monkeypatch.setattr(asymptotics, "_SAMPLER_BLOCK", 7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sample_limit_argmin(law, 600, seed=5).tobytes() == S.tobytes()
+    assert {7, 3 * 7} <= set(rows[1:])  # only blocks holding such a draw take every start
 
 
 def _spawned_normals_loop(seed, R, p):
@@ -379,6 +448,24 @@ def test_pseudo_true_respects_a_box_without_the_origin(gamma):
     axes = [np.linspace(box.lo[j], box.hi[j], 1201) for j in range(2)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     assert objective(pt[None, :])[0] <= float(np.min(objective(grid))) + 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.5])
+@pytest.mark.parametrize("C0, theta0, box", [
+    (np.diag([1.0, 2.0]), [0.45, -1.5], Box(lo=(0.5, -3.0), hi=(0.6, -0.8))),
+    (np.eye(3) * 0.75, [0.3, -1.2, 0.05], None),
+    (np.diag([0.5, 2.0, 1.0, 4.0]), [0.0, 0.2, -0.6, 2.0], Box(lo=(-1.0, -1.0, -1.0, 1.0), hi=(1.0, 1.0, 1.0, 3.0))),
+], ids=["box-without-origin", "scaled-identity", "diagonal"])
+def test_pseudo_true_on_a_diagonal_c0_equals_the_multistart(monkeypatch, gamma, C0, theta0, box):
+    theta0 = np.asarray(theta0, dtype=float)
+    rows = _kernel_rows(monkeypatch)
+    pt, flags = pseudo_true(C0, 0.4, gamma, theta0, box=box)
+    assert rows == [1]
+    monkeypatch.setattr(asymptotics, "field_starts", lambda Q, base, coords: zeroed_starts(base, coords))
+    multistart, multistart_flags = pseudo_true(C0, 0.4, gamma, theta0, box=box)
+    assert rows[1] == 2 ** min(theta0.size, PATTERN_COORDS) + 1
+    assert pt.tobytes() == multistart.tobytes()
+    assert_array_equal(flags, multistart_flags)
 
 
 def test_limit_law_assembly_sparse_normal():

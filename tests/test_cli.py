@@ -993,6 +993,33 @@ def test_seed_flag_overrides_the_config_seed(tmp_path, capsys, command, edit):
     assert flag != unseeded
 
 
+@pytest.mark.parametrize("command", ["estimate", "mc", "check", "limit"])
+@pytest.mark.parametrize("seed", [2 ** 64, -1, 2 ** 64 + 12345])
+def test_seed_outside_64_bits_is_a_config_error(tmp_path, capsys, command, seed):
+    # derive_seed reads a master seed modulo 2**64, so 2**64 would run as seed 0
+    # and -1 as 2**64 - 1 under a config echo that records the seed given
+    out_dir = ["--out", str(tmp_path / "out")] if command == "mc" else []
+    flagged = tmp_path / "flag.cfg"
+    flagged.write_text(BASE.replace("e = 0.6", "e = 0.25"))
+    code, out, err = _run(capsys, [command, "--config", str(flagged), "--seed", str(seed), *out_dir])
+    assert (code, out) == (2, "")
+    assert err == f"config error: --seed: must lie in [0, 2**64), got {seed}\n"
+    in_config = tmp_path / "seed.cfg"
+    in_config.write_text(BASE.replace("e = 0.6", "e = 0.25").replace("seed = 424242", f"seed = {seed}"))
+    code, out, err = _run(capsys, [command, "--config", str(in_config), *out_dir])
+    assert (code, out) == (2, "")
+    assert err == f"config error: [mc] seed: must lie in [0, 2**64), got {seed}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_at_the_ends_of_64_bits_runs(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE.replace("e = 0.6", "e = 0.25"))
+    outs = [_run(capsys, ["limit", "--config", str(path), "--seed", str(seed)]) for seed in (0, 2 ** 64 - 1)]
+    assert [code for code, _, _ in outs] == [0, 0]
+    assert outs[0][1] != outs[1][1]
+
+
 UNPENALIZED = (BASE.replace("family = bridge", "family = none").replace("gamma = 0.5", "")
                .replace("[schedule]\nc = 1.0\ne = 0.6\n", ""))
 
