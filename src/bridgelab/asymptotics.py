@@ -123,16 +123,6 @@ def _v0_penalty_terms(gamma: float, lambda0: float, theta0: np.ndarray):
     return t, s, g
 
 
-def limit_field_v0(u, W, gamma: float, lambda0: float, C0, theta0) -> float:
-    """Evaluate the limit field at u for a realized Gaussian W.
-
-    V0(u) = -2 W.u + u'C0 u plus, per branch: a linear tilt for gamma > 1, the
-    sign/absolute mix for gamma = 1, and |u_j|^gamma only on the true-zero
-    coordinates for gamma < 1.
-    """
-    return float(v0_on_points(np.asarray(u, dtype=float)[None, :], W, gamma, lambda0, C0, theta0)[0])
-
-
 def v0_on_points(points, W, gamma: float, lambda0: float, C0, theta0) -> np.ndarray:
     """Vectorized limit-field evaluation over rows of `points`, for one W or
     for one row of W per point. Each row is evaluated on its own."""
@@ -177,25 +167,28 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     lam0 = law.regime["lambda0"] or 0.0
     t, s, g = _v0_penalty_terms(law.gamma, lam0, theta0)
 
-    W_all = sigma * rows_times(spawned_normals(seed, R, p), np.linalg.cholesky(C0).T)
-    # stationary point of the smooth part: C0 u = W - t/2
-    base = rows_times(W_all - 0.5 * t, np.linalg.inv(C0).T)
-    if np.all(s == 0.0):
-        return base
+    # an overflowing draw gives inf or nan samples, which the caller refuses (held here so that
+    # no numpy warning comes before its one error line)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W_all = sigma * rows_times(spawned_normals(seed, R, p), np.linalg.cholesky(C0).T)
+        # stationary point of the smooth part: C0 u = W - t/2
+        base = rows_times(W_all - 0.5 * t, np.linalg.inv(C0).T)
+        if np.all(s == 0.0):
+            return base
 
-    # starts per draw (`field_starts`): base, origin, and zero patterns of the
-    # first PATTERN_COORDS nonconvex coordinates; base alone for a diagonal C0
-    nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:PATTERN_COORDS]
-    pens = _power_penalties(s, g)
-    samples = np.empty((R, p))
-    for a in range(0, R, _SAMPLER_BLOCK):
-        starts = field_starts(C0, base[a:a + _SAMPLER_BLOCK], nonconvex)
-        n_starts = starts.shape[0] // min(R - a, _SAMPLER_BLOCK)
-        W = np.repeat(W_all[a:a + _SAMPLER_BLOCK], n_starts, axis=0)
-        U = box_descent(C0, W - 0.5 * t, pens, 1, starts)[0]
-        vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
-        draw = np.arange(U.shape[0]) // n_starts
-        samples[a:a + _SAMPLER_BLOCK] = U[tiebreak_argmin(draw, vals, U)]
+        # starts per draw (`field_starts`): base, origin, and zero patterns of the
+        # first PATTERN_COORDS nonconvex coordinates; base alone for a diagonal C0
+        nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:PATTERN_COORDS]
+        pens = _power_penalties(s, g)
+        samples = np.empty((R, p))
+        for a in range(0, R, _SAMPLER_BLOCK):
+            starts = field_starts(C0, base[a:a + _SAMPLER_BLOCK], nonconvex)
+            n_starts = starts.shape[0] // min(R - a, _SAMPLER_BLOCK)
+            W = np.repeat(W_all[a:a + _SAMPLER_BLOCK], n_starts, axis=0)
+            U = box_descent(C0, W - 0.5 * t, pens, 1, starts)[0]
+            vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
+            draw = np.arange(U.shape[0]) // n_starts
+            samples[a:a + _SAMPLER_BLOCK] = U[tiebreak_argmin(draw, vals, U)]
     return samples
 
 

@@ -263,9 +263,3 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
 
 def parse_config(path: str, command: str | None = None) -> ExperimentConfig:
     return build_config(load_raw(path), command)
-
-
-def config_from_echo(echo: dict) -> ExperimentConfig:
-    """Rebuild the experiment from a summary.json config echo (round-trip)."""
-    raw = {str(s): {str(k): str(v) for k, v in kv.items()} for s, kv in echo.items()}
-    return build_config(raw)

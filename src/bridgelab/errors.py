@@ -9,10 +9,6 @@ class InvalidSpecError(ValueError):
     """Raised when a spec object (design, penalty, schedule) is not realizable."""
 
 
-class DomainError(ValueError):
-    """Raised when a point lies outside the parameter box."""
-
-
 class UnsupportedRegimeError(Exception):
     """Raised when no limit theorem covers the requested tuning regime."""
 

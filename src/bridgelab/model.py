@@ -211,17 +211,6 @@ def draw_noise(noise: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray
     return noise.sigma * (2.0 * rng.integers(0, 2, size=n) - 1.0)
 
 
-def make_dataset(design: DesignSpec, truth: TrueParameter, noise: NoiseSpec,
-                 n: int, design_seed: int, noise_seed: int) -> Dataset:
-    """Convenience composition of generate_design and simulate_responses."""
-    if design.p != truth.p:
-        raise InvalidInputError(
-            f"design p={design.p} does not match truth p={truth.p}")
-    X = generate_design(design, n, design_seed)
-    Y = simulate_responses(X, truth, noise, noise_seed)
-    return Dataset(X=X, Y=Y, truth=truth, n=n)
-
-
 def gram(X: np.ndarray, split: tuple[int, int]) -> GramReport:
     """Gram matrix, its corner blocks per the (zero, nonzero) split, and cross term."""
     X = np.asarray(X, dtype=float)

@@ -30,7 +30,7 @@ from .model import simulate_responses  # noqa: F401  (perfbench/tracer.py wraps 
 from .penalty import PenaltySpec
 from .solver import Box, SolverOptions, minimize_block
 from .solver import minimize  # noqa: F401  (perfbench/tracer.py wraps montecarlo.minimize; ROADMAP item 1)
-from .util import (boundedness_verdict, derive_seed, derived_seeds, fit_line, require_finite,
+from .util import (boundedness_verdict, derive_seed, derived_seeds, require_finite,
                    row_squares, seeded_generators)
 
 INFORMATIVE_COUNT = 10  # p_hat >= INFORMATIVE_COUNT / R marks the informative tail range
@@ -219,19 +219,6 @@ def survival_curve(values: np.ndarray, r_grid) -> np.ndarray:
     """Empirical survival P(value >= r) on r_grid."""
     values = np.asarray(values, dtype=float)
     return np.mean(values[:, None] >= np.asarray(r_grid, dtype=float)[None, :], axis=0)
-
-
-def fit_tail_slope(r, p_hat, cutoff: float) -> tuple[float | None, str]:
-    """Least-squares slope of log p_hat on log r over the informative range."""
-    r = np.asarray(r, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
-    mask = p_hat >= cutoff
-    fit = fit_line(np.log(r[mask]), np.log(p_hat[mask]))
-    if fit is None:
-        if np.all(p_hat == 0.0):
-            return None, "all mass at 0"
-        return None, "informative range too short for a slope fit"
-    return fit[0], ""
 
 
 def tail_curve(rs: ReplicationSet) -> np.ndarray:

@@ -91,11 +91,6 @@ class PenaltySpec:
         require_finite(gamma=self.gamma, a=self.a)
 
 
-def zero_penalty() -> PenaltySpec:
-    """The p_n = 0 spec used for unpenalized fits and degenerate checks."""
-    return PenaltySpec(family="none", schedule=TuningSchedule(c=0.0, e=0.0))
-
-
 def penalty_value(pen: PenaltySpec, n: int, t):
     """Evaluate p_n at t elementwise: an array gives an array of its shape, a
     scalar a float with the bits of its one-element array call.
@@ -316,15 +311,6 @@ def prox_array(pen: PenaltySpec, n: int, c: float, b: np.ndarray, lo: float, hi:
     else:
         cands = _selo_candidates_array(c, b, lam, n, pen.tau.value(n))
     return _least(pen, n, c, b, cands, lo, hi)
-
-
-def scalar_prox(pen: PenaltySpec, n: int, c: float, b: float) -> float:
-    """Global minimizer of x -> c*(x-b)^2 + p_n(x), c > 0.
-
-    Returns a literal 0.0 when the zero candidate wins, so downstream sparsity
-    events are exact rather than thresholded.
-    """
-    return scalar_prox_interval(pen, n, c, b, -math.inf, math.inf)
 
 
 def scalar_prox_interval(pen: PenaltySpec, n: int, c: float, b: float,

@@ -1,16 +1,14 @@
 """Global minimization of the penalized contrast over a compact box.
 
 Cyclic exact coordinate descent from a deterministic multistart set, run by
-one elementwise kernel on every start of a block of fits at once, with a
-brute-force nested-grid oracle for low dimensions. Exact zeros come from the
-prox, never from thresholding, so zero-hit events are well defined.
+one elementwise kernel on every start of a block of fits at once. Exact zeros
+come from the prox, never from thresholding, so zero-hit events are well
+defined.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,57 +263,3 @@ def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = N
     theta, obj, conv, iterations, starts = minimize_block(
         c.dataset.X, np.asarray(c.dataset.Y, dtype=float)[None], c.penalty, c.n, box, opts or SolverOptions())
     return EstimateResult(theta[0], float(obj[0]), int(starts[0]), bool(conv[0]), int(iterations[0]))
-
-
-def _lattice_points(center: np.ndarray, span: np.ndarray, box: Box,
-                    points_per_axis: int, zero_coords: tuple[int, ...]) -> np.ndarray:
-    lo = np.maximum(box.lo_array(), center - span)
-    hi = np.minimum(box.hi_array(), center + span)
-    axes = [np.linspace(lo[j], hi[j], points_per_axis) for j in range(center.size)]
-    # the full lattice, then every subset of zero-block coordinates pinned to
-    # exactly 0, so exact-zero minima are representable on the lattice
-    pinnable = [j for j in zero_coords if box.lo[j] <= 0.0 <= box.hi[j]]
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(pinnable, r) for r in range(len(pinnable) + 1))
-    return np.vstack([np.stack(np.meshgrid(*[np.zeros(1) if j in pinned else axes[j]
-                                             for j in range(center.size)], indexing="ij"),
-                               axis=-1).reshape(-1, center.size) for pinned in subsets])
-
-
-def grid_oracle(c: Contrast, box: Box | None = None, stages: int = 4,
-                points_per_axis: int = 41) -> EstimateResult:
-    """Nested-grid brute-force argmin; the independent check for `minimize`.
-
-    Evaluates the full lattice (plus all zero-pinned sub-lattices of the zero
-    block), recenters on the best point with the span shrunk by 4/points_per_axis,
-    and repeats. Monotone across stages because the running best is kept.
-    Refuses p > 3 as a cost guard.
-    """
-    if box is None:
-        box = Box.cube(c.p)
-    if c.p > 3:
-        raise InvalidInputError("grid oracle refuses p > 3 (cost guard)")
-    if points_per_axis < 11:
-        raise InvalidInputError("points_per_axis must be >= 11")
-    if stages < 1:
-        raise InvalidInputError("stages must be >= 1")
-
-    zero_coords = tuple(range(c.dataset.p0))
-    lo, hi = box.lo_array(), box.hi_array()
-    center = 0.5 * (lo + hi)
-    span = 0.5 * (hi - lo)
-    best_obj = math.inf
-    best_pt = center.copy()
-    for _ in range(stages):
-        pts = _lattice_points(center, span, box, points_per_axis, zero_coords)
-        vals = contrast_value(c, pts)
-        low = vals == np.min(vals)
-        # the running best goes first, so it keeps a full tie
-        objs = np.r_[best_obj, vals[low]]
-        cands = np.vstack([best_pt, pts[low]])
-        i = tiebreak_argmin(np.zeros(objs.size, dtype=int), objs, cands)[0]
-        best_obj, best_pt = float(objs[i]), cands[i]
-        center = best_pt.copy()
-        span = span * (4.0 / points_per_axis)
-
-    return EstimateResult(best_pt, best_obj, stages, True, stages)

@@ -12,21 +12,21 @@ import pytest
 
 from bridgelab.asymptotics import limit_law, sample_limit_argmin, sparse_limit_params
 from bridgelab.cli import main as cli_main
-from bridgelab.contrast import Contrast, local_field, plaq_decompose
-from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter, make_dataset
+from bridgelab.contrast import Contrast
+from bridgelab.model import DesignSpec, NoiseSpec, TrueParameter
 from bridgelab.montecarlo import (
     INFORMATIVE_COUNT,
     MCConfig,
-    fit_tail_slope,
     moment_trajectory,
     pldi_probe,
     run_replications,
     sparsity_curve,
     tail_curve,
 )
-from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox
-from bridgelab.solver import Box, grid_oracle, minimize
-from conftest import prox_grid_oracle, random_penalty, scalar_objective
+from bridgelab.penalty import PenaltySpec, TuningSchedule, scalar_prox_interval
+from bridgelab.solver import Box, minimize
+from conftest import (fit_tail_slope, grid_oracle, local_field, make_dataset, plaq_decompose,
+                      prox_grid_oracle, random_penalty, scalar_objective)
 
 
 def _report(criterion: int, ok: bool, detail: str):
@@ -103,7 +103,7 @@ def test_criterion_02_scalar_prox_vs_1d_oracle():
         n = int(rng.integers(1, 500))
         c = float(rng.uniform(0.05, 50.0))
         b = float(rng.uniform(-6.0, 6.0))
-        x = scalar_prox(pen, n, c, b)
+        x = scalar_prox_interval(pen, n, c, b, -math.inf, math.inf)
         fx = float(scalar_objective(pen, n, c, b, x))
         _, f_oracle = prox_grid_oracle(pen, n, c, b)
         worst = max(worst, fx - f_oracle)
@@ -115,7 +115,7 @@ def test_criterion_02_scalar_prox_vs_1d_oracle():
         pen = _bridge(lam_c, 0.0, 1.0)
         c = float(rng.uniform(0.05, 20.0))
         b = float(rng.uniform(-5.0, 5.0))
-        x = scalar_prox(pen, 1, c, b)
+        x = scalar_prox_interval(pen, 1, c, b, -math.inf, math.inf)
         closed = math.copysign(max(abs(b) - lam_c / (2.0 * c), 0.0), b)
         worst_soft = max(worst_soft, abs(x - closed))
         assert abs(x - closed) <= 1e-12

@@ -12,7 +12,7 @@ import pytest
 import bridgelab
 from bridgelab.asymptotics import penalty_gamma, regime_classify
 from bridgelab.cli import _row_template, main
-from bridgelab.config import _KEYS, config_from_echo, parse_config
+from bridgelab.config import _KEYS, build_config, parse_config
 from bridgelab.contrast import Contrast
 from bridgelab.errors import ConfigError
 from bridgelab.model import Dataset, generate_design, simulate_responses
@@ -91,7 +91,7 @@ def test_missing_required_fields(tmp_path):
 
 def test_config_echo_round_trip(cfg_path):
     ec = parse_config(cfg_path)
-    again = config_from_echo(ec.raw)
+    again = build_config(ec.raw)
     assert again.mc == ec.mc
     assert again.n_single == ec.n_single
 
@@ -610,7 +610,7 @@ def test_mc_emits_three_files(cfg_path, tmp_path, capsys):
         assert 0.0 <= entry["frequency"] <= 1.0
 
     ec = parse_config(cfg_path)
-    assert config_from_echo(summary["config"]).mc == ec.mc
+    assert build_config(summary["config"]).mc == ec.mc
 
     # fractional orders keep their text: "1.5" in the moments, "0.5" in the probe and tail.csv
     path = tmp_path / "orders.cfg"
@@ -965,7 +965,12 @@ def test_check_tests_the_gram_against_the_c0_of_limit(tmp_path, capsys):
     # the argmin draws near -tilt / 2 overflow the moments the summary reports
     ((("e = 0.6", "e = 0.5"), ("gamma = 0.5", "gamma = 100"), ("rho0 = 1e300", "rho0 = 1000")),
      "the limit argmin samples overflow their cov, abs_moment_2, abs_moment_4"),
-], ids=["pseudo-true", "standard-tilt", "standard-argmin"])
+    # standard regime with gamma = 1 on C0 = (1e-10^2 / 3p) I: the tilt lambda0 = 1e300 is
+    # finite, but the stationary point C0^-1 (W - t/2) overflows, with no numpy warning
+    ((("rho0 = 1e300", "rho0 = 1.0"), ("standardized-orthonormal", "bounded-random-frozen\nbound = 1e-10"),
+      ("gamma = 0.5", "gamma = 1"), ("c = 1.0", "c = 1e300"), ("e = 0.6", "e = 0.5")),
+     "the limit argmin samples overflow their mean, cov, abs_moment_2, abs_moment_4"),
+], ids=["pseudo-true", "standard-tilt", "standard-argmin", "standard-stationary-point"])
 def test_limit_with_overflowing_truth_exits_2(tmp_path, capsys, edits, message):
     text = BASE.replace("rho0 = 1.0", "rho0 = 1e300")
     for edit in edits:

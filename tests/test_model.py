@@ -9,13 +9,13 @@ from bridgelab.model import (
     COND_GRAM_RATE,
     COND_NONZERO_GRAM_RATE,
     COND_ZERO_GRAM,
+    Dataset,
     DesignSpec,
     NoiseSpec,
     TrueParameter,
     check_design_conditions,
     generate_design,
     gram,
-    make_dataset,
     simulate_responses,
 )
 from bridgelab.penalty import TuningSchedule
@@ -190,9 +190,9 @@ def test_design_conditions_need_increasing_grid():
                                 TuningSchedule(1.0, 0.1), (1, 1))
 
 
-def test_make_dataset_roundtrip():
+def test_dataset_of_a_drawn_design_and_responses():
     truth = TrueParameter(p0=1, rho0=(1.0,))
-    ds = make_dataset(DesignSpec(kind="standardized-orthonormal", p=2), truth,
-                      NoiseSpec("gaussian", 1.0), 40, design_seed=1, noise_seed=2)
+    X = generate_design(DesignSpec(kind="standardized-orthonormal", p=2), 40, 1)
+    ds = Dataset(X=X, Y=simulate_responses(X, truth, NoiseSpec("gaussian", 1.0), 2), truth=truth, n=40)
     assert ds.n == 40 and ds.p0 == 1 and ds.p1 == 1
     assert ds.X.shape == (40, 2) and ds.Y.shape == (40,)

@@ -19,7 +19,6 @@ from bridgelab.montecarlo import (
     ReplicationSet,
     compare_to_limit,
     config_law,
-    fit_tail_slope,
     limit_c0,
     moment_trajectory,
     order_label,
@@ -30,16 +29,17 @@ from bridgelab.montecarlo import (
     survival_curve,
     tail_curve,
 )
-from bridgelab.penalty import PenaltySpec, TuningSchedule, prox_array, scalar_prox_interval, zero_penalty
+from bridgelab.penalty import PenaltySpec, TuningSchedule, prox_array, scalar_prox_interval
 from bridgelab.solver import Box
 from bridgelab.util import derive_seed, derived_seeds, seeded_generators
+from conftest import NO_PENALTY, fit_tail_slope
 
 
 def _cfg(family="bridge", gamma=0.5, c=1.0, e=0.6, sigma=1.0, p0=1, rho0=(1.0,),
          n_grid=(50, 100), R=100, seed=99, **kw):
     truth = TrueParameter(p0=p0, rho0=rho0)
     if family == "none":
-        pen = zero_penalty()
+        pen = NO_PENALTY
     else:
         pen = PenaltySpec(family=family, schedule=TuningSchedule(c, e), gamma=gamma)
     return MCConfig(
@@ -431,7 +431,7 @@ def _pooled_campaigns(family: str, n_grid: tuple[int, ...], R: int, seeds: range
     (PenaltySpec(family="selo", schedule=TuningSchedule(1.0, -1.0), tau=TuningSchedule(0.01, -0.5)),
      (0.84164,) * 3),
     # none: z_hat = b, so the threshold is 0 and no fit hits zero
-    (zero_penalty(), (0.0,) * 3),
+    (NO_PENALTY, (0.0,) * 3),
 ], ids=["bridge", "scad", "selo", "none"])
 def test_selection_rate_matches_the_exact_orthonormal_rate(pen, hit_rates):
     # On an orthonormal Gaussian design X'X = nI, so z_hat is the prox (c = n) of b ~ N(0, 1/n)
@@ -552,7 +552,7 @@ def test_warning_on_boundary_contact():
         design=DesignSpec(kind="standardized-orthonormal", p=1),
         noise=NoiseSpec(family="gaussian", sigma=0.0),
         truth=truth,
-        penalty=zero_penalty(),
+        penalty=NO_PENALTY,
         n_grid=(50,),
         replications=100,
         master_seed=1,

@@ -18,11 +18,9 @@ from bridgelab.penalty import (
     penalty_total,
     penalty_value,
     power_prox_candidates,
-    scalar_prox,
     scalar_prox_interval,
-    zero_penalty,
 )
-from conftest import prox_grid_oracle, random_penalty, scalar_objective
+from conftest import NO_PENALTY, prox_grid_oracle, random_penalty, scalar_objective
 
 
 def bridge(c, e, gamma):
@@ -71,7 +69,7 @@ def test_selo_zero_and_saturation():
 
 
 def test_penalty_total_examples():
-    assert penalty_total(zero_penalty(), 5, np.zeros(4)) == 0.0
+    assert penalty_total(NO_PENALTY, 5, np.zeros(4)) == 0.0
     pen = bridge(4.0, 0.0, 0.5)
     assert penalty_total(pen, 1, np.array([1.0, 4.0])) == pytest.approx(12.0)
 
@@ -103,7 +101,7 @@ def test_penalty_even_nonnegative_zero_at_zero(t, fam, gamma):
 
 
 @pytest.mark.parametrize("pen", [bridge(1.3, 0.4, 0.7), scad(0.3, 0.1), selo(0.2, 0.1, tau_c=0.05, tau_e=-0.5),
-                                 zero_penalty()], ids=["bridge", "scad", "selo", "none"])
+                                 NO_PENALTY], ids=["bridge", "scad", "selo", "none"])
 def test_scalar_penalty_value_has_the_bits_of_its_one_element_call(pen):
     # p_n has one formula: a scalar t gives a float with the bits of the array call on [t]
     rng = np.random.default_rng(23)
@@ -133,14 +131,14 @@ def test_schedule_validation():
 
 def test_prox_soft_threshold_closed_form():
     pen = bridge(1.0, 0.0, 1.0)
-    assert scalar_prox(pen, 1, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert scalar_prox(pen, 1, 1.0, 0.4) == 0.0
-    assert scalar_prox(pen, 1, 1.0, -1.0) == pytest.approx(-0.5, abs=1e-15)
+    assert scalar_prox_interval(pen, 1, 1.0, 1.0, -math.inf, math.inf) == pytest.approx(0.5, abs=1e-15)
+    assert scalar_prox_interval(pen, 1, 1.0, 0.4, -math.inf, math.inf) == 0.0
+    assert scalar_prox_interval(pen, 1, 1.0, -1.0, -math.inf, math.inf) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_prox_bridge_half_matches_grid_oracle():
     pen = bridge(2.0, 0.0, 0.5)
-    x = scalar_prox(pen, 1, 1.0, 2.0)
+    x = scalar_prox_interval(pen, 1, 1.0, 2.0, -math.inf, math.inf)
     x_oracle, _ = prox_grid_oracle(pen, 1, 1.0, 2.0, pad=2.0)
     assert x == pytest.approx(x_oracle, abs=1e-6)
 
@@ -148,21 +146,21 @@ def test_prox_bridge_half_matches_grid_oracle():
 def test_prox_scad_flat_region_identity():
     pen = scad(0.1, 0.0, a=3.7)
     # far beyond a*lambda the penalty is flat, so the quadratic wins exactly
-    assert scalar_prox(pen, 10, 2.0, 5.0) == 5.0
+    assert scalar_prox_interval(pen, 10, 2.0, 5.0, -math.inf, math.inf) == 5.0
 
 
 def test_unpenalized_spec_holds_lambda_zero_whatever_its_schedule():
     # the spec holds lambda_n = 0, so the value, the prox and the regime read one schedule
-    assert PenaltySpec(family="none", schedule=TuningSchedule(1.0, 0.5)) == zero_penalty()
+    assert PenaltySpec(family="none", schedule=TuningSchedule(1.0, 0.5)) == NO_PENALTY
 
 
 def test_prox_zero_penalty_identity():
-    assert scalar_prox(zero_penalty(), 7, 3.0, -1.234) == -1.234
+    assert scalar_prox_interval(NO_PENALTY, 7, 3.0, -1.234, -math.inf, math.inf) == -1.234
 
 
 def test_prox_rejects_nonpositive_curvature():
     with pytest.raises(InvalidInputError):
-        scalar_prox(zero_penalty(), 1, 0.0, 1.0)
+        scalar_prox_interval(NO_PENALTY, 1, 0.0, 1.0, -math.inf, math.inf)
 
 
 @given(seed=st.integers(0, 10**6))
@@ -173,7 +171,7 @@ def test_prox_beats_fallback_grid(seed):
     n = int(rng.integers(1, 200))
     c = float(rng.uniform(0.05, 20.0))
     b = float(rng.uniform(-6.0, 6.0))
-    x = scalar_prox(pen, n, c, b)
+    x = scalar_prox_interval(pen, n, c, b, -math.inf, math.inf)
     fx = float(scalar_objective(pen, n, c, b, x))
     grid = np.linspace(-abs(b) - 1.0, abs(b) + 1.0, 10_000)
     fg = float(np.min(scalar_objective(pen, n, c, b, grid)))
@@ -190,7 +188,7 @@ def test_prox_bridge_monotone_in_b(seed, gamma):
     n = int(rng.integers(1, 100))
     c = float(rng.uniform(0.1, 10.0))
     ladder = np.sort(rng.uniform(0.0, 5.0, size=8))
-    outs = [abs(scalar_prox(pen, n, c, float(b))) for b in ladder]
+    outs = [abs(scalar_prox_interval(pen, n, c, float(b), -math.inf, math.inf)) for b in ladder]
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(outs, outs[1:]))
 
 
@@ -207,17 +205,18 @@ def test_prox_interval_raises_where_a_bridge_value_overflows_at_a_finite_end():
     for lo, hi in ((-1e200, 1e200), (-1.0, 1e200), (-1e200, math.inf)):
         with pytest.raises(InvalidInputError, match="overflows"):
             scalar_prox_interval(pen, 1, 1.0, 0.5, lo, hi)
-    assert scalar_prox_interval(pen, 1, 1.0, 0.5, -1.0, 1.0) == scalar_prox(pen, 1, 1.0, 0.5)
+    assert (scalar_prox_interval(pen, 1, 1.0, 0.5, -1.0, 1.0)
+            == scalar_prox_interval(pen, 1, 1.0, 0.5, -math.inf, math.inf))
 
 
 @pytest.mark.parametrize("pen", [bridge(1.0, 0.0, 0.5), bridge(1.0, 0.0, 1.5), bridge(0.0, 0.0, 0.5),
-                                 scad(0.2, 0.0), selo(0.2, 0.0), zero_penalty()],
+                                 scad(0.2, 0.0), selo(0.2, 0.0), NO_PENALTY],
                          ids=["bridge-0.5", "bridge-1.5", "bridge-lam0", "scad", "selo", "none"])
 def test_prox_zero_rule_is_positive_zero_in_every_family(pen):
     # b = +-0 gives the literal +0.0 wherever the box holds 0, and the end
     # nearest 0 where it does not
     for b in (0.0, -0.0):
-        zeros = [scalar_prox(pen, 10, 2.0, b)] + [
+        zeros = [scalar_prox_interval(pen, 10, 2.0, b, -math.inf, math.inf)] + [
             scalar_prox_interval(pen, 10, 2.0, b, lo, hi)
             for lo, hi in ((-1.0, 1.0), (0.0, 2.0), (-2.0, 0.0), (-2.0, -0.0))]
         assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in zeros), zeros
@@ -234,7 +233,7 @@ def test_selo_prox_is_finite_for_tiny_tau(monkeypatch, tau):
     for c, b, lam in _log_uniform_prox_inputs(5, 300):
         n = int(rng.integers(1, 5000))
         pen = selo(lam, 0.0, tau_c=tau, tau_e=0.0)
-        x = scalar_prox(pen, n, c, b)
+        x = scalar_prox_interval(pen, n, c, b, -math.inf, math.inf)
         assert math.isfinite(x) and (x == 0.0 or abs(x) <= abs(b))
         obj = lambda t: scalar_objective(pen, n, c, b, t)
         assert obj(x) <= min(obj(0.0), obj(b))
@@ -323,7 +322,7 @@ def test_prox_root_finds_stop_at_float_resolution(monkeypatch, gamma):
     if gamma == "selo":
         for c, b, lam in _log_uniform_prox_inputs(11, 3000):
             pen = selo(lam, 0.0, tau_c=10.0 ** rng.uniform(-4.0, 0.0), tau_e=0.0)
-            scalar_prox(pen, int(rng.integers(1, 5000)), c, b)
+            scalar_prox_interval(pen, int(rng.integers(1, 5000)), c, b, -math.inf, math.inf)
     else:
         power_prox_candidates(*_log_uniform_prox_arrays(11, 3000)[[0, 1, 2]], gamma)
     assert len(evaluations) >= 1000
@@ -455,7 +454,8 @@ def test_selo_root_matches_a_50_digit_bisection_to_274_ulp():
             ref = float(_decimal_bisect(h, dip, beta))
         ulps.append(abs(abs(x[0]) - ref) / math.ulp(ref))
         assert math.copysign(1.0, x[0]) == math.copysign(1.0, b)
-        assert scalar_prox(selo(lam, 0.0, tau_c=tau, tau_e=0.0), n, c, b) in (0.0, x[0])
+        pen = selo(lam, 0.0, tau_c=tau, tau_e=0.0)
+        assert scalar_prox_interval(pen, n, c, b, -math.inf, math.inf) in (0.0, x[0])
     assert len(ulps) >= 500
     assert max(ulps) <= 274.0, f"worst {max(ulps)} ulp"
 
@@ -607,7 +607,7 @@ def test_smooth_conditions_smooth_bridge():
 
 
 def test_smooth_conditions_degenerate_zero_penalty():
-    growth, shift = check_smooth_conditions(zero_penalty(), N_GRID, (0.5, 1.0),
+    growth, shift = check_smooth_conditions(NO_PENALTY, N_GRID, (0.5, 1.0),
                                             (1.0, 2.0), beta=0.25)
     assert growth["verdict"] == "satisfied"
     assert shift["verdict"] == "satisfied"
@@ -626,4 +626,4 @@ def test_smooth_conditions_flags_sparse_slow_bridge():
 
 def test_smooth_conditions_rejects_zero_probe():
     with pytest.raises(InvalidInputError):
-        check_smooth_conditions(zero_penalty(), N_GRID, (0.0,), (1.0,), beta=0.25)
+        check_smooth_conditions(NO_PENALTY, N_GRID, (0.0,), (1.0,), beta=0.25)

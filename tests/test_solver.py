@@ -12,11 +12,10 @@ from bridgelab.model import (
     NoiseSpec,
     TrueParameter,
     generate_design,
-    make_dataset,
     simulate_responses,
 )
 from bridgelab.montecarlo import design_seed, replication_seed
-from bridgelab.penalty import PenaltySpec, TuningSchedule, prox_array, scalar_prox_interval, zero_penalty
+from bridgelab.penalty import PenaltySpec, TuningSchedule, prox_array, scalar_prox_interval
 from bridgelab.solver import (
     PATTERN_COORDS,
     Box,
@@ -24,13 +23,12 @@ from bridgelab.solver import (
     _keep_mask,
     _multistart_points,
     box_descent,
-    grid_oracle,
     minimize,
     ols_pinv,
     tiebreak_argmin,
     zeroed_starts,
 )
-from conftest import random_penalty
+from conftest import NO_PENALTY, grid_oracle, make_dataset, random_penalty
 
 
 def _bridge(c, e, gamma):
@@ -79,7 +77,7 @@ def test_box_validation_and_membership():
 
 
 def test_unpenalized_minimize_recovers_ols():
-    c = _contrast(zero_penalty(), n=40, seed=2)
+    c = _contrast(NO_PENALTY, n=40, seed=2)
     res = minimize(c, Box.cube(2, half=50.0))
     ols, *_ = np.linalg.lstsq(c.dataset.X, c.dataset.Y, rcond=None)
     assert_allclose(res.theta_hat, ols, atol=1e-8)
@@ -158,7 +156,7 @@ def test_multistart_points_follow_their_definition(p0, box, count):
     _bridge(1.0, 0.4, 1.5),
     PenaltySpec(family="scad", schedule=TuningSchedule(0.5, -0.25), a=3.7),
     PenaltySpec(family="selo", schedule=TuningSchedule(0.05, 0.0), tau=TuningSchedule(0.1, -0.5)),
-    zero_penalty(),
+    NO_PENALTY,
 ], ids=["bridge-0.5", "bridge-1.5", "scad", "selo", "none"])
 @pytest.mark.parametrize("kind, p0, p", [
     ("standardized-orthonormal", 1, 2),
@@ -199,7 +197,7 @@ def test_minimize_deterministic():
 
 
 def test_minimize_respects_box():
-    c = _contrast(zero_penalty(), n=40, seed=2)
+    c = _contrast(NO_PENALTY, n=40, seed=2)
     box = Box(lo=(-0.1, -0.1), hi=(0.1, 0.1))
     res = minimize(c, box)
     assert box.contains(res.theta_hat)
@@ -207,11 +205,11 @@ def test_minimize_respects_box():
 
 
 def test_minimize_rejects_nonfinite_data():
-    c = _contrast(zero_penalty(), n=10, seed=1)
+    c = _contrast(NO_PENALTY, n=10, seed=1)
     c.dataset.Y[0] = np.nan
     with pytest.raises(InvalidInputError):
         minimize(c, Box.cube(2))
-    c = _contrast(zero_penalty(), n=10, seed=1)
+    c = _contrast(NO_PENALTY, n=10, seed=1)
     c.dataset.X[3, 1] = np.inf
     with pytest.raises(InvalidInputError):
         minimize(c, Box.cube(2))
@@ -248,7 +246,7 @@ def test_converged_if_any_start_reaching_the_winner_converged():
 
 
 def test_grid_oracle_quadratic_argmin():
-    c = _contrast(zero_penalty(), n=30, sigma=0.0, seed=9, p0=0, rho0=(2.0,))
+    c = _contrast(NO_PENALTY, n=30, sigma=0.0, seed=9, p0=0, rho0=(2.0,))
     res = grid_oracle(c, Box.cube(1), stages=4, points_per_axis=41)
     assert res.theta_hat[0] == pytest.approx(2.0, abs=1e-3)
 
@@ -285,7 +283,7 @@ def test_grid_oracle_cost_guard():
     truth = TrueParameter(p0=2, rho0=(1.0, 1.0))
     ds = make_dataset(DesignSpec(kind="standardized-orthonormal", p=4), truth,
                       NoiseSpec("gaussian", 1.0), 20, design_seed=1, noise_seed=2)
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     with pytest.raises(InvalidInputError):
         grid_oracle(c, Box.cube(4))
 
@@ -297,7 +295,7 @@ def test_zero_column_coordinate_goes_to_zero():
     Y = X @ truth.theta  # noiseless; second column is identically zero
     # column order: zero block first, so put the dead column in the zero block
     ds = Dataset(X=X[:, ::-1].copy(), Y=Y, truth=truth, n=12)
-    c = Contrast(dataset=ds, penalty=zero_penalty())
+    c = Contrast(dataset=ds, penalty=NO_PENALTY)
     res = minimize(c, Box.cube(2))
     assert res.theta_hat[0] == 0.0
 
@@ -382,7 +380,7 @@ def test_gram_form_matches_residual_form():
     kinds = ("standardized-orthonormal", "bounded-random-frozen")
     for trial in range(48):
         if trial % 8 == 0:
-            pen = zero_penalty()
+            pen = NO_PENALTY
         else:
             pen = random_penalty(rng, gammas=(0.3, 0.5, 1.0, 1.5, 2.0))
         p = int(rng.integers(1, 9))
