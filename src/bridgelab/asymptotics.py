@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .penalty import PenaltySpec, TuningSchedule
 from .penalty import power_prox_candidates  # noqa: F401  (perfbench/tracer.py wraps it; ROADMAP item 1)
-from .solver import PATTERN_COORDS, Box, box_descent, field_starts, tiebreak_argmin
+from .solver import PATTERN_COORDS, Box, box_argmin
 from .util import rows_times, spawned_normals
 
 REGIME_STANDARD = "standard"
@@ -147,13 +147,13 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     """Draw R argmin samples of the standard-regime limit field.
 
     Per draw: W ~ N(0, sigma^2 C0) from the normals of the k-th child of
-    `SeedSequence(seed).spawn(R)` (`util.spawned_normals`). The field is then
-    minimized by `box_descent` (closed form when the effective penalty is
-    smooth) from `field_starts` (one start per draw when C0 is diagonal), with
-    the endpoint chosen by the solver's tie-break. Draws go through the kernel
-    in fixed blocks with elementwise rules, so draw k depends only on (law,
-    seed, k). Raises InvalidInputError, before any draw, when the field's
-    linear tilt t is not finite.
+    `SeedSequence(seed).spawn(R)` (`util.spawned_normals`). The field is
+    (u - b)'C0(u - b) + sum_j s_j |u_j|^g_j plus a constant, b = C0^-1 (W - t/2)
+    its smooth part's stationary point. The draw is b where no s_j > 0, and
+    else the argmin of `solver.box_argmin` from b (b alone per draw when C0 is
+    diagonal). Draws go through it in fixed blocks with elementwise rules, so
+    draw k depends only on (law, seed, k). Raises InvalidInputError, before
+    any draw, when the field's linear tilt t is not finite.
     """
     tag = law.regime["tag"]
     if tag != REGIME_STANDARD:
@@ -176,19 +176,13 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
         if np.all(s == 0.0):
             return base
 
-        # starts per draw (`field_starts`): base, origin, and zero patterns of the
-        # first PATTERN_COORDS nonconvex coordinates; base alone for a diagonal C0
         nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:PATTERN_COORDS]
         pens = _power_penalties(s, g)
         samples = np.empty((R, p))
         for a in range(0, R, _SAMPLER_BLOCK):
-            starts = field_starts(C0, base[a:a + _SAMPLER_BLOCK], nonconvex)
-            n_starts = starts.shape[0] // min(R - a, _SAMPLER_BLOCK)
-            W = np.repeat(W_all[a:a + _SAMPLER_BLOCK], n_starts, axis=0)
-            U = box_descent(C0, W - 0.5 * t, pens, 1, starts)[0]
-            vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
-            draw = np.arange(U.shape[0]) // n_starts
-            samples[a:a + _SAMPLER_BLOCK] = U[tiebreak_argmin(draw, vals, U)]
+            block = slice(a, a + _SAMPLER_BLOCK)
+            win, ends, *_ = box_argmin(C0, W_all[block] - 0.5 * t, base[block], nonconvex, pens, 1)
+            samples[block] = ends[win]
     return samples
 
 
@@ -228,10 +222,10 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     """argmin over the box of (theta-theta0)'C0(theta-theta0) + lambda0 sum |theta_j|^gamma.
 
     Returns (point, exact-zero flags); the flags define the pseudo-true split.
-    Deterministic: `field_starts` (zero-support patterns, or theta0 alone for a
-    diagonal C0) with the lexicographic tie-break. Raises InvalidInputError
-    when the best objective is not finite, before the descent (and without a
-    numpy warning) when the quadratic term overflows at every point of the box.
+    Deterministic: `solver.box_argmin` from theta0 (zero-support patterns, or
+    theta0 alone for a diagonal C0). Raises InvalidInputError when the
+    winner's objective is not finite, before the descent (and without a numpy
+    warning) when the quadratic term overflows at every point of the box.
     """
     C0 = np.asarray(C0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
@@ -251,15 +245,12 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     if not math.isfinite(gap * gap):
         raise InvalidInputError("the pseudo-true objective overflows: inf at every point of the box")
 
-    starts = field_starts(C0, theta0[None, :], np.arange(min(p, PATTERN_COORDS)))
-    th = box_descent(C0, C0 @ theta0, _power_penalties(np.full(p, lambda0), np.full(p, gamma)), 1, starts,
-                     box.lo_array(), box.hi_array())[0]
-    d = th - theta0
-    objective = np.sum(rows_times(d, C0) * d, axis=1) + lambda0 * np.sum(np.abs(th) ** gamma, axis=1)
-    i = tiebreak_argmin(np.zeros(th.shape[0], dtype=int), objective, th)[0]
-    if not np.isfinite(objective[i]):
-        raise InvalidInputError(f"the pseudo-true objective overflows: {objective[i]} at every start")
-    return th[i], th[i] == 0.0
+    win, ends, value, *_ = box_argmin(C0, C0 @ theta0, theta0[None], np.arange(min(p, PATTERN_COORDS)),
+                                      _power_penalties(np.full(p, lambda0), np.full(p, gamma)), 1,
+                                      box.lo_array(), box.hi_array())
+    if not np.isfinite(value[win[0]]):
+        raise InvalidInputError(f"the pseudo-true objective overflows: {value[win[0]]} at every start")
+    return ends[win[0]], ends[win[0]] == 0.0
 
 
 def limit_law(gamma: float, schedule: TuningSchedule, sigma2: float, C0,

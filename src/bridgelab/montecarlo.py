@@ -24,6 +24,7 @@ from .asymptotics import (
     penalty_gamma,
     sample_limit_argmin,
 )
+from .asymptotics import v0_on_points  # noqa: F401  (perfbench/oracles.py imports it; nothing in src/ calls it)
 from .errors import InvalidInputError, InvalidSpecError
 from .model import DesignSpec, NoiseSpec, TrueParameter, draw_noise, generate_design, gram
 from .model import simulate_responses  # noqa: F401  (perfbench/tracer.py wraps montecarlo.simulate_responses)
@@ -331,13 +332,12 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return d
 
 
-def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
+def compare_to_limit(rs: ReplicationSet) -> dict:
     """Distance report between the scaled estimates and the limit law of the
     campaign's config (`config_law`).
 
     sparse-normal: mean gap in SE units and relative covariance gap;
-    standard: per-margin ECDF sup-distance against argmin samples of matched R
-    (or against `limit_samples`);
+    standard: per-margin ECDF sup-distance against argmin samples of matched R;
     sparse-slow: location-only check of (n/lambda_n)(rho_hat - rho0);
     pseudo-true: distance to the pseudo-true point plus exact-zero frequency.
     """
@@ -373,11 +373,7 @@ def compare_to_limit(rs: ReplicationSet, *, limit_samples=None) -> dict:
     if tag == REGIME_STANDARD:
         for n in cfg.n_grid:
             scaled = np.hstack([rs.u_hat(n), rs.v_hat(n)])
-            if limit_samples is None:
-                draws = sample_limit_argmin(law, R=scaled.shape[0],
-                                            seed=derive_seed(cfg.master_seed, 777, n))
-            else:
-                draws = np.asarray(limit_samples, dtype=float)
+            draws = sample_limit_argmin(law, R=scaled.shape[0], seed=derive_seed(cfg.master_seed, 777, n))
             ks = [_ks_distance(scaled[:, j], draws[:, j]) for j in range(scaled.shape[1])]
             report["per_n"][n] = {
                 "ks_per_margin": ks,

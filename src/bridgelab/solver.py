@@ -1,9 +1,10 @@
 """Global minimization of the penalized contrast over a compact box.
 
 Cyclic exact coordinate descent from a deterministic multistart set, run by
-one elementwise kernel on every start of a block of fits at once. Exact zeros
-come from the prox, never from thresholding, so zero-hit events are well
-defined.
+one elementwise kernel on every start of a block of fits at once, and one
+argmin around it (`box_argmin`: starts, ranking, pick) that the fits, the
+limit sampler and the pseudo-true point share. Exact zeros come from the
+prox, never from thresholding, so zero-hit events are well defined.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .contrast import Contrast, contrast_value
 from .errors import InvalidInputError, InvalidSpecError
 from .model import Dataset
-from .penalty import PenaltySpec, checked_penalty_value, prox_array
+from .penalty import PenaltySpec, checked_penalty_value, penalty_value, prox_array
 from .penalty import scalar_prox_interval  # noqa: F401  (perfbench/tracer.py wraps it; ROADMAP item 1)
 from .util import require_finite, rows_times
 
@@ -31,9 +32,8 @@ def tiebreak_argmin(groups: np.ndarray, objectives: np.ndarray, points: np.ndarr
 
     Magnitudes come before the signed lexicographic order so that exact-zero
     coordinates beat ulp-level perturbations when objectives tie; this keeps
-    zero-hit events well defined. `minimize`, `sample_limit_argmin` and
-    `pseudo_true` pick with it among the endpoints of one start rule: `zeroed_starts`
-    of their unpenalized stationary point (or, by `field_starts`, that point alone).
+    zero-hit events well defined. `box_argmin`, the one argmin of fits, limit
+    draws and the pseudo-true point, picks with it and no other code does.
     """
     order = np.lexsort((*points.T[::-1], *np.abs(points).T[::-1], objectives, groups))
     g = groups[order]
@@ -69,10 +69,6 @@ class Box:
 
     def hi_array(self) -> np.ndarray:
         return np.asarray(self.hi, dtype=float)
-
-    def contains(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(theta >= self.lo_array()) and np.all(theta <= self.hi_array()))
 
     def clip(self, theta) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.lo_array(), self.hi_array())
@@ -135,32 +131,6 @@ def zeroed_starts(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.where(keep, base[:, None, :], 0.0).reshape(-1, keep.shape[1])
 
 
-def field_starts(Q: np.ndarray, base: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Starts of a limit-field descent on Q from its stationary points: `zeroed_starts`, or
-    base alone if Q is diagonal and base finite. Then b_j = (q_j - sum_k u_k * 0) / Q_jj is the
-    same from every start (up to a zero's sign, which the prox drops), and so is the endpoint."""
-    if np.any(Q[~np.eye(Q.shape[0], dtype=bool)]) or not np.all(np.isfinite(base)):
-        return zeroed_starts(base, coords)
-    return base
-
-
-def _multistart_points(ols: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Starts from the data alone, and the fit of each, for the fits whose OLS
-    points pinv(X) Y are the rows of `ols`: per fit the OLS point, the origin
-    and OLS with each nonempty subset of its first PATTERN_COORDS coordinates
-    set to 0 (`zeroed_starts`; these target the support-indexed basins of the
-    nonconvex penalties), clipped to the box, byte-duplicate rows dropped in order."""
-    m, p = ols.shape
-    starts = box.clip(zeroed_starts(ols, np.arange(min(p, PATTERN_COORDS))))
-    fit = np.repeat(np.arange(m), starts.shape[0] // m)
-    bits = starts.view(np.int64)
-    order = np.lexsort((*bits.T[::-1], fit))  # stable: a fit's equal rows keep their order
-    same = np.all(bits[order[1:]] == bits[order[:-1]], axis=1) & (fit[order[1:]] == fit[order[:-1]])
-    keep = np.ones(fit.size, dtype=bool)
-    keep[order[1:][same]] = False  # every copy after the earliest
-    return starts[keep], fit[keep]
-
-
 def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np.inf,
                 tolerance: float = 1e-13, max_sweeps: int = 2000):
     """Cyclic exact coordinate descent on u'Qu - 2q'u + sum_j p_j(u_j) over
@@ -201,19 +171,55 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
     return U, sweeps, converged
 
 
+def box_argmin(Q, q, base, coords, pens: list[PenaltySpec], n: int, lo=-np.inf, hi=np.inf,
+               tolerance: float = 1e-13, max_sweeps: int = 2000):
+    """Argmin over lo <= u <= hi of (u - b)'Q(u - b) + sum_j p_j(u_j) per row b of
+    `base`, a stationary point Q b = q (q one row, or one per b): the one argmin
+    of fits, limit draws and the pseudo-true point. Starts: `zeroed_starts` of
+    b clipped to the box, byte duplicates of one b dropped in order; b alone if
+    Q is diagonal and base finite, as every start then ends on the same bits.
+    One `box_descent` call runs them. Starts and endpoints are ranked by the
+    objective, summed elementwise so no row's value depends on the others; a
+    start is kept where its descent ends higher, and `tiebreak_argmin` picks.
+    Returns (winner per b, endpoints, ranking values, b of each, sweeps, converged)."""
+    Q, base = np.asarray(Q, dtype=float), np.asarray(base, dtype=float)
+    m, p = base.shape
+    lo, hi = np.broadcast_to(lo, p), np.broadcast_to(hi, p)
+    if np.any(Q[~np.eye(p, dtype=bool)]) or not np.all(np.isfinite(base)):
+        starts = np.clip(zeroed_starts(base, coords), lo, hi)
+        row = np.repeat(np.arange(m), starts.shape[0] // m)
+        key = np.column_stack((row, starts.view(np.int64)))
+        order = np.lexsort(key.T[::-1])  # stable: a b's equal starts keep their order
+        copies = order[1:][np.all(key[order[1:]] == key[order[:-1]], axis=1)]  # all but the earliest
+        starts, row = np.delete(starts, copies, axis=0), np.delete(row, copies)
+    else:
+        starts, row = np.clip(base, lo, hi), np.arange(m)
+    ends, sweeps, conv = box_descent(Q, np.broadcast_to(q, base.shape)[row], pens, n, starts,
+                                     lo, hi, tolerance, max_sweeps)
+    b, ones = base[row], np.ones((p, 1))
+
+    def rank(U):  # starts and endpoints apart: at p = 2 a 4,096-draw block's temporaries stay at 64 KiB
+        d, penalties = U - b, np.stack([penalty_value(pen, n, u) for pen, u in zip(pens, U.T)], axis=1)
+        return (rows_times(rows_times(d, Q) * d, ones) + rows_times(penalties, ones))[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing value is inf or nan and never wins
+        start_value, value = rank(starts), rank(ends)
+    back = value > start_value  # float-pathological sweep; keep the start itself
+    ends[back], value[back], conv[back], sweeps[back] = starts[back], start_value[back], True, 0
+    return tiebreak_argmin(row, value, ends), ends, value, row, sweeps, conv
+
+
 def minimize_block(X: np.ndarray, Y: np.ndarray, pen: PenaltySpec, n: int, box: Box, opts: SolverOptions):
     """`minimize` on the fits of the rows of Y, which share X, the penalty and
     n: X'X and pinv(X) are formed once, q = X'Y and the OLS points pinv(X) Y
-    by one stacked matmul each (a gemv per fit), one `box_descent` call,
-    stopped by `opts`, runs every start (`_multistart_points`) of every fit,
-    and a fit's bits do not depend on the others. One block `contrast_value`
-    call then scores every start and endpoint by the exact residual objective
-    (the Gram-form RSS cancels when RSS << Y'Y). A start is kept verbatim if
-    descent cannot improve it, so the returned objective never exceeds any
-    multistart objective, and `tiebreak_argmin` picks each fit's winner. Of
-    the starts that reached it, `converged` says whether any converged and
-    `iterations` counts the first converged one's sweeps (else the first's).
-    Returns per-fit arrays (theta_hat, objective, converged, iterations, starts)."""
+    by one stacked matmul each, and one `box_argmin` call from the OLS points,
+    stopped by `opts`, fits them all (zero patterns of the first PATTERN_COORDS
+    coordinates target the nonconvex penalties' basins); a fit's bits do not
+    depend on the others. Its ranking is Z_n less RSS(OLS), as X'(Y - X OLS) = 0;
+    one block `contrast_value` call scores the winners alone by the exact
+    residual objective. Of the starts that end on the winner's bits, `converged`
+    says whether any converged and `iterations` counts the first converged
+    one's sweeps (else the winner's). Returns per-fit arrays (theta_hat,
+    objective, converged, iterations, starts)."""
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("design contains non-finite values")
     Q = X.T @ X
@@ -227,29 +233,22 @@ def minimize_block(X: np.ndarray, Y: np.ndarray, pen: PenaltySpec, n: int, box: 
     lo, hi = box.lo_array(), box.hi_array()
     checked_penalty_value(pen, n, np.maximum(-lo, hi)[np.diag(Q) != 0.0])  # at the far box ends
 
-    S, group = _multistart_points(np.matmul(ols_pinv(X), Y[:, :, None])[:, :, 0], box)
-    counts = np.bincount(group, minlength=Y.shape[0])
-    ends, sweeps, conv = box_descent(Q, qs[group], [pen] * X.shape[1], n, S,
-                                     lo, hi, opts.tolerance, opts.max_sweeps)
-    values = contrast_value(Contrast(Dataset(X=X, Y=Y, truth=None, n=n), pen),
-                            np.concatenate((S, ends)), np.concatenate((group, group)))
-    start_obj, obj = values[:S.shape[0]], values[S.shape[0]:]
-    back = obj > start_obj  # float-pathological sweep; keep the start itself
-    ends[back], obj[back], conv[back], sweeps[back] = S[back], start_obj[back], True, 0
-
-    win = tiebreak_argmin(group, obj, ends)
-    bad = np.flatnonzero(~np.isfinite(obj[win]))
+    m, p = Y.shape[0], X.shape[1]
+    win, ends, _, group, sweeps, conv = box_argmin(
+        Q, qs, np.matmul(ols_pinv(X), Y[:, :, None])[:, :, 0], np.arange(min(p, PATTERN_COORDS)),
+        [pen] * p, n, lo, hi, opts.tolerance, opts.max_sweeps)
+    counts = np.bincount(group, minlength=m)
+    obj = contrast_value(Contrast(Dataset(X=X, Y=Y, truth=None, n=n), pen), ends[win], np.arange(m))
+    bad = np.flatnonzero(~np.isfinite(obj))
     if bad.size:
-        raise InvalidInputError(f"the objective overflows: {obj[win[bad[0]]]} "
-                                f"at the best of {counts[bad[0]]} starts")
-    # flags of the first converged start that reached the winner, if any
-    w = win[group]
-    reached = np.flatnonzero(conv & (obj == obj[w]) & np.all(ends == ends[w], axis=1))
+        raise InvalidInputError(f"the objective overflows: {obj[bad[0]]} at the best of {counts[bad[0]]} starts")
+    # flags of the first converged start with the winner's bits, if any; the winner is the first with them
+    bits = ends.view(np.int64)
+    reached = np.flatnonzero(conv & np.all(bits == bits[win[group]], axis=1))
     fits, earliest = np.unique(group[reached], return_index=True)
     flag = win.copy()
     flag[fits] = reached[earliest]
-    flag = np.where(conv[win], win, flag)
-    return ends[win], obj[win], conv[flag], sweeps[flag], counts
+    return ends[win], obj, conv[flag], sweeps[flag], counts
 
 
 def minimize(c: Contrast, box: Box | None = None, opts: SolverOptions | None = None) -> EstimateResult:

@@ -14,8 +14,8 @@ from bridgelab.contrast import Contrast, contrast_value
 from bridgelab.errors import InvalidInputError
 from bridgelab.model import Dataset, generate_design, simulate_responses
 from bridgelab.penalty import PenaltySpec, TuningSchedule, penalty_total, penalty_value
-from bridgelab.solver import Box, EstimateResult, tiebreak_argmin
-from bridgelab.util import fit_line
+from bridgelab.solver import Box, EstimateResult, box_descent, tiebreak_argmin
+from bridgelab.util import fit_line, rows_times
 
 # the p_n = 0 spec of unpenalized fits and degenerate checks
 NO_PENALTY = PenaltySpec(family="none", schedule=TuningSchedule(c=0.0, e=0.0))
@@ -28,6 +28,39 @@ def make_dataset(design, truth, noise, n: int, design_seed: int, noise_seed: int
     """generate_design then simulate_responses, with the generating truth attached."""
     X = generate_design(design, n, design_seed)
     return Dataset(X=X, Y=simulate_responses(X, truth, noise, noise_seed), truth=truth, n=n)
+
+
+def box_contains(box: Box, theta) -> bool:
+    """Whether theta lies in the closed box."""
+    theta = np.asarray(theta, dtype=float)
+    return bool(np.all(theta >= box.lo_array()) and np.all(theta <= box.hi_array()))
+
+
+def multistart_argmin(Q, q, base, starts, pens, n, lo=-np.inf, hi=np.inf, tolerance=1e-13, max_sweeps=2000):
+    """`solver.box_argmin` rebuilt on a given start set, with no duplicate drop and
+    no one-start rule: `starts` holds k rows per row b of `base`, in order. Every
+    start, clipped to the box, descends by `box_descent` with its b's row of q;
+    starts and endpoints are ranked by (u - b)'Q(u - b) + sum_j p_j(u_j), each sum
+    in index order; a start is kept where its endpoint ranks higher, and
+    `tiebreak_argmin` picks per b. Returns (winners, endpoints, sweeps, converged)."""
+    base = np.asarray(base, dtype=float)
+    k = starts.shape[0] // base.shape[0]
+    b = np.repeat(base, k, axis=0)
+    starts = np.clip(starts, lo, hi)
+    ends, sweeps, conv = box_descent(Q, np.repeat(np.broadcast_to(q, base.shape), k, axis=0), pens, n,
+                                     starts, lo, hi, tolerance, max_sweeps)
+    ones = np.ones((base.shape[1], 1))
+
+    def rank(U):
+        d = U - b
+        penalties = np.stack([penalty_value(pen, n, u) for pen, u in zip(pens, U.T)], axis=1)
+        return (rows_times(rows_times(d, Q) * d, ones) + rows_times(penalties, ones))[:, 0]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        start_values, values = rank(starts), rank(ends)
+    back = values > start_values
+    ends[back], values[back], sweeps[back], conv[back] = starts[back], start_values[back], 0, True
+    return tiebreak_argmin(np.arange(ends.shape[0]) // k, values, ends), ends, sweeps, conv
 
 
 def scalar_objective(pen, n, c, b, x):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bridgelab import asymptotics
+from bridgelab import asymptotics, solver
 from bridgelab.asymptotics import (
     REGIME_PSEUDO_TRUE,
     REGIME_SPARSE_NORMAL,
@@ -19,8 +19,9 @@ from bridgelab.asymptotics import (
 )
 from bridgelab.errors import InvalidInputError, UnsupportedRegimeError
 from bridgelab.penalty import TuningSchedule
-from bridgelab.solver import PATTERN_COORDS, Box, box_descent, tiebreak_argmin, zeroed_starts
+from bridgelab.solver import PATTERN_COORDS, Box, box_descent, zeroed_starts
 from bridgelab.util import rows_times, spawned_normals
+from conftest import box_contains, multistart_argmin
 
 
 def sched(c, e):
@@ -220,8 +221,7 @@ def test_sampler_draws_independent_of_count_and_block_size(monkeypatch, C0):
 
 def _multistart_draws(law, R, seed):
     """The sampler's draws by the full multistart recipe, in one block: every
-    draw descends from `zeroed_starts` of its stationary point, each endpoint
-    is scored by `v0_on_points`, and `tiebreak_argmin` picks per draw."""
+    draw's `multistart_argmin` from all `zeroed_starts` of its stationary point."""
     C0, theta0 = law.C0, law.theta0
     lam0 = law.regime["lambda0"] or 0.0
     t, s, g = asymptotics._v0_penalty_terms(law.gamma, lam0, theta0)
@@ -230,21 +230,19 @@ def _multistart_draws(law, R, seed):
     if np.all(s == 0.0):
         return base
     nonconvex = np.flatnonzero((s > 0.0) & (g < 1.0))[:PATTERN_COORDS]
-    n_starts = 1 + 2 ** nonconvex.size
-    W = np.repeat(W, n_starts, axis=0)
-    U = box_descent(C0, W - 0.5 * t, asymptotics._power_penalties(s, g), 1, zeroed_starts(base, nonconvex))[0]
-    vals = v0_on_points(U, W, law.gamma, lam0, C0, theta0)
-    return U[tiebreak_argmin(np.arange(U.shape[0]) // n_starts, vals, U)]
+    win, ends, *_ = multistart_argmin(C0, W - 0.5 * t, base, zeroed_starts(base, nonconvex),
+                                      asymptotics._power_penalties(s, g), 1)
+    return ends[win]
 
 
 def _kernel_rows(monkeypatch):
-    """The number of start rows of each `box_descent` call that `asymptotics` makes."""
+    """The number of start rows of each `box_descent` call that `solver` makes."""
     rows = []
 
     def counted(Q, q, pens, n, starts, *args):
         rows.append(starts.shape[0])
         return box_descent(Q, q, pens, n, starts, *args)
-    monkeypatch.setattr(asymptotics, "box_descent", counted)
+    monkeypatch.setattr(solver, "box_descent", counted)
     return rows
 
 
@@ -437,7 +435,7 @@ def test_pseudo_true_respects_a_box_without_the_origin(gamma):
     theta0 = np.array([0.45, -1.5])
     box = Box(lo=(0.5, -3.0), hi=(0.6, -0.8))
     pt, flags = pseudo_true(C0, 0.1, gamma, theta0, box=box)
-    assert box.contains(pt) and not np.any(flags)
+    assert box_contains(box, pt) and not np.any(flags)
 
     def objective(th):
         d = th - theta0
@@ -459,11 +457,16 @@ def test_pseudo_true_on_a_diagonal_c0_equals_the_multistart(monkeypatch, gamma, 
     rows = _kernel_rows(monkeypatch)
     pt, flags = pseudo_true(C0, 0.4, gamma, theta0, box=box)
     assert rows == [1]
-    monkeypatch.setattr(asymptotics, "field_starts", lambda Q, base, coords: zeroed_starts(base, coords))
-    multistart, multistart_flags = pseudo_true(C0, 0.4, gamma, theta0, box=box)
-    assert rows[1] == 2 ** min(theta0.size, PATTERN_COORDS) + 1
-    assert pt.tobytes() == multistart.tobytes()
-    assert_array_equal(flags, multistart_flags)
+    # every start: theta0, the origin and theta0 under each zero pattern, clipped to the box
+    p = theta0.size
+    box = box or Box.cube(p)
+    starts = zeroed_starts(theta0[None], np.arange(min(p, PATTERN_COORDS)))
+    assert starts.shape[0] == 2 ** min(p, PATTERN_COORDS) + 1
+    win, ends, *_ = multistart_argmin(C0, C0 @ theta0, theta0[None], starts,
+                                      asymptotics._power_penalties(np.full(p, 0.4), np.full(p, gamma)), 1,
+                                      box.lo_array(), box.hi_array())
+    assert pt.tobytes() == ends[win[0]].tobytes()
+    assert_array_equal(flags, ends[win[0]] == 0.0)
 
 
 def test_limit_law_assembly_sparse_normal():

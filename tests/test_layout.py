@@ -11,13 +11,20 @@ PERFBENCH = ROOT / "perfbench"
 
 
 def _top_level_definitions(tree):
+    """(label, name, node) of every top-level function, class and assigned name,
+    and of every method of a top-level class but the dunders, which Python calls."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                            item.name.startswith("__") and item.name.endswith("__")):
+                        yield f"{node.name}.{item.name}", item.name, item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else (node.target,):
                 if isinstance(target, ast.Name):
-                    yield target.id, node
+                    yield target.id, target.id, node
 
 
 def _referenced_name(node):
@@ -31,16 +38,16 @@ def _referenced_name(node):
 
 
 def test_every_top_level_definition_is_used_inside_the_package():
-    # a definition that nothing in src/ names is run by no command: it belongs in tests/
+    # a definition or method that nothing in src/ names is run by no command: it belongs in tests/
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     references = [(name, node) for tree in trees.values() for node in ast.walk(tree)
                   if (name := _referenced_name(node)) is not None]
     unused = []
     for filename, tree in trees.items():
-        for name, definition in _top_level_definitions(tree):
+        for label, name, definition in _top_level_definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
             if not any(ref == name and id(node) not in inside for ref, node in references):
-                unused.append(f"{filename}:{definition.lineno} {name}")
+                unused.append(f"{filename}:{definition.lineno} {label}")
     assert unused == []
 
 

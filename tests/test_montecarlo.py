@@ -337,11 +337,13 @@ def test_run_replications_reports_generation_failure_with_config():
         run_replications(broken)
 
 
-def test_compare_to_limit_standard_self_comparison():
+def test_compare_to_limit_standard_self_comparison(monkeypatch):
+    # argmin draws equal to the scaled estimates themselves: every KS distance is 0
     cfg = _cfg(family="none", p0=0, rho0=(1.0,), n_grid=(100,), R=100)
     rs = run_replications(cfg)
     scaled = np.hstack([rs.u_hat(100), rs.v_hat(100)])
-    rep = compare_to_limit(rs, limit_samples=scaled)
+    monkeypatch.setattr(montecarlo, "sample_limit_argmin", lambda law, R, seed: scaled[:R])
+    rep = compare_to_limit(rs)
     assert rep["per_n"][100]["ks_per_margin"][0] == 0.0
 
 

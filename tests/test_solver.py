@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bridgelab import solver
 from bridgelab.contrast import Contrast, contrast_value
 from bridgelab.errors import InvalidInputError
 from bridgelab.model import (
@@ -21,14 +22,15 @@ from bridgelab.solver import (
     Box,
     SolverOptions,
     _keep_mask,
-    _multistart_points,
+    box_argmin,
     box_descent,
     minimize,
+    minimize_block,
     ols_pinv,
     tiebreak_argmin,
     zeroed_starts,
 )
-from conftest import NO_PENALTY, grid_oracle, make_dataset, random_penalty
+from conftest import NO_PENALTY, box_contains, grid_oracle, make_dataset, multistart_argmin, random_penalty
 
 
 def _bridge(c, e, gamma):
@@ -47,7 +49,50 @@ def _bits(res):
 
 
 def _starts(c, box):
-    return _multistart_points((ols_pinv(c.dataset.X) @ c.dataset.Y)[None], box)[0]
+    """A fit's full start set, built by hand: OLS, the origin, then OLS under each
+    nonempty zero pattern of its first PATTERN_COORDS coordinates in product
+    order, clipped to the box, byte duplicates dropped with the first one kept."""
+    ols = ols_pinv(c.dataset.X) @ c.dataset.Y
+    k = min(c.p, PATTERN_COORDS)
+    rows = [ols, np.zeros(c.p)]
+    rows += [np.where(np.array(mask + (False,) * (c.p - k)), 0.0, ols)
+             for mask in itertools.product((False, True), repeat=k) if any(mask)]
+    kept = []
+    for row in box.clip(rows):
+        if not any(row.tobytes() == other.tobytes() for other in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
+def _kernel_starts(monkeypatch):
+    """The start rows of each `box_descent` call that `solver` makes, recorded by a spy."""
+    calls = []
+
+    def spy(Q, q, pens, n, starts, *args):
+        calls.append(np.array(starts))
+        return box_descent(Q, q, pens, n, starts, *args)
+    monkeypatch.setattr(solver, "box_descent", spy)
+    return calls
+
+
+def _multistart_fit(c, box, opts=SolverOptions()):
+    """`multistart_argmin` of one fit from every row of `_starts`, with q = X'Y and
+    the OLS point formed as `minimize_block` forms them."""
+    X, Y = c.dataset.X, c.dataset.Y[None, :, None]
+    base, q = np.matmul(ols_pinv(X), Y)[:, :, 0], np.matmul(X.T, Y)[:, :, 0]
+    return multistart_argmin(X.T @ X, q, base, _starts(c, box), [c.penalty] * c.p, c.n,
+                             box.lo_array(), box.hi_array(), opts.tolerance, opts.max_sweeps)
+
+
+def _multistart_bits(c, box, opts=SolverOptions()):
+    """`_bits` of the fit `_multistart_fit` picks, but for restarts_used: the exact
+    objective of its winner, and converged and iterations of the first converged
+    start that ends on the winner's bits (else the winner's)."""
+    win, ends, sweeps, conv = _multistart_fit(c, box, opts)
+    theta = ends[win[0]]
+    same = [i for i in range(ends.shape[0]) if ends[i].tobytes() == theta.tobytes()]
+    flag = next((i for i in same if conv[i]), win[0])
+    return theta.tobytes(), contrast_value(c, theta), bool(conv[flag]), int(sweeps[flag])
 
 
 def _descend(c, box, opts, starts):
@@ -69,8 +114,8 @@ def _contrast(pen, n=30, sigma=1.0, seed=5, p0=1, rho0=(1.0,),
 
 def test_box_validation_and_membership():
     box = Box(lo=(-1.0, -2.0), hi=(1.0, 2.0))
-    assert box.contains([0.0, 0.0])
-    assert not box.contains([1.5, 0.0])
+    assert box_contains(box, [0.0, 0.0])
+    assert not box_contains(box, [1.5, 0.0])
     assert box.on_boundary([1.0, 0.0])
     with pytest.raises(Exception):
         Box(lo=(1.0,), hi=(1.0,))
@@ -132,23 +177,79 @@ def test_minimize_never_above_multistart_objectives():
     (1, Box.cube(2), 4),
     (4, Box(lo=(-2.0,) * 7 + (0.5,), hi=(2.0,) * 8), 2 ** PATTERN_COORDS + 1),
 ])
-def test_multistart_points_follow_their_definition(p0, box, count):
-    # OLS, origin, then OLS under each nonempty zero pattern of its first
-    # PATTERN_COORDS coordinates in product order, clipped to the box, byte
-    # duplicates dropped with the first one kept
+def test_fit_starts_follow_their_definition(monkeypatch, p0, box, count):
+    # on a Gram matrix with nonzero off-diagonal entries, the one kernel call of a
+    # fit runs the hand-built start set, row for row and bit for bit
     c = _contrast(_bridge(1.0, 0.5, 0.5), n=40, seed=8, p0=p0,
                   rho0=(1.0, -1.5, 0.8, 1.2)[:box.p - p0])
-    ols = ols_pinv(c.dataset.X) @ c.dataset.Y
-    k = min(c.p, PATTERN_COORDS)
-    rows = [ols, np.zeros(c.p)]
-    rows += [np.where(np.array(mask + (False,) * (c.p - k)), 0.0, ols)
-             for mask in itertools.product((False, True), repeat=k) if any(mask)]
-    expected = []
-    for row in box.clip(rows):
-        if not any(row.tobytes() == kept.tobytes() for kept in expected):
-            expected.append(row)
-    assert len(expected) == count
-    assert_array_equal(_starts(c, box), np.array(expected))
+    calls = _kernel_starts(monkeypatch)
+    res = minimize(c, box)
+    expected = _starts(c, box)
+    assert len(expected) == count == res.restarts_used
+    assert len(calls) == 1
+    assert calls[0].tobytes() == expected.tobytes()
+
+
+_NONCONVEX_FAMILIES = pytest.mark.parametrize("pen", [
+    _bridge(1.0, 0.6, 0.5),
+    PenaltySpec(family="scad", schedule=TuningSchedule(0.5, -0.25), a=3.7),
+    PenaltySpec(family="selo", schedule=TuningSchedule(0.05, 0.0), tau=TuningSchedule(0.1, -0.5)),
+], ids=["bridge-0.5", "scad", "selo"])
+
+
+def _diagonal_gram_contrast(pen, design, seed):
+    # one column, or Hadamard columns repeated 25 times (X'X = 100 I with exact zeros
+    # off the diagonal); coefficients from 0 up, so that some fits hit zero
+    rng = np.random.default_rng(seed)
+    if design == "p1":
+        X = rng.standard_normal((40, 1))
+    else:
+        X = np.tile([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, -1.0]], (25, 1))
+    Y = X @ (0.15 * (seed % 4) * np.arange(1, X.shape[1] + 1)) + rng.standard_normal(X.shape[0])
+    return Contrast(dataset=Dataset(X=X, Y=Y, truth=None, n=X.shape[0]), penalty=pen)
+
+
+@_NONCONVEX_FAMILIES
+@pytest.mark.parametrize("design", ["p1", "orthogonal-columns"])
+def test_diagonal_gram_fits_run_one_start_with_the_bits_of_every_start(monkeypatch, pen, design):
+    # with no nonzero off-diagonal entry in X'X, every start of a fit ends on the same
+    # bits, so the OLS start alone gives theta_hat, objective, converged and iterations
+    # of the full start set
+    calls = _kernel_starts(monkeypatch)
+    zeros = 0
+    for seed in range(12):
+        c = _diagonal_gram_contrast(pen, design, seed)
+        res = minimize(c, Box.cube(c.p))
+        assert res.restarts_used == 1 and calls[-1].shape[0] == 1
+        assert _bits(res)[:4] == _multistart_bits(c, Box.cube(c.p))
+        zeros += int(np.count_nonzero(res.theta_hat == 0.0))
+    assert zeros > 0
+
+
+@_NONCONVEX_FAMILIES
+@pytest.mark.parametrize("p", [3, 5, 8])
+def test_ranked_winner_is_within_1e14_of_the_best_exact_endpoint(monkeypatch, pen, p):
+    # fits rank their endpoints by (u - OLS)'X'X(u - OLS) + penalty, which is Z_n less
+    # RSS(OLS) in exact arithmetic; on correlated designs the winner's exact objective
+    # stays within 1e-14 relative of the least exact objective among the fit's endpoints
+    returned = []
+
+    def spy(*args):
+        returned.append(box_argmin(*args))
+        return returned[-1]
+    monkeypatch.setattr(solver, "box_argmin", spy)
+    rng = np.random.default_rng(1000 + p)
+    n, R = 60, 100
+    X = rng.standard_normal((n, p)) @ (np.eye(p) + 0.6 * np.eye(p, k=1) + 0.3 * np.eye(p, k=2))
+    theta = np.where(np.arange(p) < p // 2, 0.0, rng.uniform(0.5, 2.0, p))
+    Y = X @ theta + rng.standard_normal((R, n))
+    _, obj, *_ = minimize_block(X, Y, pen, n, Box.cube(p), SolverOptions())
+    win, ends, _, group, *_ = returned[0]
+    exact = contrast_value(Contrast(Dataset(X=X, Y=Y, truth=None, n=n), pen), ends, group)
+    best = np.minimum.reduceat(exact, np.flatnonzero(np.diff(group, prepend=-1)))
+    assert_array_equal(obj, exact[win])
+    assert np.all(obj <= best + 1e-14 * np.abs(best))
+    assert np.any(np.bincount(group) > 1)
 
 
 @pytest.mark.parametrize("pen", [
@@ -200,7 +301,7 @@ def test_minimize_respects_box():
     c = _contrast(NO_PENALTY, n=40, seed=2)
     box = Box(lo=(-0.1, -0.1), hi=(0.1, 0.1))
     res = minimize(c, box)
-    assert box.contains(res.theta_hat)
+    assert box_contains(box, res.theta_hat)
     assert box.on_boundary(res.theta_hat)  # OLS is far outside this tiny box
 
 
@@ -229,13 +330,11 @@ def test_converged_if_any_start_reaching_the_winner_converged():
             Y = simulate_responses(X, truth, noise, replication_seed(8, n, rep))
             c = Contrast(dataset=Dataset(X=X, Y=Y, truth=truth, n=n), penalty=pen)
             res = minimize(c, box, opts)
-            reached = []  # (converged, sweeps) of each start that reached the winner
-            starts = _starts(c, box)
-            for start, theta, conv, sweeps in zip(starts, *_descend(c, box, opts, starts)):
-                if contrast_value(c, theta) > contrast_value(c, start):
-                    theta, conv, sweeps = start, True, 0
-                if np.array_equal(theta, res.theta_hat):
-                    reached.append((conv, sweeps))
+            # (converged, sweeps) of each start whose endpoint, or the start itself
+            # where the endpoint ranks higher, has the winner's bits
+            _, ends, sweeps, conv = _multistart_fit(c, box, opts)
+            reached = [(cv, sw) for end, cv, sw in zip(ends, conv, sweeps)
+                       if end.tobytes() == res.theta_hat.tobytes()]
             assert res.converged == any(conv for conv, _ in reached)
             # the sweeps of the first such start that converged, else of the first
             assert res.iterations == next((s for conv, s in reached if conv), reached[0][1])
