@@ -55,9 +55,8 @@ def regime_classify(gamma: float, schedule: TuningSchedule) -> dict:
     The tag depends only on e and gamma; the constant c enters only through
     lambda0 when e hits the critical exponent. Exponents above 1, and the cell
     gamma >= 1 with e in (1/2, 1), are rejected: no theorem covers them.
+    gamma > 0, as `PenaltySpec` and `penalty_gamma` guarantee.
     """
-    if not (gamma > 0.0):
-        raise InvalidInputError(f"gamma must be positive, got {gamma}")
     c, e = schedule.c, schedule.e
     crit = min(1.0, gamma) / 2.0
     limits = {
@@ -153,15 +152,10 @@ def sample_limit_argmin(law: LimitLaw, R: int, seed: int) -> np.ndarray:
     else the argmin of `solver.box_argmin` from b (b alone per draw when C0 is
     diagonal). Draws go through it in fixed blocks with elementwise rules, so
     draw k depends only on (law, seed, k). Raises InvalidInputError, before
-    any draw, when the field's linear tilt t is not finite.
+    any draw, when the field's linear tilt t is not finite. The law is a
+    standard-regime one (its callers branch on the tag) with C0 positive definite.
     """
-    tag = law.regime["tag"]
-    if tag != REGIME_STANDARD:
-        raise InvalidInputError(f"argmin sampling is defined for the standard regime, got {tag}")
     C0, theta0 = law.C0, law.theta0
-    eig = np.linalg.eigvalsh(C0)
-    if eig[0] <= 0.0:
-        raise InvalidInputError("C0 must be positive definite")
     p = C0.shape[0]
     sigma = math.sqrt(law.sigma2)
     lam0 = law.regime["lambda0"] or 0.0
@@ -192,19 +186,11 @@ def sparse_limit_params(gamma: float, lambda0: float, B0, sigma2: float, rho0):
     Upsilon_l = (gamma/2) sgn(rho0_l) |rho0_l|^(gamma-1); bias = -lambda0 B0^-1
     Upsilon (the sparse-slow drift at lambda0 = 1); covariance = sigma^2 B0^-1.
     Raises InvalidInputError, without a numpy warning, when one of them is not
-    finite (a B0 near the subnormal range overflows B0^-1).
+    finite (a B0 near the subnormal range overflows B0^-1). `limit_law` passes
+    gamma in (0, 1), a nonzero rho0 and the positive-definite corner B0 of C0.
     """
-    if not (0.0 < gamma < 1.0):
-        raise InvalidInputError(f"sparse limit requires gamma in (0,1), got {gamma}")
     B0 = np.atleast_2d(np.asarray(B0, dtype=float))
     rho0 = np.atleast_1d(np.asarray(rho0, dtype=float))
-    if np.any(rho0 == 0.0):
-        raise InvalidInputError("rho0 entries must be nonzero")
-    if B0.shape[0] != B0.shape[1] or B0.shape[0] != rho0.size:
-        raise InvalidInputError("B0 must be square and match rho0")
-    eig = np.linalg.eigvalsh(B0)
-    if eig[0] <= 0.0:
-        raise InvalidInputError("B0 must be positive definite")
     with np.errstate(over="ignore", invalid="ignore"):
         upsilon = 0.5 * gamma * np.sign(rho0) * np.abs(rho0) ** (gamma - 1.0)
         B0_inv = np.linalg.inv(B0)
@@ -214,7 +200,7 @@ def sparse_limit_params(gamma: float, lambda0: float, B0, sigma2: float, rho0):
                                            ("sigma^2 B0^-1", cov)) if not np.all(np.isfinite(value))]
     if overflowing:
         raise InvalidInputError(f"the sparse limit law is not finite: {' and '.join(overflowing)} overflow "
-                                f"(B0 has smallest eigenvalue {eig[0]}, rho0 = {rho0.tolist()})")
+                                f"(B0 has smallest eigenvalue {np.linalg.eigvalsh(B0)[0]}, rho0 = {rho0.tolist()})")
     return upsilon, bias, cov
 
 
@@ -226,22 +212,15 @@ def pseudo_true(C0, lambda0: float, gamma: float, theta0, box: Box | None = None
     theta0 alone for a diagonal C0). Raises InvalidInputError when the
     winner's objective is not finite, before the descent (and without a numpy
     warning) when the quadratic term overflows at every point of the box.
+    `limit_law` passes the pseudo-true lambda0 = c > 0 and a positive-definite C0.
     """
     C0 = np.asarray(C0, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     p = theta0.size
     if box is None:
         box = Box.cube(p)
-    if lambda0 == 0.0:
-        point = theta0.copy()
-        return point, point == 0.0
-    if lambda0 < 0.0:
-        raise InvalidInputError("lambda0 must be >= 0")
-    eig = np.linalg.eigvalsh(C0)
-    if eig[0] <= 0.0:
-        raise InvalidInputError("C0 must be positive definite")
     # on the box, (theta-theta0)'C0(theta-theta0) >= eig_min |theta0 - clip(theta0)|^2
-    gap = math.sqrt(eig[0]) * math.hypot(*(theta0 - box.clip(theta0)))
+    gap = math.sqrt(np.linalg.eigvalsh(C0)[0]) * math.hypot(*(theta0 - box.clip(theta0)))
     if not math.isfinite(gap * gap):
         raise InvalidInputError("the pseudo-true objective overflows: inf at every point of the box")
 

@@ -57,10 +57,13 @@ class CheckSettings:
             raise InvalidSpecError(f"beta: must lie in (0, 1/2), got {self.beta}")
         if not (0.0 < self.delta < math.inf):
             raise InvalidSpecError(f"delta: must be positive and finite, got {self.delta}")
-        n = self.n_grid
-        if not n or n[0] < 1 or any(b <= a for a, b in zip(n, n[1:])):
-            raise InvalidSpecError(f"n_grid: must be strictly increasing positive integers, got {n}")
+        for key in ("n_grid", "r_grid"):
+            grid = getattr(self, key)
+            if len(grid) < 3 or not grid[0] > 0 or any(not b > a for a, b in zip(grid, grid[1:])):
+                raise InvalidSpecError(f"{key}: must be at least 3 strictly increasing positive values, got {grid}")
         require_finite(r_grid=self.r_grid, a_probes=self.a_probes, b_probes=self.b_probes)
+        if 0.0 in self.a_probes:
+            raise InvalidSpecError(f"a_probes: every shift probe a must be nonzero, got {self.a_probes}")
 
 
 @dataclass

@@ -133,14 +133,6 @@ class Dataset:
     n: int
 
     @property
-    def p0(self) -> int:
-        return self.truth.p0
-
-    @property
-    def p1(self) -> int:
-        return self.truth.p1
-
-    @property
     def p(self) -> int:
         return self.X.shape[1]
 
@@ -231,21 +223,13 @@ def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSc
     """Finite-n diagnostics for the design-side conditions over an n-grid,
     each condition's block of `check`'s JSON keyed by its id.
 
-    `designs` is a list of (n, X) pairs with strictly increasing n (>= 3
-    points). Verdicts use the shared boundedness heuristic; these are
-    diagnostics, since asymptotic conditions are undecidable from finite data.
+    `designs` holds (n, X) at `config.check_design_grid`'s n, C0 is `limit_c0`'s,
+    and q_n is finite and positive there (`build_config`). Verdicts use the
+    shared boundedness heuristic; these are diagnostics, since asymptotic
+    conditions are undecidable from finite data.
     """
     ns = [int(n) for n, _ in designs]
-    if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise InvalidInputError("need >= 3 designs with strictly increasing n")
     C0 = np.asarray(C0, dtype=float)
-    if C0.shape[0] != C0.shape[1]:
-        raise InvalidInputError("C0 must be square")
-    eig0 = np.linalg.eigvalsh(C0)
-    if eig0[0] <= 0.0:
-        raise InvalidInputError("C0 must be positive definite (the limit theorems require it)")
-    if not (delta > 0.0):
-        raise InvalidInputError("delta must be positive")
     p0, p1 = split
 
     gram_rate, row_bound, cross_scaled, cross_rootn = [], [], [], []
@@ -262,10 +246,7 @@ def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSc
                                     "[model] bound is too large for check")
         gram_rate.append(float(n) ** delta * gram_norm)
         row_bound.append(float(np.max(np.linalg.norm(X, axis=1))))
-        qn = q_n.value(n)
-        if qn <= 0.0:
-            raise InvalidInputError(f"q_n must be positive, got {qn} at n={n}")
-        cross_scaled.append(cross_norm / math.sqrt(qn))
+        cross_scaled.append(cross_norm / math.sqrt(q_n.value(n)))
         cross_rootn.append(cross_norm)
         zero_gram.append(zero_norm)
         nonzero_rate.append(float(n) ** delta * nonzero_norm)

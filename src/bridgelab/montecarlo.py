@@ -131,14 +131,22 @@ def limit_c0(cfg: MCConfig) -> np.ndarray:
     for standardized-orthonormal designs, E[xx'] = (bound^2 / 3p) I for
     bounded-random-frozen ones (iid U(+-bound/sqrt(p)) entries), and the Gram
     matrix of an explicit matrix, whose one n is the largest (C0_SOURCES labels
-    the three)."""
+    the three). The one check of C0: an explicit matrix whose C0 is not finite
+    or has rank below p at `matrix_rank`'s cut (smallest eigenvalue <= p eps
+    times the largest) raises InvalidInputError naming [model] design_file; the
+    other two kinds are positive definite by construction."""
     spec, p = cfg.design, cfg.truth.p
     if spec.kind == "standardized-orthonormal":
         return np.eye(p)
     if spec.kind == "bounded-random-frozen":
         return np.eye(p) * (spec.bound * spec.bound / (3 * p))
-    X = np.asarray(spec.matrix, dtype=float)
-    return gram(X, (cfg.truth.p0, cfg.truth.p1)).C_n
+    with np.errstate(over="ignore", invalid="ignore"):  # a C0 that overflows has nan eigenvalues
+        C0 = gram(np.asarray(spec.matrix, dtype=float), (cfg.truth.p0, cfg.truth.p1)).C_n
+    eig = np.linalg.eigvalsh(C0)
+    if not eig[0] > p * np.finfo(float).eps * eig[-1]:
+        raise InvalidInputError(f"[model] design_file: C0 = X'X/n has eigenvalues {eig[0]:.3g} to {eig[-1]:.3g}: "
+                                f"not finite or of rank below p = {p}, and the limit laws need it positive definite")
+    return C0
 
 
 def config_law(cfg: MCConfig) -> LimitLaw:

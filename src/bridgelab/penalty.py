@@ -370,24 +370,16 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) ->
     grows by more than x2 from the smallest to largest r, and keeps growing by
     more than x2 over the top half of the r-grid (the saturation check that
     separates bounded penalties from divergent ones). Also fits a power r^s to
-    the scaled curve. Returns the condition's block of `check`'s JSON.
+    the scaled curve. Returns the condition's block of `check`'s JSON. The
+    grids are `CheckSettings`', p0 >= 1 and q_n > 0 on n_grid (`build_config`).
     """
     n_grid = tuple(int(n) for n in n_grid)
     r_grid = tuple(float(r) for r in r_grid)
-    if len(n_grid) == 0 or len(r_grid) < 3:
-        raise InvalidInputError("divergence check needs a nonempty n-grid and >= 3 r values")
-    if any(r <= 0 for r in r_grid) or any(b <= a for a, b in zip(r_grid, r_grid[1:])):
-        raise InvalidInputError("r-grid must be positive and strictly increasing")
-    if p0 < 1:
-        raise InvalidInputError("p0 must be >= 1")
     q = default_divergence_scale(pen)
 
     vals = np.empty((len(n_grid), len(r_grid)))
     for i, n in enumerate(n_grid):
-        qn = q.value(n)
-        if qn <= 0.0:
-            raise InvalidInputError(f"q_n must be positive, got {qn} at n={n}")
-        vals[i] = _sphere_infimum(pen, n, np.array(r_grid), p0) / qn
+        vals[i] = _sphere_infimum(pen, n, np.array(r_grid), p0) / q.value(n)
 
     # per n: nondecreasing in r, and more than x2 from the first r and from the middle r to the last
     slack = -1e-9 * np.maximum(1.0, np.max(np.abs(vals), axis=1, keepdims=True))
@@ -412,17 +404,12 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
 
     Returns the growth and the shift blocks of `check`'s JSON. The shift
     condition is a limsup at fixed probes; the probe sets are a documented
-    knob, not a claim.
+    knob, not a claim. The settings are `CheckSettings`': n_grid >= 3
+    increasing values, every a nonzero and beta in (0, 1/2).
     """
     n_grid = tuple(int(n) for n in n_grid)
     a_probes = tuple(float(a) for a in a_probes)
     b_probes = tuple(float(b) for b in b_probes)
-    if len(n_grid) < 3:
-        raise InvalidInputError("smooth-condition check needs >= 3 grid points")
-    if any(a == 0.0 for a in a_probes):
-        raise InvalidInputError("shift probes require a != 0")
-    if not (0.0 < beta < 0.5):
-        raise InvalidInputError(f"beta must lie in (0, 1/2), got {beta}")
 
     # p_n at every a and every a + b/sqrt(n), one call per n: values[k] is (1 + len(b), len(a)) at n_grid[k]
     a_arr, b_arr = np.array(a_probes), np.array(b_probes)

@@ -122,7 +122,7 @@ def grid_oracle(c: Contrast, box: Box | None = None, stages: int = 4,
     if stages < 1:
         raise InvalidInputError("stages must be >= 1")
 
-    zero_coords = tuple(range(c.dataset.p0))
+    zero_coords = tuple(range(c.dataset.truth.p0))
     lo, hi = box.lo_array(), box.hi_array()
     center = 0.5 * (lo + hi)
     span = 0.5 * (hi - lo)
@@ -218,7 +218,7 @@ def profile_field(c: Contrast, u, rho, theta0=None) -> tuple[float, dict]:
     the score (2/sqrt(n)) sum_i {eps_i - (rho - rho0).X_i^(rho)} X_i^(z).
     """
     ds = c.dataset
-    p0, p1 = ds.p0, ds.p1
+    p0, p1 = ds.truth.p0, ds.truth.p1
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if u.shape != (p0,) or rho.shape != (p1,):

@@ -333,6 +333,16 @@ def test_check_grid_settings_checked_at_parse_time(tmp_path, capsys, key, text):
     assert err.startswith(f"config error: [check] {key}: ")
 
 
+@pytest.mark.parametrize("command", ["check", "estimate"])
+@pytest.mark.parametrize("key, text", [("r_grid", "1, 2"), ("r_grid", "2, 1, 4"), ("n_grid", "16, 64"),
+                                       ("a_probes", "0, 1")])
+def test_check_settings_are_checked_for_every_command(tmp_path, capsys, command, key, text):
+    # CheckSettings is the one check of [check]: the condition checkers take its values as given
+    code, out, err = _run(capsys, [command, "--config", _config_with(tmp_path, "check", key, text)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: [check] {key}: ") and err.count("\n") == 1
+
+
 def test_check_delta_is_not_checked_against_an_explicit_matrix(tmp_path, capsys):
     # n**delta is checked at the n of check's design grid; an explicit matrix draws no design
     # sequence, so at delta = 200 its check reports no rate and runs
@@ -447,6 +457,35 @@ def test_explicit_matrix_with_matching_rows_runs(tmp_path, capsys):
     code, out, _ = _run(capsys, ["estimate", "--config", path])
     assert code == 0
     assert json.loads(out)["n"] == 100
+
+
+def _singular_design_config(tmp_path, e: str) -> str:
+    """p0 = 2, rho0 = 1 on an explicit n = 100 design with columns (z, 2z, r): C0 has rank 2 < p = 3."""
+    z, r = np.random.default_rng(7).standard_normal((2, 100))
+    design = tmp_path / "singular.csv"
+    design.write_text("\n".join(f"{a!r},{2.0 * a!r},{b!r}" for a, b in zip(z.tolist(), r.tolist())) + "\n")
+    path = tmp_path / "singular.cfg"
+    path.write_text(BASE.replace("p0 = 1", "p0 = 2").replace("e = 0.6", f"e = {e}")
+                    .replace("design = standardized-orthonormal", f"design = explicit-matrix\ndesign_file = {design}")
+                    .replace("n_grid = 50, 100", "n_grid = 100"))
+    return str(path)
+
+
+@pytest.mark.parametrize("e", ["0.25", "0.4", "0.6", "1.0"],
+                         ids=["standard", "sparse-normal", "sparse-slow", "pseudo-true"])
+def test_singular_explicit_design_has_no_limit_law(tmp_path, capsys, e):
+    # limit_c0 refuses the rank-2 C0 before any regime's law is built: limit exits 2 with one
+    # line, and mc writes that text as its limit_distance note
+    path = _singular_design_config(tmp_path, e)
+    code, out, err = _run(capsys, ["limit", "--config", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: [model] design_file: C0 = X'X/n has eigenvalues ")
+    assert err.endswith(": not finite or of rank below p = 3, and the limit laws need it positive definite\n")
+    assert err.count("\n") == 1
+    code, out, mc_err = _run(capsys, ["mc", "--config", path, "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert (code, out, mc_err) == (0, "", "")
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["limit_distance"] == {"note": err[len("config error: "):-1]}
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +858,8 @@ def test_check_bridge_sparse_slow(cfg_path, capsys):
     assert abs(div["fitted_exponent"] - 0.5) <= 1e-3
     assert "zero-block-tail-bound" in div["required_by"]
     assert payload["design_conditions"]["cross-block-root-n"]["verdict"] == "plausibly-bounded"
+    # [mc] n_grid = 50, 100 has fewer than the 3 points the design rates need, so check_design_grid stands in
+    assert payload["design_conditions"]["cross-block-root-n"]["n_grid"] == [50, 200, 800]
 
 
 def test_check_design_norms_that_overflow_are_a_config_error(tmp_path, capsys):

@@ -28,6 +28,8 @@ def test_true_parameter_split():
     with pytest.raises(InvalidSpecError):
         TrueParameter(p0=1, rho0=(0.1,))  # below the margin
     with pytest.raises(InvalidSpecError):
+        TrueParameter(p0=1, rho0=(0.0,))  # the sparse limit laws divide by |rho0|
+    with pytest.raises(InvalidSpecError):
         TrueParameter(p0=0, rho0=())
 
 
@@ -174,25 +176,9 @@ def test_design_conditions_drifting_scale_flagged():
     assert rep[COND_GRAM_RATE]["verdict"] == "growing"
 
 
-def test_design_conditions_require_pd_c0():
-    spec = DesignSpec(kind="standardized-orthonormal", p=2)
-    designs = _designs_over(spec, (50, 200, 800))
-    with pytest.raises(InvalidInputError):
-        check_design_conditions(designs, np.zeros((2, 2)), 0.25,
-                                TuningSchedule(1.0, 0.1), (1, 1))
-
-
-def test_design_conditions_need_increasing_grid():
-    spec = DesignSpec(kind="standardized-orthonormal", p=2)
-    designs = _designs_over(spec, (50, 200))
-    with pytest.raises(InvalidInputError):
-        check_design_conditions(designs, np.eye(2), 0.25,
-                                TuningSchedule(1.0, 0.1), (1, 1))
-
-
 def test_dataset_of_a_drawn_design_and_responses():
     truth = TrueParameter(p0=1, rho0=(1.0,))
     X = generate_design(DesignSpec(kind="standardized-orthonormal", p=2), 40, 1)
     ds = Dataset(X=X, Y=simulate_responses(X, truth, NoiseSpec("gaussian", 1.0), 2), truth=truth, n=40)
-    assert ds.n == 40 and ds.p0 == 1 and ds.p1 == 1
+    assert ds.n == 40 and ds.truth.p0 == 1 and ds.truth.p1 == 1
     assert ds.X.shape == (40, 2) and ds.Y.shape == (40,)

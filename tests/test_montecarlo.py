@@ -294,6 +294,21 @@ def test_limit_c0_reads_the_design_spec_alone(monkeypatch, kind, source):
     assert_allclose(C0, expected, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("tilt", [0.0, 1e-9], ids=["collinear", "nearly-collinear"])
+def test_limit_c0_refuses_a_gram_matrix_of_rank_below_p(tilt):
+    # columns (z, 2z + tilt r): at tilt 1e-9, X has rank 2 at numpy's cut, but X'X/n has no
+    # Cholesky factor, which the argmin sampler draws W with; the rank cut applies to C0 itself
+    z, r = np.random.default_rng(7).standard_normal((2, 50))
+    X = np.column_stack([z, 2.0 * z + tilt * r])
+    assert np.linalg.matrix_rank(X) == (1 if tilt == 0.0 else 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(X.T @ X / 50)
+    matrix = tuple(map(tuple, X.tolist()))
+    cfg = replace(_cfg(n_grid=(50,)), design=DesignSpec(kind="explicit-matrix", p=2, matrix=matrix))
+    with pytest.raises(InvalidInputError, match=r"^\[model\] design_file: .* of rank below p = 2, "):
+        limit_c0(cfg)
+
+
 def test_limit_c0_of_bounded_random_design_is_the_row_second_moment():
     # entries iid U(-h, h) with h^2 = bound^2 / p: E x_j^2 = h^2/3, Var x_j^2 = 4h^4/45 and
     # Var x_j x_k = h^4/9 for j != k, so one seeded n = 10^5 Gram matrix lies within 5 SE per entry

@@ -119,6 +119,8 @@ def test_schedule_validation():
     with pytest.raises(InvalidSpecError):
         PenaltySpec(family="bridge", schedule=TuningSchedule(1.0, 0.5), gamma=0.0)
     with pytest.raises(InvalidSpecError):
+        PenaltySpec(family="bridge", schedule=TuningSchedule(1.0, 0.5), gamma=-0.5)
+    with pytest.raises(InvalidSpecError):
         PenaltySpec(family="scad", schedule=TuningSchedule(1.0, 0.5), a=2.0)
     with pytest.raises(InvalidSpecError):
         PenaltySpec(family="nope", schedule=TuningSchedule(1.0, 0.5))
@@ -581,13 +583,6 @@ def test_divergence_rejects_bounded_penalties():
     assert rep["verdict"] == "not-satisfied"
 
 
-def test_divergence_input_validation():
-    with pytest.raises(InvalidInputError):
-        check_divergence_condition(bridge(1.0, 0.3, 0.5), (), R_GRID, p0=1)
-    with pytest.raises(InvalidInputError):
-        check_divergence_condition(bridge(1.0, 0.3, 0.5), N_GRID, (3.0, 2.0, 1.0), p0=1)
-
-
 def test_smooth_conditions_scad_schedule():
     # lambda_n = n^(beta - 1/2) with beta = 1/4 keeps both surrogates bounded
     pen = scad(1.0, -0.25)
@@ -622,8 +617,3 @@ def test_smooth_conditions_flags_sparse_slow_bridge():
     wide = (16, 256, 4096, 65536, 1048576)
     _, shift = check_smooth_conditions(pen, wide, (1.0,), (1.0,), beta=0.25)
     assert shift["verdict"] == "not-satisfied"
-
-
-def test_smooth_conditions_rejects_zero_probe():
-    with pytest.raises(InvalidInputError):
-        check_smooth_conditions(NO_PENALTY, N_GRID, (0.0,), (1.0,), beta=0.25)
