@@ -17,7 +17,7 @@ from . import model as model_mod
 from . import penalty as penalty_mod
 from .asymptotics import REGIME_STANDARD, penalty_gamma, regime_classify, sample_limit_argmin
 from .asymptotics import limit_law  # noqa: F401  (perfbench/tracer.py wraps cli.limit_law)
-from .config import ExperimentConfig, check_design_grid, parse_config
+from .config import ExperimentConfig, parse_config
 from .contrast import Contrast
 from .errors import ConfigError, InvalidInputError, InvalidSpecError, UnsupportedRegimeError
 from .model import Dataset, generate_design, simulate_responses
@@ -182,7 +182,7 @@ def cmd_check(ec: ExperimentConfig) -> int:
                                 "design-condition sequences need an n-grid")
     else:
         designs = [(n, generate_design(mc.design, n, design_seed(mc.master_seed, n)))
-                   for n in check_design_grid(mc.n_grid)]
+                   for n in ec.ns("check")[1]]
         design_block["c0_source"] = C0_SOURCES[mc.design.kind]
         design_conditions = model_mod.check_design_conditions(
             designs, limit_c0(mc), cs.delta, penalty_mod.default_divergence_scale(pen), (mc.truth.p0, mc.truth.p1))

@@ -62,8 +62,9 @@ class CheckSettings:
             if len(grid) < 3 or not grid[0] > 0 or any(not b > a for a, b in zip(grid, grid[1:])):
                 raise InvalidSpecError(f"{key}: must be at least 3 strictly increasing positive values, got {grid}")
         require_finite(r_grid=self.r_grid, a_probes=self.a_probes, b_probes=self.b_probes)
-        if 0.0 in self.a_probes:
-            raise InvalidSpecError(f"a_probes: every shift probe a must be nonzero, got {self.a_probes}")
+        for key in ("a_probes", "b_probes"):
+            if 0.0 in getattr(self, key):
+                raise InvalidSpecError(f"{key}: every probe must be nonzero, got {getattr(self, key)}")
 
 
 @dataclass
@@ -77,10 +78,16 @@ class ExperimentConfig:
     responses: np.ndarray | None  # Y for `estimate`, read from [model] response_file
     raw: dict = field(default_factory=dict)
 
-
-def check_design_grid(n_grid: tuple[int, ...]) -> tuple[int, ...]:
-    """The n at which `check` draws its designs: [mc] n_grid, or 50, 200, 800 when it has fewer than 3."""
-    return n_grid if len(n_grid) >= 3 else (50, 200, 800)
+    def ns(self, command: str | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The n a command uses: (the n at which it evaluates the penalty, the n
+        at which it draws designs). `limit` reads only lambda0 = c, and the rows
+        of an explicit matrix at the largest n_grid entry; `check` draws n_grid,
+        or 50, 200, 800 when it has fewer than 3 entries, and no sequence from an
+        explicit matrix. Without a command: [mc] n and n_grid, and no design."""
+        n, grid, explicit = self.n_single, self.mc.n_grid, self.mc.design.kind == "explicit-matrix"
+        return {"estimate": ((n,), (n,)), "mc": (grid, grid),
+                "check": (self.check.n_grid, () if explicit else grid if len(grid) >= 3 else (50, 200, 800)),
+                "limit": ((), grid[-1:] if explicit else ())}.get(command, ((n, *grid), ()))
 
 
 def _fail(section: str, key: str, msg: str):
@@ -119,32 +126,6 @@ def _given(values: dict, *keys: str, **renamed: str) -> dict:
     return {arg: values[key] for arg, key in names.items() if key in values}
 
 
-def _require_finite_schedule(sch: TuningSchedule, ns, section: str, c: str, e: str) -> None:
-    """A config error naming the keys c and e of [section] unless c * n**e is finite at every n in ns."""
-    for n in ns:
-        try:
-            sch.value(n)
-        except InvalidInputError:
-            raise ConfigError(f"[{section}] {c} * n**{e} overflows at n={n} ({c}={sch.c}, {e}={sch.e})") from None
-
-
-def _require_divergence_scale(pen: PenaltySpec, ns) -> None:
-    """A config error naming the keys q_n derives from unless `check`'s divergence
-    scale q_n (`default_divergence_scale`) is finite and positive at every n in ns."""
-    sch = pen.schedule
-    for n in ns:
-        try:
-            qn = default_divergence_scale(pen).value(n)
-        except (InvalidSpecError, InvalidInputError):  # a coefficient c^2 or a q_n that overflows
-            qn = math.inf
-        if not 0.0 < qn < math.inf:
-            keys, values = "[schedule] c, e", f"c={sch.c}, e={sch.e}"
-            if pen.family == "bridge":
-                keys, values = keys + " and [penalty] gamma", values + f", gamma={pen.gamma}"
-            raise ConfigError(f"{keys} give the divergence scale q_n = {qn} at n={n}, "
-                              f"not finite and positive ({values})")
-
-
 def _load_csv(key: str, path: str, ndmin: int) -> np.ndarray:
     try:
         return np.loadtxt(path, delimiter=",", ndmin=ndmin)
@@ -167,8 +148,8 @@ def load_raw(path: str) -> dict:
 
 
 def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
-    """Validate the raw mapping and assemble the MCConfig. Given a CLI command, an
-    explicit-matrix design must have the rows of every n it builds a design at."""
+    """Validate the raw mapping and assemble the MCConfig; every value that depends
+    on n is checked at the n the command uses (`ExperimentConfig.ns`)."""
     for section, keys in raw.items():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
@@ -204,7 +185,9 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
 
     p = truth.p
     with _section("solver"):
-        if "box_lo" in sol or "box_hi" in sol:  # box_half is then ignored
+        if "box_lo" in sol or "box_hi" in sol:
+            if "box_half" in sol:
+                _fail("solver", "box_half", "cannot be set together with box_lo or box_hi")
             cube = Box.cube(p)
             sides = (sol.get("box_lo", cube.lo), sol.get("box_hi", cube.hi))
             box = Box(*(side * p if len(side) == 1 else side for side in sides))
@@ -224,44 +207,46 @@ def build_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     n_single = mcv.get("n", n_grid[0])
     if n_single < p:
         _fail("mc", "n", f"n={n_single} < p={p}: a fit needs at least p rows")
-    # the n at which the command evaluates lambda_n; limit reads only lambda0 = c
-    used = {"estimate": (n_single,), "mc": n_grid, "check": (*check.n_grid, *n_grid),
-            "limit": ()}.get(command, (n_single, *n_grid))
-    _require_finite_schedule(penalty.schedule, used, "schedule", "c", "e")
-    if tau is not None:
-        _require_finite_schedule(tau, (n_single, *n_grid, *used), "penalty", "tau_c", "tau_e")
-        over = [n for n in used if not math.isfinite(2.0 * n * penalty.schedule.value(n) / LOG2)]
-        if over:  # the SELO value would be inf * log1p(0) = nan at t = 0
-            raise ConfigError(f"[schedule] SELO bound 2n * c * n**e / log 2 overflows at n={over[0]} "
-                              f"(c={schedule.c}, e={schedule.e})")
-    underflow = [n for n in (n_single, *n_grid) if tau is not None and tau.value(n) == 0.0]
-    if underflow:
-        _fail("penalty", "tau_c", f"tau_n = tau_c * n^tau_e underflows to 0 at n={underflow[0]}")
-    if command == "check":  # q_n divides the divergence values and scales the cross-block sequence
-        design_grid = () if kind == "explicit-matrix" else check_design_grid(n_grid)
-        _require_divergence_scale(penalty, (*check.n_grid, *design_grid))
-        if design_grid:  # the design-condition rates scale by n**delta
-            try:
-                float(design_grid[-1]) ** check.delta
-            except OverflowError:
-                _fail("check", "delta", f"n**delta overflows at n={design_grid[-1]} (delta={check.delta})")
     responses = None
     if "response_file" in model:
         responses = _load_csv("response_file", model["response_file"], 1)
         if responses.shape != (n_single,):
             _fail("model", "response_file", f"holds {responses.size} values in {len(responses)} rows "
                                             f"but [mc] n requests one column of n={n_single}")
-    if kind == "explicit-matrix":
-        requested = {"estimate": [("n", n_single)],
-                     "mc": [("n_grid", n) for n in n_grid],
-                     "limit": [("n_grid", n_grid[-1])]}.get(command, [])
-        for key, n in requested:
-            if n != len(matrix):
-                _fail("model", "design_file",
-                      f"holds {len(matrix)} rows but [mc] {key} requests n={n}")
-
-    return ExperimentConfig(mc=mc, n_single=n_single, out_dir=values["output"].get("dir", "out"),
-                            check=check, responses=responses, raw=raw)
+    ec = ExperimentConfig(mc=mc, n_single=n_single, out_dir=values["output"].get("dir", "out"),
+                          check=check, responses=responses, raw=raw)
+    penalty_ns, design_ns = ec.ns(command)
+    for n in penalty_ns:
+        for sch, section, c, e, name in ((penalty.schedule, "schedule", "c", "e", "lambda_n"),
+                                         (tau, "penalty", "tau_c", "tau_e", "tau_n")):
+            try:
+                if sch is not None and sch.value(n) == 0.0 < sch.c:
+                    _fail(section, c, f"{name} = {c} * n^{e} underflows to 0 at n={n}")
+            except InvalidInputError:
+                raise ConfigError(f"[{section}] {c} * n**{e} overflows at n={n} ({c}={sch.c}, {e}={sch.e})") from None
+        if tau is not None and not math.isfinite(2.0 * n * schedule.value(n) / LOG2):  # else p_n(0) = inf * 0
+            raise ConfigError(f"[schedule] SELO bound 2n * c * n**e / log 2 overflows at n={n} "
+                              f"(c={schedule.c}, e={schedule.e})")
+    if command == "check":  # q_n divides the divergence values and scales the cross-block sequence
+        for n in (*penalty_ns, *design_ns):
+            try:
+                qn = default_divergence_scale(penalty).value(n)
+            except (InvalidSpecError, InvalidInputError):  # a coefficient c^2 or a q_n that overflows
+                qn = math.inf
+            if not 0.0 < qn < math.inf:
+                gamma = (" and [penalty] gamma", f", gamma={penalty.gamma}") if family == "bridge" else ("", "")
+                raise ConfigError(f"[schedule] c, e{gamma[0]} give the divergence scale q_n = {qn} at n={n}, "
+                                  f"not finite and positive (c={schedule.c}, e={schedule.e}{gamma[1]})")
+        for n in design_ns[-1:]:  # the design-condition rates scale by n**delta
+            try:
+                float(n) ** check.delta
+            except OverflowError:
+                _fail("check", "delta", f"n**delta overflows at n={n} (delta={check.delta})")
+    for n in design_ns if matrix is not None else ():
+        if n != len(matrix):
+            _fail("model", "design_file", f"holds {len(matrix)} rows but [mc] "
+                                          f"{'n' if command == 'estimate' else 'n_grid'} requests n={n}")
+    return ec
 
 
 def parse_config(path: str, command: str | None = None) -> ExperimentConfig:

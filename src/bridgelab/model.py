@@ -223,8 +223,8 @@ def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSc
     """Finite-n diagnostics for the design-side conditions over an n-grid,
     each condition's block of `check`'s JSON keyed by its id.
 
-    `designs` holds (n, X) at `config.check_design_grid`'s n, C0 is `limit_c0`'s,
-    and q_n is finite and positive there (`build_config`). Verdicts use the
+    `designs` holds (n, X) at `check`'s design n (`ExperimentConfig.ns`), C0 is
+    `limit_c0`'s, and q_n is finite and positive there (`build_config`). Verdicts use the
     shared boundedness heuristic; these are diagnostics, since asymptotic
     conditions are undecidable from finite data.
     """

@@ -222,9 +222,11 @@ def minimize_block(X: np.ndarray, Y: np.ndarray, pen: PenaltySpec, n: int, box: 
     objective, converged, iterations, starts)."""
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("design contains non-finite values")
-    Q = X.T @ X
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in a sum is nan
+        Q = X.T @ X
         qs = np.matmul(X.T, Y[:, :, None])[:, :, 0]
+    if not np.all(np.isfinite(Q)):
+        raise InvalidInputError(f"X'X overflows: its diagonal is {np.diag(Q).tolist()}")
     bad = np.flatnonzero(~np.all(np.isfinite(qs), axis=1))
     if bad.size:  # a non-finite Y makes q non-finite too
         if not np.all(np.isfinite(Y[bad[0]])):

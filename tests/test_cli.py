@@ -325,6 +325,15 @@ def test_unbounded_box_is_a_config_error(tmp_path, capsys, command, key, text, s
     assert err.startswith(f"config error: [solver] {side} must be finite, got ")
 
 
+@pytest.mark.parametrize("command", ["estimate", "limit"])
+def test_box_half_with_box_lo_is_a_config_error(tmp_path, capsys, command):
+    # box_lo sets the box, so a box_half beside it would be silently ignored
+    path = _config_with(tmp_path, "solver", "box_half", "0.5")
+    path = _config_with(tmp_path, "solver", "box_lo", "-10", base=Path(path).read_text())
+    assert _run(capsys, [command, "--config", path]) == (
+        2, "", "config error: [solver] box_half: cannot be set together with box_lo or box_hi\n")
+
+
 @pytest.mark.parametrize("key, text", [("n_grid", "4096, 1024, 256, 64, 16"), ("delta", "0"),
                                        ("delta", "200")])  # 800**200 overflows the design-condition rates
 def test_check_grid_settings_checked_at_parse_time(tmp_path, capsys, key, text):
@@ -335,7 +344,7 @@ def test_check_grid_settings_checked_at_parse_time(tmp_path, capsys, key, text):
 
 @pytest.mark.parametrize("command", ["check", "estimate"])
 @pytest.mark.parametrize("key, text", [("r_grid", "1, 2"), ("r_grid", "2, 1, 4"), ("n_grid", "16, 64"),
-                                       ("a_probes", "0, 1")])
+                                       ("a_probes", "0, 1"), ("b_probes", "0, 1")])
 def test_check_settings_are_checked_for_every_command(tmp_path, capsys, command, key, text):
     # CheckSettings is the one check of [check]: the condition checkers take its values as given
     code, out, err = _run(capsys, [command, "--config", _config_with(tmp_path, "check", key, text)])
@@ -449,6 +458,17 @@ def test_unparseable_design_file_is_config_error(tmp_path, capsys):
     code, out, err = _run(capsys, ["estimate", "--config", path])
     assert (code, out) == (2, "")
     assert err.startswith("config error: [model] design_file: cannot read")
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc"])
+def test_design_whose_x_transpose_x_overflows_is_a_config_error(tmp_path, capsys, command):
+    # entries near 1e200: X'X overflows in the fit, which says so in one line, without numpy's
+    # matmul overflow warning before it (pytest makes one an error)
+    path = _explicit_matrix_config(tmp_path, 100, 100, "100", scale=1e200)
+    code, out, err = _run(capsys, [command, "--config", path, "--out", str(tmp_path / "o"),
+                                   "--threads", "1"] if command == "mc" else [command, "--config", path])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("config error: X'X overflows: ")
 
 
 def test_explicit_matrix_with_matching_rows_runs(tmp_path, capsys):
@@ -606,7 +626,43 @@ def test_selo_tau_underflowing_to_zero_exits_2(tmp_path, capsys):
     path.write_text(text)
     code, out, err = _run(capsys, ["mc", "--config", str(path), "--out", str(tmp_path / "out")])
     assert (code, out) == (2, "")
-    assert err == "config error: [penalty] tau_c: tau_n = tau_c * n^tau_e underflows to 0 at n=100\n"
+    assert err == "config error: [penalty] tau_c: tau_n = tau_c * n^tau_e underflows to 0 at n=50\n"
+
+
+UNDERFLOW = ("e = 0.6", "e = -1e300")
+
+
+@pytest.mark.parametrize("command, edit, code", [
+    ("estimate", UNDERFLOW, 2), ("mc", UNDERFLOW, 2), ("check", UNDERFLOW, 2), ("limit", UNDERFLOW, 0),
+    ("limit", ("family = bridge\ngamma = 0.5", "family = selo\ntau_e = 300"), 4),
+], ids=["estimate", "mc", "check", "limit", "limit-selo-tau_e300"])
+def test_penalty_schedule_is_checked_where_the_command_evaluates_it(tmp_path, capsys, command, edit, code):
+    # c n^e with e = -1e300 is 0 at every n: estimate and mc would fit unpenalized and check
+    # would divide by q_n = 0. limit evaluates no penalty at any n: it reads only lambda0 = c,
+    # so its law is the standard one with lambda0 = 0, and SELO's overflowing tau_n leaves it
+    # with no regime (exit 4) rather than a config error
+    path = tmp_path / "sched.cfg"
+    path.write_text(BASE.replace(*edit))
+    got, out, err = _run(capsys, [command, "--config", str(path), "--out", str(tmp_path / "o"),
+                                  "--threads", "1"] if command == "mc" else [command, "--config", str(path)])
+    if code == 2:
+        assert (got, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("config error: [schedule] c: lambda_n = c * n^e underflows")
+    else:
+        assert (got, err) == (code, "")
+        payload = json.loads(out)
+        assert payload["regime"]["lambda0"] == 0.0 if code == 0 else payload["error"] == "unsupported-regime"
+
+
+def test_each_command_uses_the_n_of_its_table_entry(tmp_path):
+    # (penalty n, design n): check draws 50, 200, 800 for an n_grid of fewer than 3 entries,
+    # also from a config parsed without a command; an explicit matrix gives check no design n
+    ec = parse_config(_config_with(tmp_path, "mc", "n", "70"))
+    assert {command: ec.ns(command) for command in ("estimate", "mc", "check", "limit", None)} == {
+        "estimate": ((70,), (70,)), "mc": ((50, 100), (50, 100)),
+        "check": ((16, 64, 256, 1024, 4096), (50, 200, 800)), "limit": ((), ()), None: ((70, 50, 100), ())}
+    explicit = parse_config(_explicit_matrix_config(tmp_path, 100, 100, "50, 100"))
+    assert (explicit.ns("check")[1], explicit.ns("limit")) == ((), ((), (100,)))
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +914,7 @@ def test_check_bridge_sparse_slow(cfg_path, capsys):
     assert abs(div["fitted_exponent"] - 0.5) <= 1e-3
     assert "zero-block-tail-bound" in div["required_by"]
     assert payload["design_conditions"]["cross-block-root-n"]["verdict"] == "plausibly-bounded"
-    # [mc] n_grid = 50, 100 has fewer than the 3 points the design rates need, so check_design_grid stands in
+    # [mc] n_grid = 50, 100 has fewer than the 3 points the design rates need, so check draws 50, 200, 800
     assert payload["design_conditions"]["cross-block-root-n"]["n_grid"] == [50, 200, 800]
 
 
