@@ -39,19 +39,6 @@ from .montecarlo import (
 from .solver import minimize
 from .util import canonical_json, derive_seed, format_float
 
-_REQUIRED_BY = {
-    penalty_mod.COND_DIVERGENCE: ["zero-block-tail-bound"],
-    penalty_mod.COND_GROWTH_CAP: ["joint-tail-and-normal-limit"],
-    penalty_mod.COND_SHIFT: ["joint-tail-and-normal-limit"],
-    model_mod.COND_GRAM_RATE: ["standard-limit-moment-convergence"],
-    model_mod.COND_ROW_BOUND: ["standard-limit-moment-convergence",
-                               "zero-block-tail-bound", "joint-tail-and-normal-limit"],
-    model_mod.COND_CROSS_SCALED: ["zero-block-tail-bound"],
-    model_mod.COND_CROSS_ROOT_N: ["joint-tail-and-normal-limit"],
-    model_mod.COND_ZERO_GRAM: ["zero-block-tail-bound"],
-    model_mod.COND_NONZERO_GRAM_RATE: ["joint-tail-and-normal-limit"],
-}
-
 _LIMIT_SAMPLE_COUNT = 10_000
 
 
@@ -140,11 +127,7 @@ def _summary_payload(ec: ExperimentConfig, rs, p_hat: np.ndarray) -> dict:
     mc = ec.mc
     summary: dict = {"config": ec.raw, "c0_source": C0_SOURCES[mc.design.kind], "warnings": list(rs.warnings)}
 
-    if mc.truth.p0 >= 1:
-        summary["selection_frequency"] = sparsity_curve(rs)
-    else:
-        summary["selection_frequency"] = {
-            "note": "no zero block in the truth; selection frequencies undefined"}
+    summary["selection_frequency"] = sparsity_curve(rs)
     summary["moments"] = moment_trajectory(rs)
     summary["pldi_probe"] = pldi_probe(mc, p_hat)
 
@@ -186,8 +169,6 @@ def cmd_check(ec: ExperimentConfig) -> int:
         design_block["c0_source"] = C0_SOURCES[mc.design.kind]
         design_conditions = model_mod.check_design_conditions(
             designs, limit_c0(mc), cs.delta, penalty_mod.default_divergence_scale(pen), (mc.truth.p0, mc.truth.p1))
-    for block in (*penalty_block.values(), *design_conditions.values()):
-        block["required_by"] = _REQUIRED_BY[block["condition"]]
 
     payload = {
         "penalty_conditions": penalty_block,

@@ -128,9 +128,13 @@ def _given(values: dict, *keys: str, **renamed: str) -> dict:
 
 def _load_csv(key: str, path: str, ndmin: int) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=ndmin)
+        data = np.loadtxt(path, delimiter=",", ndmin=ndmin)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"[model] {key}: cannot read {path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        _fail("model", key, f"data row {bad[0][0] + 1} of {path} holds a non-finite value")
+    return data
 
 
 def load_raw(path: str) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .penalty import TuningSchedule
+from .penalty import CLAIM_JOINT, CLAIM_MOMENTS, CLAIM_TAIL, TuningSchedule
 from .util import boundedness_verdict, default_rng, require_finite
 
 DESIGN_KINDS = ("standardized-orthonormal", "explicit-matrix", "bounded-random-frozen")
@@ -221,7 +221,7 @@ def gram(X: np.ndarray, split: tuple[int, int]) -> GramReport:
 def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSchedule,
                             split: tuple[int, int]) -> dict[str, dict]:
     """Finite-n diagnostics for the design-side conditions over an n-grid,
-    each condition's block of `check`'s JSON keyed by its id.
+    each condition's block of `check`'s JSON, ending in its required_by, keyed by its id.
 
     `designs` holds (n, X) at `check`'s design n (`ExperimentConfig.ns`), C0 is
     `limit_c0`'s, and q_n is finite and positive there (`build_config`). Verdicts use the
@@ -251,10 +251,12 @@ def check_design_conditions(designs, C0: np.ndarray, delta: float, q_n: TuningSc
         zero_gram.append(zero_norm)
         nonzero_rate.append(float(n) ** delta * nonzero_norm)
 
-    report = {cond: {"condition": cond, "n_grid": ns, "values": vals, "verdict": boundedness_verdict(vals)}
-              for cond, vals in ((COND_GRAM_RATE, gram_rate), (COND_ROW_BOUND, row_bound),
-                                 (COND_CROSS_SCALED, cross_scaled), (COND_CROSS_ROOT_N, cross_rootn),
-                                 (COND_ZERO_GRAM, zero_gram), (COND_NONZERO_GRAM_RATE, nonzero_rate))}
-    for cond in (COND_GRAM_RATE, COND_NONZERO_GRAM_RATE):
-        report[cond]["note"] = f"delta={delta}"
-    return report
+    delta_note = {"note": f"delta={delta}"}  # the two rates scale by n**delta
+    blocks = ((COND_GRAM_RATE, gram_rate, delta_note, [CLAIM_MOMENTS]),
+              (COND_ROW_BOUND, row_bound, {}, [CLAIM_MOMENTS, CLAIM_TAIL, CLAIM_JOINT]),
+              (COND_CROSS_SCALED, cross_scaled, {}, [CLAIM_TAIL]),
+              (COND_CROSS_ROOT_N, cross_rootn, {}, [CLAIM_JOINT]),
+              (COND_ZERO_GRAM, zero_gram, {}, [CLAIM_TAIL]),
+              (COND_NONZERO_GRAM_RATE, nonzero_rate, delta_note, [CLAIM_JOINT]))
+    return {cond: {"condition": cond, "n_grid": ns, "values": vals, "verdict": boundedness_verdict(vals),
+                   **note, "required_by": required_by} for cond, vals, note, required_by in blocks}

@@ -281,10 +281,11 @@ def _gap_in_se(values: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.n
 def sparsity_curve(rs: ReplicationSet) -> dict:
     """Frequency of the exact event {every zero-block coordinate == 0} per n,
     its binomial SE and each coordinate's own zero frequency, keyed by str(n)
-    as summary.json's selection_frequency block."""
+    as summary.json's selection_frequency block (a note when the truth has no
+    zero block)."""
     cfg = rs.config
     if cfg.truth.p0 < 1:
-        raise InvalidInputError("selection frequencies need a nonempty zero block")
+        return {"note": "no zero block in the truth; selection frequencies undefined"}
     out = {}
     for n in cfg.n_grid:
         flags = rs.zero_flags(n)
@@ -340,86 +341,63 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return d
 
 
+def _limit_row(rs: ReplicationSet, law: LimitLaw, n: int) -> dict:
+    """The limit_distance entry at n of `compare_to_limit`, by the regime of law."""
+    cfg, tag, params = rs.config, law.regime["tag"], law.params
+    thetas = rs.theta_hat[n]
+    if tag == REGIME_STANDARD:
+        scaled = np.hstack([rs.u_hat(n), rs.v_hat(n)])
+        draws = sample_limit_argmin(law, R=scaled.shape[0], seed=derive_seed(cfg.master_seed, 777, n))
+        return {"ks_per_margin": [_ks_distance(scaled[:, j], draws[:, j]) for j in range(scaled.shape[1])],
+                "emp_moment2": np.mean(np.sum(scaled ** 2, axis=1)).tolist(),
+                "limit_moment2": np.mean(np.sum(draws ** 2, axis=1)).tolist()}
+    if tag in (REGIME_SPARSE_NORMAL, REGIME_SPARSE_SLOW):
+        # V = rate (rho_hat - rho0) about its limit location: sqrt(n) and bias, or n/lambda_n and drift
+        normal = tag == REGIME_SPARSE_NORMAL
+        rate, key = (math.sqrt(n), "bias") if normal else (n / cfg.penalty.schedule.value(n), "drift")
+        V = rate * (thetas[:, cfg.truth.p0:] - cfg.truth.rho0_array)
+        mean, gap = _gap_in_se(V, params[key])
+        row = {"mean": mean.tolist(), "limit_mean" if normal else "limit_drift": params[key].tolist(),
+               "mean_gap_in_se": gap.tolist()}
+        if normal:
+            cov, emp_cov = params["cov"], np.atleast_2d(np.cov(V.T))
+            # the norms are taken at the scale of cov (an exact power of two), where their squares stay
+            # finite; both covariances 0 (sigma = 0 and every fit alike) is no gap
+            scale = -int(np.frexp(np.max(np.abs(cov)))[1])
+            emp, lim = np.ldexp(emp_cov, scale), np.ldexp(cov, scale)
+            lim_norm, gap_norm = np.linalg.norm(lim), np.linalg.norm(emp - lim)
+            row.update(cov_rel_gap=0.0 if lim_norm == gap_norm == 0.0 else float(gap_norm / lim_norm),
+                       emp_cov=emp_cov.tolist(), limit_cov=cov.tolist())
+        return row
+    point = params["pseudo_true_point"]
+    zero_idx = np.flatnonzero(params["pseudo_zero_flags"])
+    mean = thetas.mean(axis=0)
+    row = {"mean": mean.tolist(), "pseudo_true": point.tolist(), "mean_distance": float(np.linalg.norm(mean - point))}
+    if zero_idx.size:
+        row["pseudo_zero_frequency"] = float(np.mean(np.all(thetas[:, zero_idx] == 0.0, axis=1)))
+    else:
+        row["note"] = "pseudo-true point has no exactly-zero coordinate; sparse check skipped"
+    return row
+
+
 def compare_to_limit(rs: ReplicationSet) -> dict:
     """Distance report between the scaled estimates and the limit law of the
-    campaign's config (`config_law`).
+    campaign's config (`config_law`), summary.json's limit_distance block.
 
     sparse-normal: mean gap in SE units and relative covariance gap;
     standard: per-margin ECDF sup-distance against argmin samples of matched R;
     sparse-slow: location-only check of (n/lambda_n)(rho_hat - rho0);
     pseudo-true: distance to the pseudo-true point plus exact-zero frequency.
+    A number of the block that is not finite raises InvalidInputError naming
+    its field and n.
     """
-    cfg = rs.config
-    law = config_law(cfg)
-    tag, params = law.regime["tag"], law.params
-    report = {"regime": tag, "per_n": {}}
-
-    if tag == REGIME_SPARSE_NORMAL:
-        bias, cov = params["bias"], params["cov"]
-        # the norms are taken at the scale of cov (an exact power of two), where their squares stay finite
-        scale = -int(np.frexp(np.max(np.abs(cov)))[1])
-        for n in cfg.n_grid:
-            V = rs.v_hat(n)
-            mean, gap = _gap_in_se(V, bias)
-            emp_cov = np.atleast_2d(np.cov(V.T))
-            emp, lim = np.ldexp(emp_cov, scale), np.ldexp(cov, scale)
-            denom = float(np.linalg.norm(lim))
-            if denom > 0.0:
-                cov_gap = float(np.linalg.norm(emp - lim)) / denom
-            else:
-                cov_gap = 0.0 if float(np.linalg.norm(emp)) == 0.0 else math.inf
-            report["per_n"][n] = {
-                "mean": mean.tolist(),
-                "limit_mean": bias.tolist(),
-                "mean_gap_in_se": gap.tolist(),
-                "cov_rel_gap": cov_gap,
-                "emp_cov": emp_cov.tolist(),
-                "limit_cov": cov.tolist(),
-            }
-        return report
-
-    if tag == REGIME_STANDARD:
-        for n in cfg.n_grid:
-            scaled = np.hstack([rs.u_hat(n), rs.v_hat(n)])
-            draws = sample_limit_argmin(law, R=scaled.shape[0], seed=derive_seed(cfg.master_seed, 777, n))
-            ks = [_ks_distance(scaled[:, j], draws[:, j]) for j in range(scaled.shape[1])]
-            report["per_n"][n] = {
-                "ks_per_margin": ks,
-                "emp_moment2": np.mean(np.sum(scaled ** 2, axis=1)).tolist(),
-                "limit_moment2": np.mean(np.sum(draws ** 2, axis=1)).tolist(),
-            }
-        return report
-
-    if tag == REGIME_SPARSE_SLOW:
-        drift = params["drift"]
-        sch = cfg.penalty.schedule
-        for n in cfg.n_grid:
-            lam_n = sch.value(n)
-            Vn = (n / lam_n) * (rs.theta_hat[n][:, cfg.truth.p0:] - cfg.truth.rho0_array)
-            mean, gap = _gap_in_se(Vn, drift)
-            report["per_n"][n] = {
-                "mean": mean.tolist(),
-                "limit_drift": drift.tolist(),
-                "mean_gap_in_se": gap.tolist(),
-            }
-        return report
-
-    # pseudo-true
-    point = params["pseudo_true_point"]
-    zero_idx = np.flatnonzero(params["pseudo_zero_flags"])
-    for n in cfg.n_grid:
-        thetas = rs.theta_hat[n]
-        mean = thetas.mean(axis=0)
-        entry = {
-            "mean": mean.tolist(),
-            "pseudo_true": point.tolist(),
-            "mean_distance": float(np.linalg.norm(mean - point)),
-        }
-        if zero_idx.size:
-            hits = np.all(thetas[:, zero_idx] == 0.0, axis=1)
-            entry["pseudo_zero_frequency"] = float(np.mean(hits))
-        else:
-            entry["note"] = ("pseudo-true point has no exactly-zero coordinate; "
-                             "sparse check skipped")
-        report["per_n"][n] = entry
+    law = config_law(rs.config)
+    report = {"regime": law.regime["tag"], "per_n": {}}
+    for n in rs.config.n_grid:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            row = _limit_row(rs, law, n)
+        bad = [key for key, value in row.items() if not isinstance(value, str) and not np.all(np.isfinite(value))]
+        if bad:
+            raise InvalidInputError(f"the limit distance {bad[0]} is not finite at n={n}")
+        report["per_n"][n] = row
     return report

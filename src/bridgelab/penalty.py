@@ -22,6 +22,10 @@ FAMILIES = ("bridge", "scad", "selo", "none")
 COND_DIVERGENCE = "divergence-lower-bound"
 COND_GROWTH_CAP = "polynomial-growth-cap"
 COND_SHIFT = "root-n-shift-continuity"
+# Stable ids of the results that need a condition: the required_by list of its block.
+CLAIM_MOMENTS = "standard-limit-moment-convergence"
+CLAIM_TAIL = "zero-block-tail-bound"
+CLAIM_JOINT = "joint-tail-and-normal-limit"
 
 LOG2 = math.log(2.0)
 _TINY = 2.0 ** -1022  # smallest normal float
@@ -370,8 +374,9 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) ->
     grows by more than x2 from the smallest to largest r, and keeps growing by
     more than x2 over the top half of the r-grid (the saturation check that
     separates bounded penalties from divergent ones). Also fits a power r^s to
-    the scaled curve. Returns the condition's block of `check`'s JSON. The
-    grids are `CheckSettings`', p0 >= 1 and q_n > 0 on n_grid (`build_config`).
+    the scaled curve. Returns the condition's block of `check`'s JSON, ending
+    in its required_by. The grids are `CheckSettings`', p0 >= 1 and q_n > 0
+    on n_grid (`build_config`).
     """
     n_grid = tuple(int(n) for n in n_grid)
     r_grid = tuple(float(r) for r in r_grid)
@@ -394,6 +399,7 @@ def check_divergence_condition(pen: PenaltySpec, n_grid, r_grid, p0: int = 1) ->
     if fit is not None:
         report["fitted_exponent"], report["fit_error"] = fit
     report["detail"] = {"q_n": {"c": q.c, "e": q.e}, "p0": p0}
+    report["required_by"] = [CLAIM_TAIL]
     return report
 
 
@@ -402,10 +408,11 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
     """Finite-n surrogates for the growth cap sup_n p_n(a)/n^(1/2+beta) < inf
     and the root-n shift bound |p_n(a + b/sqrt(n)) - p_n(a)| <= c_{a,b} |b|^kappa.
 
-    Returns the growth and the shift blocks of `check`'s JSON. The shift
-    condition is a limsup at fixed probes; the probe sets are a documented
-    knob, not a claim. The settings are `CheckSettings`': n_grid >= 3
-    increasing values, every a nonzero and beta in (0, 1/2).
+    Returns the growth and the shift blocks of `check`'s JSON, each ending in
+    its required_by. The shift condition is a limsup at fixed probes; the
+    probe sets are a documented knob, not a claim. The settings are
+    `CheckSettings`': n_grid >= 3 increasing values, every a nonzero and beta
+    in (0, 1/2).
     """
     n_grid = tuple(int(n) for n in n_grid)
     a_probes = tuple(float(a) for a in a_probes)
@@ -419,7 +426,7 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
     growth_ok = all(boundedness_verdict(row) == PLAUSIBLY_BOUNDED for row in growth)
     growth_report = {"condition": COND_GROWTH_CAP, "n_grid": list(n_grid), "probes": list(a_probes),
                      "values": growth.tolist(), "verdict": "satisfied" if growth_ok else "not-satisfied",
-                     "detail": {"beta": beta}}
+                     "detail": {"beta": beta}, "required_by": [CLAIM_JOINT]}
 
     diffs = np.abs(values[:, 1:] - values[:, :1]).transpose(2, 1, 0)
     shift_ok = all(boundedness_verdict(row) == PLAUSIBLY_BOUNDED for row in diffs.reshape(-1, len(n_grid)))
@@ -438,4 +445,5 @@ def check_smooth_conditions(pen: PenaltySpec, n_grid, a_probes, b_probes,
             shift_report["kappa"] = cand
             break
     shift_report["detail"] = {"levels": levels.tolist()}
+    shift_report["required_by"] = [CLAIM_JOINT]
     return growth_report, shift_report

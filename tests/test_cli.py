@@ -605,6 +605,28 @@ def test_bad_response_file_exits_2_naming_the_field(tmp_path, capsys, content):
     assert err.startswith("config error: [model] response_file: ")
 
 
+@pytest.mark.parametrize("command", ["estimate", "check", "limit", "mc"])
+@pytest.mark.parametrize("key, entry", [("design_file", "nan"), ("response_file", "nan"), ("response_file", "inf")])
+def test_non_finite_data_file_entry_is_a_config_error(tmp_path, capsys, command, key, entry):
+    # a nan design entry gave estimate and mc an unkeyed line, limit "eigenvalues nan to nan" and check
+    # exit 0; a non-finite response gave estimate an unkeyed line and the other commands exit 0
+    if key == "design_file":
+        path = _explicit_matrix_config(tmp_path, 100, 100, "100")
+        data = tmp_path / "design.csv"
+    else:
+        data = tmp_path / "responses.csv"
+        data.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(5).standard_normal(100).tolist()))
+        path = _config_with(tmp_path, "model", "response_file", str(data))
+    lines = data.read_text().splitlines()
+    lines[6] = ",".join([entry, *lines[6].split(",")[1:]])
+    data.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, [command, "--config", path, "--out", str(tmp_path / "o"), "--threads", "1"]
+                          if command == "mc" else [command, "--config", path])
+    assert (code, out) == (2, "")
+    assert err == f"config error: [model] {key}: data row 7 of {data} holds a non-finite value\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("tau_c, tau_e", [(1e-300, "0"), (1e-200, "0"), (1e-80, "0"), (1e-80, None)])
 def test_selo_with_tiny_tau_estimates_finite_values(tmp_path, capsys, tau_c, tau_e):
     # (x + tau)(2x + tau) underflows to 0 near x = 0 for such tau_n
@@ -783,6 +805,39 @@ def test_sparse_limit_law_that_is_not_finite_is_a_config_error(tmp_path, capsys,
     assert summary["limit_distance"] == {"note": err[len("config error: "):-1]}
 
 
+@pytest.mark.parametrize("edits, field", [
+    ({"rho0 = 1.0": "rho0 = 1000", "gamma = 0.5": "gamma = 100", "e = 0.6": "e = 0.5"}, "limit_moment2"),
+    ({"c = 1.0": "c = 1e300", "e = 0.6": "e = 0.5"}, "mean_gap_in_se"),
+    ({"sigma = 1.0": "sigma = 0", "e = 0.6": "e = 0.4"}, "cov_rel_gap"),
+], ids=["standard-draws-overflow", "sparse-normal-huge-c", "sparse-normal-sigma0"])
+def test_limit_distance_that_is_not_finite_is_the_note(tmp_path, capsys, edits, field):
+    # the squared argmin draws under the gamma = 100 tilt overflow, the SE of a bias near 1e299 is
+    # tiny enough that the gap overflows, and sigma = 0 has a zero limit covariance: mc printed a
+    # numpy warning (an error under pytest) or none, and wrote "inf"; now the block is the note
+    text = BASE
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "fault.cfg"
+    path.write_text(text)
+    out_dir = tmp_path / "o"
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir), "--threads", "1"]) == (0, "", "")
+    text = (out_dir / "summary.json").read_text()
+    assert json.loads(text)["limit_distance"] == {"note": f"the limit distance {field} is not finite at n=50"}
+    assert '"inf"' not in text and '"nan"' not in text
+
+
+def test_standard_limit_moment_near_the_float_range_is_kept(tmp_path, capsys):
+    # sigma = 1e150 puts the limit argmin second moment near 2e300: finite, so it is printed, though
+    # the fourth moment that limit reports overflows
+    path = tmp_path / "big.cfg"
+    path.write_text(BASE.replace("sigma = 1.0", "sigma = 1e150").replace("e = 0.6", "e = 0.25"))
+    out_dir = tmp_path / "o"
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir), "--threads", "1"]) == (0, "", "")
+    limit = json.loads((out_dir / "summary.json").read_text())["limit_distance"]
+    assert limit["regime"] == "standard"
+    assert all(1e299 < entry["limit_moment2"] < math.inf for entry in limit["per_n"].values())
+
+
 @pytest.mark.parametrize("noise, sigma", [("gaussian", "1.0"), ("scaled-uniform", "1.0"),
                                           ("scaled-rademacher", "1.0"), ("gaussian", "0.0")],
                          ids=["gaussian", "scaled-uniform", "scaled-rademacher", "sigma0"])
@@ -916,6 +971,21 @@ def test_check_bridge_sparse_slow(cfg_path, capsys):
     assert payload["design_conditions"]["cross-block-root-n"]["verdict"] == "plausibly-bounded"
     # [mc] n_grid = 50, 100 has fewer than the 3 points the design rates need, so check draws 50, 200, 800
     assert payload["design_conditions"]["cross-block-root-n"]["n_grid"] == [50, 200, 800]
+
+
+def test_check_blocks_end_in_the_results_that_need_them(cfg_path, capsys):
+    code, out, _ = _run(capsys, ["check", "--config", cfg_path])
+    assert code == 0
+    payload = json.loads(out)
+    blocks = {**payload["penalty_conditions"], **payload["design_conditions"]}
+    blocks.pop("c0_source")
+    tail, joint, moments = "zero-block-tail-bound", "joint-tail-and-normal-limit", "standard-limit-moment-convergence"
+    assert {cond: block["required_by"] for cond, block in blocks.items()} == {
+        "divergence-lower-bound": [tail], "polynomial-growth-cap": [joint], "root-n-shift-continuity": [joint],
+        "gram-convergence-rate": [moments], "row-norm-bound": [moments, tail, joint],
+        "cross-block-scaled": [tail], "cross-block-root-n": [joint], "zero-block-gram-limit": [tail],
+        "nonzero-block-gram-rate": [joint]}
+    assert all(list(block)[-1] == "required_by" for block in blocks.values())
 
 
 def test_check_design_norms_that_overflow_are_a_config_error(tmp_path, capsys):

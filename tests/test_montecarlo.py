@@ -256,8 +256,7 @@ def test_sparsity_curve_se_formula():
 def test_sparsity_curve_needs_zero_block():
     cfg = _cfg(p0=0, n_grid=(50,), R=100)
     rs = run_replications(cfg)
-    with pytest.raises(InvalidInputError):
-        sparsity_curve(rs)
+    assert sparsity_curve(rs) == {"note": "no zero block in the truth; selection frequencies undefined"}
 
 
 def test_moment_trajectory_zero_samples():
