@@ -272,10 +272,10 @@ def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gap_in_se(values: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means of R rows and their distance to target in plug-in SEs
-    (in raw units for a column whose SE is 0)."""
+    """Column means of R rows and their distance to target in plug-in SEs (in raw units for a
+    column whose SE is within 4 ulp of |mean|: its rows agree to rounding, as R fits at sigma = 0)."""
     mean, se = _mean_se(values)
-    return mean, np.abs(mean - target) / np.where(se > 0.0, se, 1.0)
+    return mean, np.abs(mean - target) / np.where(se > 4.0 * np.spacing(np.abs(mean)), se, 1.0)
 
 
 def sparsity_curve(rs: ReplicationSet) -> dict:

@@ -28,13 +28,15 @@ FACE_TOL = 1e-9  # Box.on_boundary: a coordinate this close to a face touches it
 def tiebreak_argmin(groups: np.ndarray, objectives: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Per group, the index of the first row in the order of objective, then
     coordinate magnitudes, then the signed point (the earliest row on a full
-    tie). Groups must be sorted; one stable lexsort.
+    tie). Groups must be sorted; one stable lexsort, none if each group is one row.
 
     Magnitudes come before the signed lexicographic order so that exact-zero
     coordinates beat ulp-level perturbations when objectives tie; this keeps
     zero-hit events well defined. `box_argmin`, the one argmin of fits, limit
     draws and the pseudo-true point, picks with it and no other code does.
     """
+    if np.all(groups[1:] > groups[:-1]):
+        return np.arange(groups.size)
     order = np.lexsort((*points.T[::-1], *np.abs(points).T[::-1], objectives, groups))
     g = groups[order]
     return order[np.concatenate(([True], g[1:] != g[:-1]))]
@@ -140,15 +142,19 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
     nearest 0 where Q_jj = 0 (only the penalty sees u_j). A row stops after its
     first sweep that moves no coordinate by more than `tolerance`, or after
     `max_sweeps`; sums run elementwise in index order, so a row's endpoint does
-    not depend on the other rows. Returns (endpoints, sweeps, converged)."""
+    not depend on the other rows. On a diagonal Q, b_j reads the others through exact
+    zeros, so from finite starts and sweep-1 ends sweep 2 repeats sweep 1 bit for bit
+    (a zero b may flip sign; the prox of +-0 is +0.0): a row still moving after sweep 1
+    ends there, converged in 2 sweeps. Returns (endpoints, sweeps, converged)."""
     Q = np.asarray(Q, dtype=float)
     p = Q.shape[0]
     lo, hi = np.broadcast_to(lo, p), np.broadcast_to(hi, p)
     U = np.clip(np.asarray(starts, dtype=float), lo, hi)
     q = np.broadcast_to(np.asarray(q, dtype=float), U.shape)
-    Q_off = Q - np.diag(np.diag(Q))
+    Q_off = Q - np.diag(np.diag(Q))  # nan on an inf Q_jj, so such a Q is not diagonal below
     sweeps, converged = np.full(U.shape[0], max_sweeps), np.zeros(U.shape[0], dtype=bool)
     active = np.arange(U.shape[0])
+    repeats = np.all(np.isfinite(U), axis=1) & (max_sweeps > 1) & (not np.any(Q_off))
     # an overflowing b (a near-singular Q) gives inf or nan candidates, which never win
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for sweep in range(1, max_sweeps + 1):
@@ -168,6 +174,9 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
             moving = max_move > tolerance
             sweeps[active[~moving]], converged[active[~moving]] = sweep, True
             active = active[moving]
+            if sweep == 1:
+                same = repeats[active] & np.all(np.isfinite(U[active]), axis=1)
+                sweeps[active[same]], converged[active[same]], active = 2, True, active[~same]
     return U, sweeps, converged
 
 

@@ -73,19 +73,20 @@ def _uint64(words32: np.ndarray) -> np.ndarray:
     return words32.astype("<u4").view("<u8").astype(np.uint64)
 
 
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence whose `generate_state(4, uint64)`, PCG64's one call, returns a C-contiguous row."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _pcg64_generators(entropy: list[np.ndarray]):
-    """Yield, per entropy row, one reused Generator set to the state of
-    `default_rng(SeedSequence(row))`. Of `generate_state(4, uint64)`, seed = w0:w1 and
-    inc = w2:w3 << 1 | 1; the state is two PCG64 steps from 0, worked out for all rows up front."""
-    w0, w1, w2, w3 = _uint64(seed_sequence_words(entropy, 8)).T.tolist()
-    mult, mask = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
-    incs = [((a << 64 | b) << 1 | 1) & mask for a, b in zip(w2, w3)]
-    states = [((inc + (a << 64 | b)) * mult + inc) & mask for a, b, inc in zip(w0, w1, incs)]
-    rng, inner = Generator(PCG64(0)), {}
-    full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": inner}
-    for inner["state"], inner["inc"] in zip(states, incs):
-        rng.bit_generator.state = full
-        yield rng
+    """Yield, per entropy row, a new `default_rng(SeedSequence(row))`: one hash pass works
+    out every row's `generate_state(4, uint64)`, and numpy's PCG64 constructor seeds from it."""
+    return (Generator(PCG64(_Words(w))) for w in _uint64(seed_sequence_words(entropy, 8)))
 
 
 def derived_seeds(parts: tuple[int, ...], reps) -> np.ndarray:
@@ -98,7 +99,7 @@ def derived_seeds(parts: tuple[int, ...], reps) -> np.ndarray:
 
 
 def seeded_generators(seeds: np.ndarray):
-    """(seed, rng) per seed of a uint64 array, rng being one reused Generator in the state
+    """(seed, rng) per seed of a uint64 array, rng being a new Generator in the state
     `default_rng(seed)` starts in (a seed below 2**32 hashes as [seed, 0]: the pool pads with 0)."""
     return zip(seeds.tolist(), _pcg64_generators([*seeds.astype("<u8").view("<u4").reshape(-1, 2).T]))
 
@@ -106,7 +107,7 @@ def seeded_generators(seeds: np.ndarray):
 def spawned_normals(seed: int, R: int, p: int) -> np.ndarray:
     """(R, p) standard normals whose row k has the bits of
     `default_rng(SeedSequence(seed).spawn(R)[k]).standard_normal(p)`: one hash
-    pass seeds all R children, and one reused PCG64 is set to each child's state."""
+    pass seeds all R children, without R SeedSequence objects (`_pcg64_generators`)."""
     seed, R = int(seed), int(R)
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")

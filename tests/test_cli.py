@@ -807,13 +807,12 @@ def test_sparse_limit_law_that_is_not_finite_is_a_config_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("edits, field", [
     ({"rho0 = 1.0": "rho0 = 1000", "gamma = 0.5": "gamma = 100", "e = 0.6": "e = 0.5"}, "limit_moment2"),
-    ({"c = 1.0": "c = 1e300", "e = 0.6": "e = 0.5"}, "mean_gap_in_se"),
     ({"sigma = 1.0": "sigma = 0", "e = 0.6": "e = 0.4"}, "cov_rel_gap"),
-], ids=["standard-draws-overflow", "sparse-normal-huge-c", "sparse-normal-sigma0"])
+], ids=["standard-draws-overflow", "sparse-normal-sigma0"])
 def test_limit_distance_that_is_not_finite_is_the_note(tmp_path, capsys, edits, field):
-    # the squared argmin draws under the gamma = 100 tilt overflow, the SE of a bias near 1e299 is
-    # tiny enough that the gap overflows, and sigma = 0 has a zero limit covariance: mc printed a
-    # numpy warning (an error under pytest) or none, and wrote "inf"; now the block is the note
+    # the squared argmin draws under the gamma = 100 tilt overflow, and sigma = 0 has a zero limit
+    # covariance: mc printed a numpy warning (an error under pytest) or none, and wrote "inf"; now
+    # the block is the note
     text = BASE
     for old, new in edits.items():
         text = text.replace(old, new)
@@ -824,6 +823,29 @@ def test_limit_distance_that_is_not_finite_is_the_note(tmp_path, capsys, edits, 
     text = (out_dir / "summary.json").read_text()
     assert json.loads(text)["limit_distance"] == {"note": f"the limit distance {field} is not finite at n=50"}
     assert '"inf"' not in text and '"nan"' not in text
+
+
+@pytest.mark.parametrize("edits, regime, location, gaps", [
+    ({"sigma = 1.0": "sigma = 0.0"}, "sparse-slow", "limit_drift", (0.001, 0.01)),
+    ({"c = 1.0": "c = 1e300", "e = 0.6": "e = 0.5"}, "sparse-normal", "limit_mean", (1e299, 1e300)),
+], ids=["sparse-slow-sigma0", "sparse-normal-huge-c"])
+def test_mean_gap_of_fits_that_agree_is_in_raw_units(tmp_path, capsys, edits, regime, location, gaps):
+    # the R fits of an n agree (sigma = 0, or c = 1e300 pinning every fit at 0), so their plug-in
+    # SE is the rounding of the mean (about 6e-18, or 3e-16 at n = 50 and 0 at n = 100): the gap is
+    # |mean - location| itself, where dividing by that SE wrote 1.3e15 and 9.3e14 for gaps near
+    # 0.007 and 0.005, and overflowed at n = 50 only for the bias near 2.5e299
+    text = BASE
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    out_dir = tmp_path / "o"
+    assert _run(capsys, ["mc", "--config", str(path), "--out", str(out_dir), "--threads", "1"]) == (0, "", "")
+    limit = json.loads((out_dir / "summary.json").read_text())["limit_distance"]
+    assert limit["regime"] == regime and list(limit["per_n"]) == ["50", "100"]
+    for entry in limit["per_n"].values():
+        (mean,), (target,), (gap,) = entry["mean"], entry[location], entry["mean_gap_in_se"]
+        assert gap == abs(mean - target) and gaps[0] < gap < gaps[1]
 
 
 def test_standard_limit_moment_near_the_float_range_is_kept(tmp_path, capsys):

@@ -414,6 +414,54 @@ def test_tiebreak_argmin_matches_tiebreak_key():
     assert winners.tolist() == expected
 
 
+@pytest.mark.parametrize("m", [0, 1, 60])
+def test_tiebreak_argmin_on_one_row_groups_is_the_lexsort_order(m):
+    # strictly increasing groups hold one row each, so the pick is every row,
+    # in the order the full lexsort gives
+    rng = np.random.default_rng(m)
+    groups = np.sort(rng.choice(10 * m + 1, m, replace=False))
+    objectives = rng.choice([0.5, 1.0, rng.standard_normal()], m)
+    points = rng.choice([-1.0, -0.0, 0.0, 1.0, rng.standard_normal()], size=(m, 3))
+    order = np.lexsort((*points.T[::-1], *np.abs(points).T[::-1], objectives, groups))
+    winners = tiebreak_argmin(groups, objectives, points)
+    assert winners.dtype == order.dtype and winners.tolist() == order.tolist()
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 2, 50])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("pen", [
+    _bridge(1.0, 0.0, 0.5),
+    _bridge(1.0, 0.0, 1.0),
+    _bridge(1.0, 0.0, 2.0),
+    PenaltySpec(family="scad", schedule=TuningSchedule(0.5, 0.0), a=3.7),
+    PenaltySpec(family="selo", schedule=TuningSchedule(0.2, 0.0), tau=TuningSchedule(0.1, 0.0)),
+    NO_PENALTY,
+], ids=["bridge-0.5", "bridge-1", "bridge-2", "scad", "selo", "none"])
+def test_diagonal_descent_ends_where_sweep_two_would_repeat_sweep_one(pen, p, max_sweeps):
+    # on a diagonal Q (a zero diagonal entry from p = 2 on) a row's end is that of two
+    # single sweeps: signed-zero q entries read their other coordinates through +0 in one
+    # sweep and -0 in the next, and the last q row overflows b (a nan move ends a sweep
+    # converged, so that row may stop at sweep 1 with U1, which sweep 2 would change)
+    rng = np.random.default_rng(p)
+    Q = np.diag([0.5, 0.0, 0.25][:p])
+    q = np.vstack([3.0 * rng.standard_normal((6, p)), np.zeros((2, p)), np.full((2, p), -0.0),
+                   rng.choice([-0.0, 0.0, 0.1], (4, p)), np.full((1, p), np.finfo(float).max)])
+    starts = np.vstack([3.0 * rng.standard_normal((6, p)), -np.abs(rng.standard_normal((4, p))),
+                        np.zeros((4, p)), rng.standard_normal((1, p))])
+    pens = [pen] * p
+    for lo, hi in ((-np.inf, np.inf), (np.array([0.0, -1.0, -2.0][:p]), np.array([3.0, 1.0, 0.5][:p]))):
+        U1, _, c1 = box_descent(Q, q, pens, 1, starts, lo, hi, 1e-13, 1)
+        U2, _, c2 = box_descent(Q, q, pens, 1, U1, lo, hi, 1e-13, 1)
+        ends, sweeps, conv = box_descent(Q, q, pens, 1, starts, lo, hi, 1e-13, max_sweeps)
+        if max_sweeps == 1:
+            assert ends.tobytes() == U1.tobytes()
+            assert sweeps.tolist() == [1] * len(q) and conv.tolist() == c1.tolist()
+        else:
+            assert ends.tobytes() == np.where(c1[:, None], U1, U2).tobytes()
+            assert ends[:-1].tobytes() == U2[:-1].tobytes()
+            assert sweeps.tolist() == np.where(c1, 1, 2).tolist() and conv.tolist() == (c1 | c2).tolist()
+
+
 @pytest.mark.parametrize("pen", [
     _bridge(1.0, 0.1, 0.3),
     _bridge(1.0, 0.2, 0.5),
