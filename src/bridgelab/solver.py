@@ -142,19 +142,16 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
     nearest 0 where Q_jj = 0 (only the penalty sees u_j). A row stops after its
     first sweep that moves no coordinate by more than `tolerance`, or after
     `max_sweeps`; sums run elementwise in index order, so a row's endpoint does
-    not depend on the other rows. On a diagonal Q, b_j reads the others through exact
-    zeros, so from finite starts and sweep-1 ends sweep 2 repeats sweep 1 bit for bit
-    (a zero b may flip sign; the prox of +-0 is +0.0): a row still moving after sweep 1
-    ends there, converged in 2 sweeps. Returns (endpoints, sweeps, converged)."""
+    not depend on the other rows; starts are used unclipped, so a call from the
+    endpoints of another continues its loop. Returns (endpoints, sweeps, converged)."""
     Q = np.asarray(Q, dtype=float)
     p = Q.shape[0]
     lo, hi = np.broadcast_to(lo, p), np.broadcast_to(hi, p)
-    U = np.clip(np.asarray(starts, dtype=float), lo, hi)
+    U = np.array(starts, dtype=float)
     q = np.broadcast_to(np.asarray(q, dtype=float), U.shape)
-    Q_off = Q - np.diag(np.diag(Q))  # nan on an inf Q_jj, so such a Q is not diagonal below
+    Q_off = Q - np.diag(np.diag(Q))
     sweeps, converged = np.full(U.shape[0], max_sweeps), np.zeros(U.shape[0], dtype=bool)
     active = np.arange(U.shape[0])
-    repeats = np.all(np.isfinite(U), axis=1) & (max_sweeps > 1) & (not np.any(Q_off))
     # an overflowing b (a near-singular Q) gives inf or nan candidates, which never win
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for sweep in range(1, max_sweeps + 1):
@@ -174,26 +171,24 @@ def box_descent(Q, q, pens: list[PenaltySpec], n: int, starts, lo=-np.inf, hi=np
             moving = max_move > tolerance
             sweeps[active[~moving]], converged[active[~moving]] = sweep, True
             active = active[moving]
-            if sweep == 1:
-                same = repeats[active] & np.all(np.isfinite(U[active]), axis=1)
-                sweeps[active[same]], converged[active[same]], active = 2, True, active[~same]
     return U, sweeps, converged
 
 
 def box_argmin(Q, q, base, coords, pens: list[PenaltySpec], n: int, lo=-np.inf, hi=np.inf,
                tolerance: float = 1e-13, max_sweeps: int = 2000):
-    """Argmin over lo <= u <= hi of (u - b)'Q(u - b) + sum_j p_j(u_j) per row b of
-    `base`, a stationary point Q b = q (q one row, or one per b): the one argmin
-    of fits, limit draws and the pseudo-true point. Starts: `zeroed_starts` of
-    b clipped to the box, byte duplicates of one b dropped in order; b alone if
-    Q is diagonal and base finite, as every start then ends on the same bits.
-    One `box_descent` call runs them. Starts and endpoints are ranked by the
-    objective, summed elementwise so no row's value depends on the others; a
-    start is kept where its descent ends higher, and `tiebreak_argmin` picks.
+    """Argmin over lo <= u <= hi of (u - b)'Q(u - b) + sum_j p_j(u_j) per row b of `base`, a
+    stationary point Q b = q (q one row, or one per b): the one argmin of fits, limit draws and
+    the pseudo-true point. Starts: `zeroed_starts` of b clipped to the box, byte duplicates of
+    one b dropped in order; b alone if Q is diagonal and base finite, as every start then ends
+    on the same bits, and one sweep of it, as b_j reads the others through exact zeros: sweep 2
+    would repeat a finite end bit for bit (a zero b may flip sign; the prox of +-0 is +0.0), so
+    a moving row ends there, converged in 2 sweeps (a non-finite one sweeps on). Starts and
+    endpoints are ranked by the objective, summed elementwise so no row's value depends on the
+    others; a start is kept where its descent ends higher, and `tiebreak_argmin` picks.
     Returns (winner per b, endpoints, ranking values, b of each, sweeps, converged)."""
     Q, base = np.asarray(Q, dtype=float), np.asarray(base, dtype=float)
     m, p = base.shape
-    lo, hi = np.broadcast_to(lo, p), np.broadcast_to(hi, p)
+    lo, hi, q = np.broadcast_to(lo, p), np.broadcast_to(hi, p), np.broadcast_to(q, base.shape)
     if np.any(Q[~np.eye(p, dtype=bool)]) or not np.all(np.isfinite(base)):
         starts = np.clip(zeroed_starts(base, coords), lo, hi)
         row = np.repeat(np.arange(m), starts.shape[0] // m)
@@ -201,10 +196,15 @@ def box_argmin(Q, q, base, coords, pens: list[PenaltySpec], n: int, lo=-np.inf, 
         order = np.lexsort(key.T[::-1])  # stable: a b's equal starts keep their order
         copies = order[1:][np.all(key[order[1:]] == key[order[:-1]], axis=1)]  # all but the earliest
         starts, row = np.delete(starts, copies, axis=0), np.delete(row, copies)
+        ends, sweeps, conv = box_descent(Q, q[row], pens, n, starts, lo, hi, tolerance, max_sweeps)
     else:
         starts, row = np.clip(base, lo, hi), np.arange(m)
-    ends, sweeps, conv = box_descent(Q, np.broadcast_to(q, base.shape)[row], pens, n, starts,
-                                     lo, hi, tolerance, max_sweeps)
+        ends, sweeps, conv = box_descent(Q, q, pens, n, starts, lo, hi, tolerance, 1)
+        moved = ~conv & (max_sweeps > 1)
+        sweeps[moved], conv[moved], more = 2, True, moved & ~np.all(np.isfinite(ends), axis=1)
+        if np.any(more):
+            U, s, c = box_descent(Q, q[more], pens, n, ends[more], lo, hi, tolerance, max_sweeps - 1)
+            ends[more], sweeps[more], conv[more] = U, s + 1, c
     b, ones = base[row], np.ones((p, 1))
 
     def rank(U):  # starts and endpoints apart: at p = 2 a 4,096-draw block's temporaries stay at 64 KiB

@@ -438,28 +438,36 @@ def test_tiebreak_argmin_on_one_row_groups_is_the_lexsort_order(m):
     NO_PENALTY,
 ], ids=["bridge-0.5", "bridge-1", "bridge-2", "scad", "selo", "none"])
 def test_diagonal_descent_ends_where_sweep_two_would_repeat_sweep_one(pen, p, max_sweeps):
-    # on a diagonal Q (a zero diagonal entry from p = 2 on) a row's end is that of two
-    # single sweeps: signed-zero q entries read their other coordinates through +0 in one
-    # sweep and -0 in the next, and the last q row overflows b (a nan move ends a sweep
-    # converged, so that row may stop at sweep 1 with U1, which sweep 2 would change)
+    # on a diagonal Q (a zero diagonal entry from p = 2 on) `box_argmin` descends one sweep
+    # from each b, and a row's end is that of two single sweeps: signed-zero q entries read
+    # their other coordinates through +0 in one sweep and -0 in the next. The last q row
+    # overflows b: where its sweep-1 end is not finite the loop goes on (a nan move ends a
+    # sweep converged). The multistart oracle runs the plain loop from the same one start.
     rng = np.random.default_rng(p)
     Q = np.diag([0.5, 0.0, 0.25][:p])
-    q = np.vstack([3.0 * rng.standard_normal((6, p)), np.zeros((2, p)), np.full((2, p), -0.0),
-                   rng.choice([-0.0, 0.0, 0.1], (4, p)), np.full((1, p), np.finfo(float).max)])
-    starts = np.vstack([3.0 * rng.standard_normal((6, p)), -np.abs(rng.standard_normal((4, p))),
-                        np.zeros((4, p)), rng.standard_normal((1, p))])
+    base = np.vstack([3.0 * rng.standard_normal((6, p)), np.zeros((2, p)), np.full((2, p), -0.0),
+                      rng.choice([-0.0, 0.0, 0.1], (4, p)), rng.standard_normal((1, p))])
+    q = base * np.diag(Q)  # Q b = q, signed zeros kept
+    q[-1] = np.finfo(float).max
     pens = [pen] * p
     for lo, hi in ((-np.inf, np.inf), (np.array([0.0, -1.0, -2.0][:p]), np.array([3.0, 1.0, 0.5][:p]))):
+        starts = np.clip(base, lo, hi)
         U1, _, c1 = box_descent(Q, q, pens, 1, starts, lo, hi, 1e-13, 1)
         U2, _, c2 = box_descent(Q, q, pens, 1, U1, lo, hi, 1e-13, 1)
-        ends, sweeps, conv = box_descent(Q, q, pens, 1, starts, lo, hi, 1e-13, max_sweeps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            win, ends, _, _, sweeps, conv = box_argmin(Q, q, base, np.arange(0), pens, 1, lo, hi, 1e-13, max_sweeps)
+            oracle = multistart_argmin(Q, q, base, base, pens, 1, lo, hi, 1e-13, max_sweeps)
+        assert win.tolist() == oracle[0].tolist() and ends.tobytes() == oracle[1].tobytes()
+        assert sweeps.tolist() == oracle[2].tolist() and conv.tolist() == oracle[3].tolist()
+        kept = sweeps != 0  # the ranking put no start back
+        assert np.count_nonzero(kept) >= len(q) - 1
         if max_sweeps == 1:
-            assert ends.tobytes() == U1.tobytes()
-            assert sweeps.tolist() == [1] * len(q) and conv.tolist() == c1.tolist()
+            assert ends[kept].tobytes() == U1[kept].tobytes()
+            assert np.all(sweeps[kept] == 1) and conv[kept].tolist() == c1[kept].tolist()
         else:
-            assert ends.tobytes() == np.where(c1[:, None], U1, U2).tobytes()
-            assert ends[:-1].tobytes() == U2[:-1].tobytes()
-            assert sweeps.tolist() == np.where(c1, 1, 2).tolist() and conv.tolist() == (c1 | c2).tolist()
+            assert ends[kept].tobytes() == np.where(c1[:, None], U1, U2)[kept].tobytes()
+            assert sweeps[kept].tolist() == np.where(c1, 1, 2)[kept].tolist()
+            assert conv[kept].tolist() == (c1 | c2)[kept].tolist()
 
 
 @pytest.mark.parametrize("pen", [

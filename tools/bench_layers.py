@@ -6,7 +6,7 @@
 
 Run from the repository root. For each checkout (a directory holding `src/bridgelab`),
 a fresh worker process imports bridgelab from that checkout's `src` and makes
-`--calls` warm calls of each layer:
+CALLS warm calls of each layer:
 
 - `spawned_normals`: `util.spawned_normals(seed, 10000, 2)`, the normals of one
   `limit` command;
@@ -18,11 +18,12 @@ a fresh worker process imports bridgelab from that checkout's `src` and makes
 - `cli_limit` and `cli_mc`: `cli.main` on the `limit-standard` and
   `sparse-campaign` configs, which `perfbench/workloads.py` writes.
 
-With `--base` the workers of the two checkouts alternate for `--rounds` rounds, the
+With `--base` the workers of the two checkouts alternate for ROUNDS rounds, the
 first of each pair switching side every round, so that a drift of the host's
-speed falls on both. The record (host, versions, and per checkout and layer the
-minimum and median of all calls, in ms) goes to `--out`, BENCH_limit_sampler.json
-by default. `--smoke` makes one call of each layer in one round and writes nothing.
+speed falls on both. The record (host and versions as `perfbench/run.py` records
+them, and per checkout and layer the minimum and median of all calls, in ms) goes
+to BENCH_limit_sampler.json. `--smoke` makes one call of each layer in one round
+and writes nothing.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -41,6 +40,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_limit_sampler.json"
+ROUNDS, CALLS = 30, 4  # rounds of a --base run; warm calls of each layer per worker
 SEED = 20250809  # perfbench's default seed, the acceptance campaign's master seed
 LAYERS = ("spawned_normals", "box_argmin_block", "seeded_generators", "cli_limit", "cli_mc")
 
@@ -106,49 +107,37 @@ def worker(src: Path, calls: int) -> dict:
     return out
 
 
-def run_worker(checkout: Path, calls: int) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--worker", str(checkout / "src"), "--calls", str(calls)],
-                          stdout=subprocess.PIPE, text=True, check=True, cwd=ROOT)
+def run_worker(checkout: Path, smoke: bool) -> dict:
+    argv = [sys.executable, __file__, "--worker", str(checkout / "src")] + (["--smoke"] if smoke else [])
+    proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True, cwd=ROOT)
     return json.loads(proc.stdout)
-
-
-def host_record() -> dict:
-    import numpy
-    import scipy
-
-    return {
-        "host": {"machine": platform.machine(), "processor": platform.processor() or "unknown",
-                 "cpus": os.cpu_count(), "system": platform.system(), "release": platform.release()},
-        "versions": {"python": platform.python_version(), "numpy": numpy.__version__,
-                     "scipy": scipy.__version__},
-    }
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, default=None, help="a second checkout to interleave with this one")
-    ap.add_argument("--rounds", type=int, default=30)
-    ap.add_argument("--calls", type=int, default=4, help="warm calls of each layer per worker")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_limit_sampler.json")
     ap.add_argument("--smoke", action="store_true", help="one call each in one round; write nothing")
     ap.add_argument("--worker", type=Path, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    rounds, calls = (1, 1) if args.smoke else (ROUNDS, CALLS)
     if args.worker is not None:
-        print(json.dumps(worker(args.worker, args.calls)))
+        print(json.dumps(worker(args.worker, calls)))
         return 0
-    if args.smoke:
-        args.rounds, args.calls = 1, 1
 
     sides = {"change": ROOT} if args.base is None else {"base": args.base.resolve(), "change": ROOT}
     times = {side: {name: [] for name in LAYERS} for side in sides}
-    for r in range(args.rounds):
+    for r in range(rounds):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for side in order:
-            for name, values in run_worker(sides[side], args.calls).items():
+            for name, values in run_worker(sides[side], args.smoke).items():
                 times[side][name].extend(values)
-        sys.stderr.write(f"[bench_layers] round {r + 1}/{args.rounds} done\n")
+        sys.stderr.write(f"[bench_layers] round {r + 1}/{rounds} done\n")
 
-    record = {**host_record(), "seed": SEED, "rounds": args.rounds, "calls_per_round": args.calls,
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run  # perfbench/run.py: its host and version record (scipy None where it is missing)
+
+    record = {"host": run.host_record(), "versions": run.versions(),
+              "seed": SEED, "rounds": rounds, "calls_per_round": calls,
               "layers": {name: {side: {"min_ms": 1e3 * min(times[side][name]),
                                        "median_ms": 1e3 * statistics.median(times[side][name]),
                                        "calls": len(times[side][name])} for side in sides}
@@ -160,8 +149,8 @@ def main(argv=None) -> int:
     if args.smoke:
         sys.stdout.write(text)
     else:
-        args.out.write_text(text, encoding="utf-8")
-        sys.stderr.write(f"[bench_layers] wrote {args.out}\n")
+        OUT.write_text(text, encoding="utf-8")
+        sys.stderr.write(f"[bench_layers] wrote {OUT}\n")
     return 0
 
 
